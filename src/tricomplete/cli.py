@@ -20,6 +20,7 @@ from .rmodule import Ring
 from .complexes import PreconditionError, ValidationError
 from .metric import (
     GoodMetric,
+    MetricResolutionError,
     cartesian_invariance_check,
     check_good_axioms,
     equivalent,
@@ -406,7 +407,8 @@ def main(argv=None) -> int:
     try:
         ctx = _Ctx(args)
         return args.fn(ctx, args)
-    except (WorkspaceError, ValidationError, PreconditionError, ValueError, OSError) as e:
+    except (WorkspaceError, ValidationError, PreconditionError, MetricResolutionError,
+            ValueError, OSError) as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
 

@@ -10,7 +10,10 @@ Sign conventions, fixed once:
   * shift:   (T^t X)^i = X^(i+t), differential scaled by (-1)^t;
   * cone(f): cone^i = X^(i+1) (+) Y^i with differential
              [[-d_X, 0], [f, d_Y]], g : Y -> cone the inclusion and
-             h : cone -> TX the projection.
+             h : cone -> TX the projection;
+  * Hom complex: Hom^k(X, Y) = prod_i Hom(X^i, Y^(i+k)) with
+             delta^k(f) = d_Y f - (-1)^k f d_X, so chain maps are
+             ker delta^0 and f = d s + s d is f = delta^(-1)(s).
 All tests are relative to these conventions.
 """
 
@@ -339,106 +342,79 @@ def is_quasi_iso(f: ChainMap) -> bool:
     return is_acyclic(cone(f).z)
 
 
-# -- homotopies ---------------------------------------------------------------
+# -- the Hom complex -------------------------------------------------------------
+
+
+def hom_complex(x: Complex, y: Complex, k: int) -> tuple[list[tuple[int, list[RModuleMap]]], Matrix]:
+    """Basis of Hom^k(X, Y) = prod_i Hom(X^i, Y^(i+k)) and the matrix of
+    delta^k(f) = d_Y f - (-1)^k f d_X : Hom^k -> Hom^(k+1).
+
+    The basis is a list of (i, hom_basis(X^i, Y^(i+k))) in increasing i,
+    empty factors left out; its concatenation indexes the columns.  The
+    rows are the entries of the maps X^i -> Y^(i+k+1), one row-major block
+    per degree of X in increasing order.  kernel_basis and solve depend only
+    on the row space and the column order, so every caller's bases and
+    witnesses are fixed by this layout.
+    """
+    basis, row_at, rows = [], {}, 0
+    for i in x.degrees:
+        row_at[i] = rows
+        rows += y.component(i + k + 1).dim * x.component(i).dim
+        bs = hom_basis(x.component(i), y.component(i + k))
+        if bs:
+            basis.append((i, bs))
+    delta = np.zeros((rows, sum(len(bs) for _, bs in basis)), dtype=np.int64)
+    sign = -1 if k % 2 == 0 else 1  # -(-1)^k
+    col = 0
+    for i, bs in basis:
+        stack = np.stack([b.matrix.a for b in bs])
+        cols = slice(col, col + len(bs))
+        col += len(bs)
+        dy = y._diffs.get(i + k)
+        if dy is not None:  # d_Y f lands in the block of X^i
+            block = (dy.matrix.a @ stack).reshape(len(bs), -1).T
+            delta[row_at[i]:row_at[i] + block.shape[0], cols] = block
+        dx = x._diffs.get(i - 1)
+        if dx is not None:  # f d_X lands in the block of X^(i-1)
+            block = (stack @ dx.matrix.a).reshape(len(bs), -1).T
+            delta[row_at[i - 1]:row_at[i - 1] + block.shape[0], cols] = sign * block
+    return basis, Matrix(delta, x.ring.p)
+
+
+def hom_combination(basis: list[tuple[int, list[RModuleMap]]], coeffs: np.ndarray) -> dict[int, RModuleMap]:
+    """The degreewise maps sum_k coeffs[k] B_k over a hom_complex basis,
+    one RModuleMap per degree; zero maps are left out."""
+    out, at = {}, 0
+    for i, bs in basis:
+        c = coeffs[at:at + len(bs)] % bs[0].ring.p
+        at += len(bs)
+        if c.any():  # hom_basis is a basis, so the sum is nonzero
+            matrix = np.tensordot(c, np.stack([b.matrix.a for b in bs]), axes=1)
+            out[i] = RModuleMap(bs[0].source, bs[0].target, Matrix(matrix, bs[0].ring.p))
+    return out
 
 
 def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, RModuleMap] | None]:
-    """Solve f = d s + s d for a degree -1 family s of R-module maps.
+    """Solve f = d s + s d = delta^(-1)(s) for a degree -1 family s of
+    R-module maps.
 
     Returns (True, witness) with witness[i] : X^i -> Y^(i-1), or (False, None).
     """
-    x, y = f.source, f.target
-    ring = x.ring
-    degs = sorted(set(x.degrees) | set(y.degrees))
-    if not degs:
-        return True, {}
-    # unknowns: hom bases of Hom(X^i, Y^(i-1)) for all i
-    bases: dict[int, list[RModuleMap]] = {}
-    offsets: dict[int, int] = {}
-    total = 0
-    for i in range(degs[0], degs[-1] + 2):
-        bs = hom_basis(x.component(i), y.component(i - 1))
-        if bs:
-            bases[i] = bs
-            offsets[i] = total
-            total += len(bs)
-    # equations: one block per degree i, entries of maps X^i -> Y^i
-    row_offsets: dict[int, int] = {}
-    rows = 0
-    for i in degs:
-        row_offsets[i] = rows
-        rows += y.component(i).dim * x.component(i).dim
-    system = np.zeros((rows, total), dtype=np.int64)
-    rhs = np.zeros((rows, 1), dtype=np.int64)
-    for i in degs:
-        r0 = row_offsets[i]
-        block = f.component(i).matrix.a.ravel()
-        rhs[r0:r0 + block.size, 0] = block
-        for b_i, bmap in enumerate(bases.get(i, [])):
-            col = (y.differential(i - 1).matrix @ bmap.matrix).a.ravel()
-            system[r0:r0 + col.size, offsets[i] + b_i] = col
-        for b_i, bmap in enumerate(bases.get(i + 1, [])):
-            col = (bmap.matrix @ x.differential(i).matrix).a.ravel()
-            system[r0:r0 + col.size, offsets[i + 1] + b_i] = col
-    sol = solve(Matrix(system, ring.p), Matrix(rhs, ring.p))
+    x = f.source
+    basis, delta = hom_complex(x, f.target, -1)
+    rhs = np.concatenate([np.zeros(0, dtype=np.int64)]
+                         + [f.component(i).matrix.a.ravel() for i in x.degrees])
+    sol = solve(delta, Matrix(rhs.reshape(-1, 1), x.ring.p))
     if sol is None:
         return False, None
-    witness: dict[int, RModuleMap] = {}
-    for i, bs in bases.items():
-        acc = zero_map(x.component(i), y.component(i - 1))
-        for b_i, bmap in enumerate(bs):
-            c = int(sol.a[offsets[i] + b_i, 0])
-            if c:
-                acc = acc + RModuleMap(bmap.source, bmap.target, bmap.matrix.scale(c))
-        if not acc.is_zero():
-            witness[i] = acc
-    return True, witness
+    return True, hom_combination(basis, sol.a[:, 0])
 
 
 def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
-    """F_p basis of the space of chain maps X -> Y."""
-    ring = x.ring
-    degs = sorted(set(x.degrees) | set(y.degrees))
-    if not degs:
-        return []
-    bases: dict[int, list[RModuleMap]] = {}
-    offsets: dict[int, int] = {}
-    total = 0
-    for i in degs:
-        bs = hom_basis(x.component(i), y.component(i))
-        if bs:
-            bases[i] = bs
-            offsets[i] = total
-            total += len(bs)
-    if total == 0:
-        return []
-    rows = 0
-    row_offsets = {}
-    for i in degs:
-        row_offsets[i] = rows
-        rows += y.component(i + 1).dim * x.component(i).dim
-    system = np.zeros((rows, total), dtype=np.int64)
-    for i in degs:
-        r0 = row_offsets[i]
-        for b_i, bmap in enumerate(bases.get(i, [])):
-            col = (y.differential(i).matrix @ bmap.matrix).a.ravel()
-            system[r0:r0 + col.size, offsets[i] + b_i] += col
-        for b_i, bmap in enumerate(bases.get(i + 1, [])):
-            col = (bmap.matrix @ x.differential(i).matrix).a.ravel()
-            system[r0:r0 + col.size, offsets[i + 1] + b_i] -= col
-    null = kernel_basis(Matrix(system % ring.p, ring.p))
-    out = []
-    for j in range(null.cols):
-        comps = {}
-        for i, bs in bases.items():
-            acc = zero_map(x.component(i), y.component(i))
-            for b_i, bmap in enumerate(bs):
-                c = int(null.a[offsets[i] + b_i, j])
-                if c:
-                    acc = acc + RModuleMap(bmap.source, bmap.target, bmap.matrix.scale(c))
-            comps[i] = acc
-        out.append(ChainMap(x, y, comps))
-    return out
+    """F_p basis of the space of chain maps X -> Y: the kernel of delta^0."""
+    basis, delta = hom_complex(x, y, 0)
+    null = kernel_basis(delta)
+    return [ChainMap(x, y, hom_combination(basis, null.a[:, j])) for j in range(null.cols)]
 
 
 # -- duality ------------------------------------------------------------------
@@ -685,50 +661,14 @@ def derived_hom(a: Complex, b: Complex, d: int = 0) -> int:
     """dim over F_p of Hom in the derived category from a to T^d b.
 
     Computed as H^0 of the Hom complex out of a projective resolution of a,
-    truncated two degrees below where any component could interact with b.
+    truncated two degrees below where any component could interact with b:
+    dim Hom^0 - rk delta^0 - rk delta^(-1).
     """
     if a.is_zero() or b.is_zero():
         return 0
     depth = min(a.min_degree, b.min_degree - d - 2)
-    res = projective_resolution(a, depth)
-    pc = res.complex
-    if pc.is_zero():
-        return 0
-    # layer t: maps P^i -> B^(i+d+t)
-    bases: dict[tuple[int, int], list[RModuleMap]] = {}
-    offs: dict[tuple[int, int], int] = {}
-    sizes = {}
-    for t in (-1, 0, 1):
-        total = 0
-        for i in pc.degrees:
-            bs = hom_basis(pc.component(i), b.component(i + d + t))
-            if bs:
-                bases[(t, i)] = bs
-                offs[(t, i)] = total
-                total += len(bs)
-        sizes[t] = total
-    if sizes[0] == 0:
-        return 0
-
-    def delta_matrix(t: int) -> Matrix:
-        # rows: entries of maps P^i -> B^(i+d+t+1); cols: layer-t basis
-        row_offsets = {}
-        rows = 0
-        for i in pc.degrees:
-            row_offsets[i] = rows
-            rows += b.component(i + d + t + 1).dim * pc.component(i).dim
-        system = np.zeros((rows, sizes[t]), dtype=np.int64)
-        sgn = -1 if t % 2 == 0 else 1  # -(-1)^t
-        for i in pc.degrees:
-            r0 = row_offsets[i]
-            for b_i, bmap in enumerate(bases.get((t, i), [])):
-                col = (b.differential(i + d + t).matrix @ bmap.matrix).a.ravel()
-                system[r0:r0 + col.size, offs[(t, i)] + b_i] += col
-            for b_i, bmap in enumerate(bases.get((t, i + 1), [])):
-                col = (bmap.matrix @ pc.differential(i).matrix).a.ravel()
-                system[r0:r0 + col.size, offs[(t, i + 1)] + b_i] += sgn * col
-        return Matrix(system % pc.ring.p, pc.ring.p)
-
-    d0 = delta_matrix(0)
-    dm1 = delta_matrix(-1)
-    return (sizes[0] - rank(d0)) - rank(dm1)
+    pc = projective_resolution(a, depth).complex
+    tb = shift(b, d)
+    _, d0 = hom_complex(pc, tb, 0)
+    _, dm1 = hom_complex(pc, tb, -1)
+    return d0.cols - rank(d0) - rank(dm1)

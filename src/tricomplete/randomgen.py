@@ -12,9 +12,9 @@ import random
 
 import numpy as np
 
-from .linalg import Matrix, kernel_basis
-from .rmodule import RModule, RModuleMap, Ring, hom_basis, zero_map
-from .complexes import ChainMap, Complex, chain_map_space, zero_complex
+from .linalg import kernel_basis
+from .rmodule import RModule, RModuleMap, Ring
+from .complexes import ChainMap, Complex, hom_combination, hom_complex, module_complex, zero_complex
 
 
 class Sampler:
@@ -27,20 +27,21 @@ class Sampler:
         k = self.rng.randint(lo, max_blocks)
         return RModule(self.ring, tuple(self.rng.randint(1, self.ring.n) for _ in range(k)))
 
-    def _random_combination(self, basis: list[RModuleMap], source: RModule, target: RModule) -> RModuleMap:
-        acc = zero_map(source, target)
-        for b in basis:
-            c = self.rng.randrange(self.ring.p)
-            if c:
-                acc = acc + RModuleMap(b.source, b.target, b.matrix.scale(c))
-        return acc
+    def _kernel_sample(self, x: Complex, y: Complex) -> dict[int, RModuleMap]:
+        """Uniform random element of ker delta^0 : Hom^0(X, Y) -> Hom^1(X, Y),
+        one coefficient drawn per kernel basis vector."""
+        basis, delta = hom_complex(x, y, 0)
+        null = kernel_basis(delta)
+        coeffs = np.array([self.rng.randrange(self.ring.p) for _ in range(null.cols)], dtype=np.int64)
+        return hom_combination(basis, null.a @ coeffs)
 
     def complex(self, lo: int, hi: int, max_blocks: int = 2,
                 degrees: list[int] | None = None) -> Complex:
         """Random bounded complex with components in the given degree window.
 
         degrees, when given, restricts which degrees may carry a nonzero
-        component (used to sample inside metric balls).
+        component (used to sample inside metric balls).  The admissible d^i
+        are the chain maps from X^(i-1) -> X^i into X^(i+1) in degree i.
         """
         allowed = sorted(degrees) if degrees is not None else list(range(lo, hi + 1))
         comps = {}
@@ -50,42 +51,19 @@ class Sampler:
                 comps[i] = m
         if not comps:
             return zero_complex(self.ring)
-        x = Complex(self.ring, comps, {})
         diffs: dict[int, RModuleMap] = {}
         for i in sorted(comps):
-            src = x.component(i)
-            tgt = x.component(i + 1)
-            if src.is_zero() or tgt.is_zero():
+            if i + 1 not in comps:
                 continue
-            basis = hom_basis(src, tgt)
-            prev = diffs.get(i - 1)
-            if prev is not None and not prev.is_zero():
-                cols = np.column_stack([(b.matrix @ prev.matrix).a.ravel() for b in basis])
-                null = kernel_basis(Matrix(cols, self.ring.p))
-                usable = []
-                for j in range(null.cols):
-                    acc = zero_map(src, tgt)
-                    for b_i, b in enumerate(basis):
-                        c = int(null.a[b_i, j])
-                        if c:
-                            acc = acc + RModuleMap(b.source, b.target, b.matrix.scale(c))
-                    usable.append(acc)
-                basis = usable
-            d = self._random_combination(basis, src, tgt) if basis else zero_map(src, tgt)
-            if not d.is_zero():
+            prev = {i - 1: diffs[i - 1]} if i - 1 in diffs else {}
+            two_term = Complex(self.ring, {j: comps[j] for j in (i - 1, i) if j in comps}, prev)
+            d = self._kernel_sample(two_term, module_complex(comps[i + 1], i)).get(i)
+            if d is not None:
                 diffs[i] = d
         return Complex(self.ring, comps, diffs)
 
     def chain_map(self, x: Complex, y: Complex) -> ChainMap:
-        basis = chain_map_space(x, y)
-        acc = ChainMap(x, y, {})
-        for b in basis:
-            c = self.rng.randrange(self.ring.p)
-            if c:
-                scaled = ChainMap(x, y, {i: RModuleMap(g.source, g.target, g.matrix.scale(c))
-                                         for i, g in b._components.items()})
-                acc = acc + scaled
-        return acc
+        return ChainMap(x, y, self._kernel_sample(x, y))
 
     def composable_pair(self, lo: int = -2, hi: int = 2,
                         max_blocks: int = 2) -> tuple[ChainMap, ChainMap]:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from tricomplete.linalg import Matrix, rank
@@ -8,14 +9,17 @@ from tricomplete.rmodule import (
     RModuleMap,
     Ring,
     free_module,
+    hom_basis,
     hom_dim_closed_form,
     identity_map,
+    zero_map,
 )
 from tricomplete.complexes import (
     ChainMap,
     Complex,
     PreconditionError,
     ValidationError,
+    chain_map_space,
     cohomology,
     cohomology_map,
     cohomology_support,
@@ -131,6 +135,47 @@ def test_identity_on_cone_of_identity_null_homotopic():
         if i + 1 in s:
             acc = acc + (s[i + 1].matrix @ z.differential(i).matrix)
         assert acc == Matrix.identity(z.component(i).dim, 2)
+
+
+def ds_plus_sd(x, y, s, i):
+    """Degree i of d s + s d for a degree -1 family s : X^j -> Y^(j-1)."""
+    def at(j):
+        return s[j] if j in s else zero_map(x.component(j), y.component(j - 1))
+    return y.differential(i - 1) @ at(i) + at(i + 1) @ x.differential(i)
+
+
+def flat(g):
+    """The components of a chain map as one vector, in degree order of its source."""
+    return np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + [g.component(i).matrix.a.ravel() for i in g.source.degrees])
+
+
+@pytest.mark.parametrize("ring", [Ring(3, 3), R22])
+def test_random_null_homotopies_have_witnesses(ring):
+    # over F_3 a wrong sign in d s + s d would leave f unsolvable or the
+    # witness wrong; over F_2 the sign cannot be seen
+    from tricomplete.randomgen import Sampler
+
+    rng = random.Random(70 + ring.p)
+    sampler = Sampler(ring, rng)
+    multi_degree = 0
+    for _ in range(25):
+        x, y = sampler.complex(-2, 2), sampler.complex(-2, 2)
+        s = {}
+        for i in x.degrees:
+            for b in hom_basis(x.component(i), y.component(i - 1)):
+                scaled = RModuleMap(b.source, b.target, b.matrix.scale(rng.randrange(ring.p)))
+                s[i] = s[i] + scaled if i in s else scaled
+        f = ChainMap(x, y, {i: ds_plus_sd(x, y, s, i) for i in x.degrees})
+        multi_degree += len(f._components) >= 2
+        ok, w = is_null_homotopic(f)
+        assert ok
+        for i in x.degrees:
+            assert ds_plus_sd(x, y, w, i) == f.component(i)
+        # f is a chain map, so it lies in the span of chain_map_space(X, Y)
+        span = [flat(g) for g in chain_map_space(x, y)]
+        assert rank(Matrix(np.array(span + [flat(f)]), ring.p)) == len(span)
+    assert multi_degree >= 5
 
 
 # -- long exact sequence of the cone -----------------------------------------

@@ -334,3 +334,12 @@ def test_cli_validation_error_exit_3(tmp_path, capsys):
 def test_cli_usage_error_exit_3(capsys):
     code, _, _ = run(capsys, ["length"])  # missing required args
     assert code == 3
+
+
+def test_cli_non_good_metric_exit_3(tmp_path, capsys):
+    # the balls of ray-above 0 never shrink: not a good metric
+    path = tmp_path / "ws.txt"
+    path.write_text(FIXTURE + "METRIC flat\n  PIECE ray-above 0\nEND\n")
+    code, _, err = run(capsys, ["-w", str(path), "cauchy-check", "towerK", "--metric", "flat"])
+    assert code == 3
+    assert err.startswith("error:")
