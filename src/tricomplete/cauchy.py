@@ -12,10 +12,10 @@ on demand:
 
 For tail towers the cone of X_i -> X_j is the quotient complex, whose
 cohomology support has a closed form, so certificates are unconditional:
-lengths for all i, j, including the j -> infinity limit, are evaluated
-exactly (the escape to -infinity is tracked as a sentinel).  Prefix-only
-towers can only ever be measured up to the horizon, and their certificates
-say so rather than guessing.
+the union over all j > i of these supports (a point and a ray escaping to
+-infinity) is measured exactly, once per i.  Certificates are issued only
+for good metrics.  Prefix-only towers can only ever be measured up to the
+horizon, and their certificates say so rather than guessing.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ from .complexes import (
     cohomology_map,
     cone,
 )
-from .metric import GoodMetric, object_length
-
-
-INF = "inf"  # stands for j -> infinity in tail computations
+from .metric import GoodMetric, first_shift_violation, object_length
 
 
 class TruncationTail:
@@ -74,15 +71,6 @@ class TruncationTail:
         self._extend(t)
         return self._frees[t]
 
-    def omega(self, t: int) -> RModule:
-        while len(self._omegas) <= t:
-            self._extend(len(self._frees))
-        return self._omegas[t]
-
-    def limit_escapes_below(self) -> bool:
-        """Whether cone supports keep escaping to -infinity as i grows."""
-        return not self.module.is_free() and not self.module.is_zero()
-
     def complex_at(self, k: int) -> Complex:
         self._extend(k)
         comps = {-t: self._frees[t] for t in range(0, k + 1) if not self._frees[t].is_zero()}
@@ -93,23 +81,19 @@ class TruncationTail:
     def map_at(self, k: int, xk: Complex, xk1: Complex) -> ChainMap:
         return ChainMap(xk, xk1, {i: identity_map(xk.component(i)) for i in xk.degrees})
 
-    def cone_support(self, i: int, j: int) -> tuple[frozenset, bool]:
-        """Cohomology support of cone(X_i -> X_j), plus a flag for j = infinity.
+    def tail_support(self, i: int) -> tuple[frozenset, int | None]:
+        """Union over all j > i of the cohomology supports of cone(X_i -> X_j),
+        as a finite set plus the top of a ray of degrees escaping to -infinity.
 
         The cone is the quotient complex in degrees [-j, -i-1]: its top
         cohomology is the covered syzygy (nonzero iff F_(i+1) is), its
-        bottom is Omega^(j+1) M, and middle degrees are exact.
+        bottom is Omega^(j+1) M, and middle degrees are exact.  The syzygies
+        of a module that is neither free nor zero never vanish, so -j runs
+        over every degree <= -i-1.
         """
-        if j == i:
-            return frozenset(), False
-        supp = set()
-        if not self.free(i + 1).is_zero():
-            supp.add(-i - 1)
-        if j == INF:
-            return frozenset(supp), not self.module.is_free() and not self.module.is_zero()
-        if not self.omega(j + 1).is_zero():
-            supp.add(-j)
-        return frozenset(supp), False
+        supp = frozenset() if self.free(i + 1).is_zero() else frozenset({-i - 1})
+        escapes = not self.module.is_free() and not self.module.is_zero()
+        return supp, (-i - 1 if escapes else None)
 
 
 class ConstantTail:
@@ -127,8 +111,8 @@ class ConstantTail:
 
         return identity_chain_map(self.complex)
 
-    def cone_support(self, i: int, j: int) -> tuple[frozenset, bool]:
-        return frozenset(), False
+    def tail_support(self, i: int) -> tuple[frozenset, int | None]:
+        return frozenset(), None
 
 
 class Tower:
@@ -220,7 +204,7 @@ class CauchyCertificate:
     conclusive: bool
     thresholds: dict[int, int] = field(default_factory=dict)  # n -> M(n)
     sup_lengths: dict[int, Fraction] = field(default_factory=dict)  # i -> sup over j of length
-    violation: tuple | None = None  # (n, i, j, length); j may be "inf"
+    violation: tuple | None = None  # (n, i, j, length)
     note: str = ""
 
     @property
@@ -228,66 +212,54 @@ class CauchyCertificate:
         return self.verdict == "cauchy"
 
 
-def _tail_sup_length(tower: Tower, m: GoodMetric, i: int, scan: int = 64) -> Fraction:
+def _tail_sup_length(tower: Tower, m: GoodMetric, i: int) -> Fraction:
     """sup over j >= i of length(X_i -> X_j) for a tail tower, exactly.
 
-    Ball levels of two-point supports factor through the level of each
-    point (specs grow with n), so the sup is attained within a finite scan
-    of j or at the j -> infinity sentinel.
-    """
-    best = Fraction(0)
-    for j in range(i + 1, i + 2 + scan):
-        supp, _ = tower.tail.cone_support(i, j)
-        if not supp:
-            continue
-        lvl = m.ball_level(supp)
-        if lvl is not None:
-            best = max(best, Fraction(1, lvl))
-    supp, minus_inf = tower.tail.cone_support(i, INF)
-    if supp or minus_inf:
-        lvl = m.ball_level(supp, minus_inf=minus_inf)
-        if lvl is not None:
-            best = max(best, Fraction(1, lvl))
-    return best
+    The balls of a good metric are nested, so the least level over the
+    union of all cone supports is the least level over each of them."""
+    supp, below = tower.tail.tail_support(i)
+    lvl = m.ball_level(supp, below=below)
+    return Fraction(0) if lvl is None else Fraction(1, lvl)
 
 
 def is_cauchy(tower: Tower, m: GoodMetric, horizon: int, levels: int) -> CauchyCertificate:
     """Certify the Cauchy condition per level n: a threshold M(n) beyond
     which all composites are shorter than 1/n.
 
-    Tail towers get unconditional certificates from the closed-form cone
-    supports; prefix-only towers are measured within the horizon and the
-    certificate is explicitly inconclusive (never a false positive).
+    Only good metrics are certified: a metric whose shift axiom fails at
+    some level is refused.  Tail towers get unconditional certificates from
+    the closed-form cone supports; prefix-only towers are measured within
+    the horizon and the certificate is explicitly inconclusive (never a
+    false positive).
     """
     if horizon < 2:
         raise PreconditionError("horizon must be >= 2")
     name = m.display_name()
+    bad = first_shift_violation(m)
+    if bad is not None:
+        n, t, deg = bad
+        raise PreconditionError(
+            "metric %s is not good: at level %d, T^%d B_%d is not inside B_%d (witness degree %d)"
+            % (name, n, t, n + 1, n, deg))
     if tower.has_tail:
         sup = {i: _tail_sup_length(tower, m, i) for i in range(1, horizon + 1)}
         # the shipped spec families make sup lengths non-increasing; guard it
         vals = [sup[i] for i in range(1, horizon + 1)]
         if any(vals[t + 1] > vals[t] for t in range(len(vals) - 1)):
             raise PreconditionError("sup lengths not monotone; cannot certify this metric on a tail tower")
-        # asymptotics for i -> infinity: the whole cone support escapes below
-        escapes = isinstance(tower.tail, TruncationTail) and tower.tail.limit_escapes_below()
-        asct = m.ball_level(frozenset(), minus_inf=True) if escapes else None
-        limit_len = Fraction(0) if asct is None else Fraction(1, asct)
         cert = CauchyCertificate(metric=name, horizon=horizon, levels=levels,
                                  verdict="cauchy", conclusive=True, sup_lengths=sup)
+        _, escape = tower.tail.tail_support(horizon)
+        if escape is not None and any(p[0] == "below" for p in m.effective_pieces):
+            # the escaping ray meets every ball's spec, so lengths stay 1
+            # arbitrarily deep.  Witness: the least j > horizon with -j in
+            # spec(2), i.e. its greatest degree <= -horizon-1
+            top = max(min(hi, escape) for lo, hi in m.effective_spec(2).runs() if lo <= escape)
+            cert.verdict = "not_cauchy"
+            cert.violation = (1, horizon, -top, Fraction(1))
+            return cert
         for n in range(1, levels + 1):
             eps = Fraction(1, n)
-            if limit_len >= eps:
-                # lengths stay >= 1/n arbitrarily deep: not Cauchy
-                witness_j = None
-                for j in range(horizon + 1, horizon + 34):
-                    s, _ = tower.tail.cone_support(horizon, j)
-                    lvl = m.ball_level(s) if s else None
-                    if lvl is not None and Fraction(1, lvl) >= eps:
-                        witness_j = (horizon, j, Fraction(1, lvl))
-                        break
-                cert.verdict = "not_cauchy"
-                cert.violation = ((n,) + witness_j) if witness_j else (n, horizon, INF, limit_len)
-                return cert
             found = None
             for M in range(1, horizon + 1):
                 if all(sup[i] < eps for i in range(M, horizon + 1)):

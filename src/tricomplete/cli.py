@@ -20,7 +20,6 @@ from .rmodule import Ring
 from .complexes import PreconditionError, ValidationError
 from .metric import (
     GoodMetric,
-    MetricResolutionError,
     cartesian_invariance_check,
     check_good_axioms,
     equivalent,
@@ -407,9 +406,12 @@ def main(argv=None) -> int:
     try:
         ctx = _Ctx(args)
         return args.fn(ctx, args)
-    except (WorkspaceError, ValidationError, PreconditionError, MetricResolutionError,
-            ValueError, OSError) as e:
+    except (WorkspaceError, ValidationError, PreconditionError, ValueError, OSError) as e:
         sys.stderr.write("error: %s\n" % e)
+        return EXIT_USAGE
+    except Exception as e:
+        # a crash must never read as exit 1, the negative verdict
+        sys.stderr.write("error: internal error: %s: %s\n" % (type(e).__name__, e))
         return EXIT_USAGE
 
 

@@ -2,9 +2,11 @@
 
 A ball family assigns to each level n >= 1 the set of degrees where
 cohomology must vanish; membership of a bounded complex in the n-th ball
-is then a finite check on its cohomology support.  Lengths of morphisms
-are exact rationals 1/n read off the cone's support, either through the
-closed forms installed by the standard constructors or by scanning levels.
+is then a finite check on its cohomology support.  Every family is a union
+of pieces (rays and open intervals) whose endpoints are integer-linear in
+n, so ball levels, inclusions and the good-metric axioms are solved as
+linear inequalities in n.  Lengths of morphisms are exact rationals 1/n
+read off the cone's support.
 
 The three standard families, for a homological functor H:
   i)   vanish in degrees i > -n,
@@ -17,10 +19,10 @@ dual flag realizes opposite-side measurement by degree negation.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .rmodule import Ring
 from .complexes import (
@@ -35,11 +37,39 @@ from .complexes import (
 )
 from .rmodule import RModule
 
-_ENUM_GUARD = 100_000
+
+@dataclass(frozen=True)
+class LinearExpr:
+    """a*n + b, evaluated at ball level n."""
+
+    a: int
+    b: int
+
+    def __call__(self, n: int) -> int:
+        return self.a * n + self.b
+
+    def __add__(self, t: int) -> "LinearExpr":
+        return LinearExpr(self.a, self.b + t)
+
+    def __neg__(self) -> "LinearExpr":
+        return LinearExpr(-self.a, -self.b)
+
+    def __str__(self):
+        if self.a == 0:
+            return str(self.b)
+        an = {1: "n", -1: "-n"}.get(self.a, "%d*n" % self.a)
+        if self.b == 0:
+            return an
+        return "%s%+d" % (an, self.b)
 
 
-class MetricResolutionError(RuntimeError):
-    """A level scan hit its bound without resolving a ball membership."""
+def _shift_piece(p: tuple, t: int) -> tuple:
+    return (p[0],) + tuple(e + t for e in p[1:])
+
+
+def _negate_piece(p: tuple) -> tuple:
+    kind = {"above": "below", "below": "above", "interval": "interval"}[p[0]]
+    return (kind,) + tuple(-e for e in reversed(p[1:]))
 
 
 @dataclass(frozen=True)
@@ -87,60 +117,29 @@ class VanishingSpec:
         return False
 
     def shifted(self, t: int) -> "VanishingSpec":
-        out = []
-        for p in self.pieces:
-            if p[0] == "interval":
-                out.append(("interval", p[1] + t, p[2] + t))
-            else:
-                out.append((p[0], p[1] + t))
-        return VanishingSpec(tuple(out))
+        return VanishingSpec(tuple(_shift_piece(p, t) for p in self.pieces))
 
     def negated(self) -> "VanishingSpec":
-        out = []
-        for p in self.pieces:
-            if p[0] == "above":
-                out.append(("below", -p[1]))
-            elif p[0] == "below":
-                out.append(("above", -p[1]))
+        return VanishingSpec(tuple(_negate_piece(p) for p in self.pieces))
+
+    def runs(self) -> list[tuple]:
+        """The degrees as sorted, disjoint, non-adjacent runs [lo, hi] of
+        integers; the ends of rays are -inf/+inf."""
+        spans = sorted((p[1] + 1, math.inf) if p[0] == "above"
+                       else (-math.inf, p[1] - 1) if p[0] == "below"
+                       else (p[1] + 1, p[2] - 1) for p in self.pieces)
+        merged: list[list] = []
+        for lo, hi in spans:
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], hi)
             else:
-                out.append(("interval", -p[2], -p[1]))
-        return VanishingSpec(tuple(out))
-
-    def has_above_ray(self) -> bool:
-        return any(p[0] == "above" for p in self.pieces)
-
-    def has_below_ray(self) -> bool:
-        return any(p[0] == "below" for p in self.pieces)
-
-    def endpoint_bound(self) -> int:
-        return max((abs(v) for p in self.pieces for v in p[1:]), default=0)
+                merged.append([lo, hi])
+        return [tuple(r) for r in merged]
 
     def is_subset(self, other: "VanishingSpec") -> bool:
-        for p in self.pieces:
-            if p[0] == "above":
-                thresholds = [q[1] for q in other.pieces if q[0] == "above"]
-                if not thresholds:
-                    return False
-                a_star = min(thresholds)
-                if a_star - p[1] > _ENUM_GUARD:
-                    raise MetricResolutionError("ray comparison out of range")
-                if any(not other.contains(i) for i in range(p[1] + 1, a_star + 1)):
-                    return False
-            elif p[0] == "below":
-                thresholds = [q[1] for q in other.pieces if q[0] == "below"]
-                if not thresholds:
-                    return False
-                b_star = max(thresholds)
-                if p[1] - b_star > _ENUM_GUARD:
-                    raise MetricResolutionError("ray comparison out of range")
-                if any(not other.contains(i) for i in range(b_star, p[1])):
-                    return False
-            else:
-                if p[2] - p[1] > _ENUM_GUARD:
-                    raise MetricResolutionError("interval too large to compare")
-                if any(not other.contains(i) for i in range(p[1] + 1, p[2])):
-                    return False
-        return True
+        target = other.runs()
+        return all(any(lo >= olo and hi <= ohi for olo, ohi in target)
+                   for lo, hi in self.runs())
 
     def __str__(self):
         if not self.pieces:
@@ -156,34 +155,56 @@ class VanishingSpec:
         return " or ".join(bits)
 
 
+def _least_level(constraints: list[LinearExpr]) -> int | None:
+    """Least level n >= 2 with c(n) > 0 for every constraint c, or None."""
+    lo, hi = 2, math.inf
+    for c in constraints:
+        # c.a*n + c.b > 0 over the integers is c.a*n >= 1 - c.b
+        if c.a > 0:
+            lo = max(lo, -((c.b - 1) // c.a))
+        elif c.a < 0:
+            hi = min(hi, (1 - c.b) // c.a)
+        elif c.b <= 0:
+            return None
+    return lo if lo <= hi else None
+
+
+def _meeting_constraints(p: tuple, d: int, ray: bool) -> list[LinearExpr]:
+    """Conditions on n for the piece p(n) to contain degree d, or (ray) to
+    meet the degrees <= d; each condition reads c(n) > 0."""
+    if p[0] == "below":
+        return [] if ray else [LinearExpr(p[1].a, p[1].b - d)]  # d < b(n)
+    a = p[1]
+    out = [LinearExpr(-a.a, d - a.b)]  # a(n) < d
+    if p[0] == "interval":
+        b = p[2]  # d < b(n), or for the ray: the interval is not empty
+        out.append(LinearExpr(b.a - a.a, b.b - a.b - 1) if ray else LinearExpr(b.a, b.b - d))
+    return out
+
+
 class GoodMetric:
     """Ball family: level n maps to the vanishing spec cutting out B_n.
 
-    family(1) must be empty (B_1 is everything).  The dual flag measures on
-    the opposite side: supports are negated before spec evaluation.
-    support_level, when installed, resolves the largest ball containing a
-    given cohomology support in closed form; minus_inf/plus_inf stand for
-    support escaping to -inf/+inf (used for tails of towers).
+    pieces are ("above", a), ("below", b) and ("interval", a, b) with
+    LinearExpr endpoints, as in VanishingSpec; they cut out B_n for n >= 2,
+    and B_1 is everything.  The dual flag measures on the opposite side:
+    the effective pieces are the negated ones, read against supports as
+    they are.
     """
 
-    def __init__(self, name: str, family: Callable[[int], VanishingSpec],
-                 dual: bool = False,
-                 support_level: Callable[[frozenset, bool, bool], int | None] | None = None):
-        if not family(1).is_empty():
-            raise ValueError("B_1 must be the whole category: family(1) must be empty")
+    def __init__(self, name: str, pieces, dual: bool = False):
         self.name = name
-        self._family = family
+        self.pieces = tuple(pieces)
         self.dual = dual
-        self._support_level = support_level
-
-    def spec(self, n: int) -> VanishingSpec:
-        if n < 1:
-            raise PreconditionError("ball level must be >= 1, got %d" % n)
-        return self._family(n)
+        self.effective_pieces = tuple(_negate_piece(p) for p in self.pieces) if dual else self.pieces
 
     def effective_spec(self, n: int) -> VanishingSpec:
-        s = self.spec(n)
-        return s.negated() if self.dual else s
+        if n < 1:
+            raise PreconditionError("ball level must be >= 1, got %d" % n)
+        if n == 1:
+            return VanishingSpec.empty()
+        at_n = [(p[0],) + tuple(e(n) for e in p[1:]) for p in self.effective_pieces]
+        return VanishingSpec(tuple(q for q in at_n if q[0] != "interval" or q[2] - q[1] > 1))
 
     def display_name(self) -> str:
         return self.name + (":dual" if self.dual else "")
@@ -191,40 +212,20 @@ class GoodMetric:
     # -- ball membership & lengths ----------------------------------------
 
     def support_in_ball(self, supp: frozenset, n: int) -> bool:
-        eff = (frozenset(-i for i in supp)) if self.dual else supp
-        spec = self.spec(n)
-        return not any(spec.contains(i) for i in eff)
+        spec = self.effective_spec(n)
+        return not any(spec.contains(i) for i in supp)
 
-    def ball_level(self, supp: frozenset, minus_inf: bool = False,
-                   plus_inf: bool = False) -> int | None:
-        """Largest n with the support inside B_n; None when inside all balls."""
-        if not supp and not minus_inf and not plus_inf:
-            return None
-        if self.dual:
-            supp = frozenset(-i for i in supp)
-            minus_inf, plus_inf = plus_inf, minus_inf
-        if self._support_level is not None:
-            return self._support_level(supp, minus_inf, plus_inf)
-        return self._scan_level(supp, minus_inf, plus_inf)
+    def ball_level(self, supp: frozenset, below: int | None = None) -> int | None:
+        """Largest n with the support, and every degree <= below when given,
+        inside B_n; None when inside all balls.
 
-    def _scan_level(self, supp: frozenset, minus_inf: bool, plus_inf: bool) -> int | None:
-        bound = 2 * (max((abs(s) for s in supp), default=0)) + 130
-        level = None
-        for n in range(1, bound + 1):
-            spec = self.spec(n)
-            hit = any(spec.contains(i) for i in supp)
-            hit = hit or (minus_inf and spec.has_below_ray())
-            hit = hit or (plus_inf and spec.has_above_ray())
-            if hit:
-                return level if level is not None else 1
-            level = n
-        # nothing hit within the bound.  A matching ray kind never appeared
-        # for the sentinels, so they are inside every ball; a finite degree
-        # left unswept means the family is empty or not good.
-        if not supp or self.spec(bound).is_empty():
-            return None
-        raise MetricResolutionError(
-            "support %s not resolved by level %d for metric %s" % (set(supp), bound, self.name))
+        This is the least level some piece meets, minus 1 (exact for nested,
+        i.e. good, families)."""
+        probes = [(d, False) for d in supp] + ([] if below is None else [(below, True)])
+        hits = [_least_level(_meeting_constraints(p, d, ray))
+                for p in self.effective_pieces for d, ray in probes]
+        first = min((n for n in hits if n is not None), default=None)
+        return None if first is None else first - 1
 
 
 def in_ball(x: Complex, n: int, m: GoodMetric) -> bool:
@@ -255,66 +256,23 @@ def length(f: ChainMap, m: GoodMetric) -> Fraction:
 # -- the standard families ---------------------------------------------------
 
 
-def _family_i(n: int) -> VanishingSpec:
-    return VanishingSpec.empty() if n == 1 else VanishingSpec.ray_above(-n)
-
-
-def _family_ii(n: int) -> VanishingSpec:
-    return VanishingSpec.empty() if n == 1 else VanishingSpec.ray_below(n)
-
-
-def _family_iii(n: int) -> VanishingSpec:
-    return VanishingSpec.empty() if n == 1 else VanishingSpec.interval(-n, n)
-
-
-def _level_i(supp: frozenset, minus_inf: bool, plus_inf: bool) -> int | None:
-    if plus_inf:
-        return 1
-    if not supp:
-        return None
-    return max(1, -max(supp))
-
-
-def _level_ii(supp: frozenset, minus_inf: bool, plus_inf: bool) -> int | None:
-    if minus_inf:
-        return 1
-    if not supp:
-        return None
-    return max(1, min(supp))
-
-
-def _level_iii(supp: frozenset, minus_inf: bool, plus_inf: bool) -> int | None:
-    if not supp:
-        return None
-    return max(1, min(abs(s) for s in supp))
-
-
 def metric_i(dual: bool = False) -> GoodMetric:
-    return GoodMetric("i", _family_i, dual=dual, support_level=_level_i)
+    return GoodMetric("i", [("above", LinearExpr(-1, 0))], dual=dual)
 
 
 def metric_ii(dual: bool = False) -> GoodMetric:
-    return GoodMetric("ii", _family_ii, dual=dual, support_level=_level_ii)
+    return GoodMetric("ii", [("below", LinearExpr(1, 0))], dual=dual)
 
 
 def metric_iii(dual: bool = False) -> GoodMetric:
-    return GoodMetric("iii", _family_iii, dual=dual, support_level=_level_iii)
+    return GoodMetric("iii", [("interval", LinearExpr(-1, 0), LinearExpr(1, 0))], dual=dual)
 
 
 def shifted_family(m: GoodMetric, t: int) -> GoodMetric:
-    """The family {T^t B_n}: spec(n) translated by -t on the effective side."""
-    base_family = m._family
-    base_level = m._support_level
-
-    def family(n: int) -> VanishingSpec:
-        return base_family(n).shifted(-t)
-
-    level = None
-    if base_level is not None:
-        def level(supp, minus_inf, plus_inf, _b=base_level, _t=t):
-            return _b(frozenset(s + _t for s in supp), minus_inf, plus_inf)
-
-    return GoodMetric("T^%d(%s)" % (t, m.name), family, dual=m.dual, support_level=level)
+    """The family {T^t B_n}: the effective endpoints translated by -t."""
+    raw = t if m.dual else -t
+    return GoodMetric("T^%d(%s)" % (t, m.name), [_shift_piece(p, raw) for p in m.pieces],
+                      dual=m.dual)
 
 
 def standard_metric(spec: str) -> GoodMetric:
@@ -345,21 +303,59 @@ class AxiomReport:
         return not self.shift_violations and not self.fuzz_violations
 
 
-def _witness_degree(a: VanishingSpec, b: VanishingSpec, guard: int = 512) -> int | None:
-    """Some degree in a but not in b."""
+def _witness_degree(a: VanishingSpec, b: VanishingSpec) -> int | None:
+    """The first degree of a outside b, walking each piece of a from its
+    finite end: up from a ray's or interval's lower end, down from a ray's
+    upper end."""
+    runs = b.runs()
     for p in a.pieces:
-        if p[0] == "interval":
-            for i in range(p[1] + 1, p[2]):
-                if not b.contains(i):
-                    return i
-        elif p[0] == "above":
-            for i in range(p[1] + 1, p[1] + guard):
-                if not b.contains(i):
-                    return i
+        if p[0] == "below":
+            i = p[1] - 1
+            for lo, hi in reversed(runs):
+                if lo <= i <= hi:
+                    i = lo - 1
+            if i > -math.inf:
+                return i
         else:
-            for i in range(p[1] - 1, p[1] - guard, -1):
-                if not b.contains(i):
-                    return i
+            i = p[1] + 1
+            for lo, hi in runs:
+                if lo <= i <= hi:
+                    i = hi + 1
+            if i < (math.inf if p[0] == "above" else p[2]):
+                return i
+    return None
+
+
+def shift_violations(m: GoodMetric, n: int) -> list[tuple[int, int, int]]:
+    """The failures (n, t, witness degree) of T^t B_(n+1) inside B_n, t = -1, 0, 1.
+
+    On effective specs the inclusion is spec(n) shifted by t inside
+    spec(n+1); the witness degree carries a complex of B_(n+1) whose
+    t-shift leaves B_n."""
+    spec, target = m.effective_spec(n), m.effective_spec(n + 1)
+    out = []
+    for t in (-1, 0, 1):
+        src = spec.shifted(t)
+        if not src.is_subset(target):
+            out.append((n, t, _witness_degree(src, target)))
+    return out
+
+
+def first_shift_violation(m: GoodMetric, start: int = 1) -> tuple[int, int, int] | None:
+    """The first failure of the shift axiom at a level >= start, over all
+    levels.
+
+    Deciding the axiom at level n compares endpoints a*n+b of spec(n) and
+    a'*(n+1)+b' of spec(n+1), each up to a constant of at most 3; each
+    comparison has the sign of (a-a')n + c with |c| <= |b|+|a'|+|b'|+3 <=
+    2M+3, where M bounds |a|+|b| over all endpoints.  No comparison changes
+    sign past 2M+3, so the levels up to 2M+4 decide every level.
+    """
+    bound = 2 * max((abs(e.a) + abs(e.b) for p in m.pieces for e in p[1:]), default=0) + 4
+    for n in range(start, bound + 1):
+        bad = shift_violations(m, n)
+        if bad:
+            return bad[0]
     return None
 
 
@@ -369,22 +365,23 @@ def check_good_axioms(m: GoodMetric, ring: Ring, levels: int = 50,
 
     Axiom (ii), the shrinking condition T^-1 B_(n+1), B_(n+1), T B_(n+1)
     inside B_n, is decided symbolically: it amounts to spec(n) and both its
-    unit shifts being contained in spec(n+1).  Axiom (i), closure of balls
-    under extensions, holds symbolically for every vanishing-spec family by
-    the long exact sequence of the cone (the support of an extension lies
-    in the union of the supports); it is additionally fuzzed on random
-    triangles with both ends in a ball.
+    unit shifts being contained in spec(n+1).  Every violation up to the
+    given level is reported; when there is none, the first violation at any
+    deeper level is, so the verdict holds for all n.  Axiom (i), closure of
+    balls under extensions, holds symbolically for every vanishing-spec
+    family by the long exact sequence of the cone (the support of an
+    extension lies in the union of the supports); it is additionally fuzzed
+    on random triangles with both ends in a ball.
     """
     from .randomgen import Sampler
 
     report = AxiomReport(metric=m.display_name(), levels_checked=levels)
     for n in range(1, levels + 1):
-        target = m.effective_spec(n + 1)
-        for t in (-1, 0, 1):
-            src = m.effective_spec(n).shifted(t)
-            if not src.is_subset(target):
-                bad = _witness_degree(src, target)
-                report.shift_violations.append((n, t, bad))
+        report.shift_violations.extend(shift_violations(m, n))
+    if not report.shift_violations:
+        deeper = first_shift_violation(m, start=levels + 1)
+        if deeper is not None:
+            report.shift_violations.append(deeper)
     # fuzz axiom (i) on random triangles b -> z -> b' with b, b' in B_n
     rng = random.Random(seed)
     sampler = Sampler(ring, rng)

@@ -39,31 +39,12 @@ import numpy as np
 from .linalg import Matrix
 from .rmodule import RModule, RModuleMap, Ring, zero_module
 from .complexes import ChainMap, Complex, ValidationError
-from .metric import GoodMetric, VanishingSpec, metric_i, metric_ii, metric_iii
+from .metric import GoodMetric, LinearExpr, metric_i, metric_ii, metric_iii
 from .cauchy import ConstantTail, Tower, TruncationTail
 
 
 class WorkspaceError(ValueError):
     """Parse or validation failure, with position and object context."""
-
-
-@dataclass(frozen=True)
-class LinearExpr:
-    """a*n + b, evaluated at ball level n."""
-
-    a: int
-    b: int
-
-    def __call__(self, n: int) -> int:
-        return self.a * n + self.b
-
-    def __str__(self):
-        if self.a == 0:
-            return str(self.b)
-        an = {1: "n", -1: "-n"}.get(self.a, "%d*n" % self.a)
-        if self.b == 0:
-            return an
-        return "%s%+d" % (an, self.b)
 
 
 def parse_linear(text: str) -> LinearExpr:
@@ -91,31 +72,20 @@ def parse_linear(text: str) -> LinearExpr:
         raise WorkspaceError("cannot parse linear expression %r" % text)
 
 
+_PIECE_KINDS = {"ray-above": "above", "ray-below": "below", "interval": "interval"}
+
+
 @dataclass
 class MetricSpec:
-    """Declarative custom ball family; evaluates pieces for levels n >= 2."""
+    """Declarative custom ball family; its pieces cut out levels n >= 2."""
 
     name: str
     dual: bool = False
     pieces: list[tuple] = field(default_factory=list)  # (kind, LinearExpr[, LinearExpr])
 
     def build(self) -> GoodMetric:
-        pieces = list(self.pieces)
-
-        def family(n: int) -> VanishingSpec:
-            if n == 1:
-                return VanishingSpec.empty()
-            spec = VanishingSpec.empty()
-            for p in pieces:
-                if p[0] == "ray-above":
-                    spec = spec.union(VanishingSpec.ray_above(p[1](n)))
-                elif p[0] == "ray-below":
-                    spec = spec.union(VanishingSpec.ray_below(p[1](n)))
-                else:
-                    spec = spec.union(VanishingSpec.interval(p[1](n), p[2](n)))
-            return spec
-
-        return GoodMetric(self.name, family, dual=self.dual)
+        return GoodMetric(self.name, [(_PIECE_KINDS[p[0]],) + p[1:] for p in self.pieces],
+                          dual=self.dual)
 
 
 @dataclass
@@ -134,12 +104,8 @@ class Workspace:
         if flag not in ("", "dual"):
             raise WorkspaceError("unknown metric flag %r" % flag)
         if base in self.metric_specs:
-            spec = self.metric_specs[base]
-            m = spec.build()
-            if dual:
-                m = GoodMetric(m.name, m._family, dual=not spec.dual,
-                               support_level=m._support_level)
-            return m
+            m = self.metric_specs[base].build()
+            return GoodMetric(m.name, m.pieces, dual=m.dual != dual)
         table = {"i": metric_i, "ii": metric_ii, "iii": metric_iii}
         if base in table:
             return table[base](dual=dual)

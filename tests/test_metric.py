@@ -17,10 +17,13 @@ from tricomplete.complexes import (
 )
 from tricomplete.metric import (
     GoodMetric,
+    LinearExpr,
     VanishingSpec,
+    _witness_degree,
     cartesian_invariance_check,
     check_good_axioms,
     equivalent,
+    first_shift_violation,
     in_ball,
     length,
     metric_i,
@@ -61,6 +64,23 @@ def test_spec_subset():
     assert not VanishingSpec.ray_above(0).is_subset(VanishingSpec.interval(-100, 100))
     u = VanishingSpec.ray_above(5).union(VanishingSpec.interval(2, 6))
     assert u.is_subset(VanishingSpec.ray_above(2))
+    assert VanishingSpec.interval(0, 200001).is_subset(VanishingSpec.ray_above(-1))
+    # adjacent runs of the target merge; a gap between them does not
+    v = VanishingSpec.interval(-5, 0).union(VanishingSpec.ray_above(-1))
+    assert VanishingSpec.ray_above(-5).is_subset(v)
+    assert not VanishingSpec.ray_above(-5).is_subset(
+        VanishingSpec.interval(-5, 0).union(VanishingSpec.ray_above(0)))
+
+
+def test_witness_degree_exact():
+    assert _witness_degree(VanishingSpec.ray_above(0), VanishingSpec.interval(0, 600)) == 600
+    assert _witness_degree(VanishingSpec.ray_below(0), VanishingSpec.interval(-700, 0)) == -700
+    # the first piece of the source is fully covered: the witness comes
+    # from the second
+    src = VanishingSpec.interval(0, 5).union(VanishingSpec.ray_above(8))
+    tgt = VanishingSpec.interval(-1, 20).union(VanishingSpec.interval(20, 30))
+    assert _witness_degree(src, tgt) == 20
+    assert _witness_degree(VanishingSpec.interval(0, 5), tgt) is None
 
 
 # -- ball membership -----------------------------------------------------------
@@ -111,11 +131,26 @@ def test_length_of_zero_to_k_at_origin():
     assert length(f, metric_i()) == 1
 
 
+def _custom(name, pieces, dual=False):
+    return GoodMetric(name, [(p[0],) + tuple(LinearExpr(*e) for e in p[1:]) for p in pieces],
+                      dual=dual)
+
+
+CUSTOM_GOOD = [
+    _custom("steep", [("above", (-2, 1))]),
+    _custom("steep-below", [("below", (2, -3))], dual=True),
+    _custom("wide", [("interval", (-2, 1), (1, 5))]),
+    _custom("union", [("above", (-1, 7)), ("interval", (-2, -4), (2, -9))]),
+    _custom("union", [("below", (1, 2)), ("interval", (-1, 3), (2, 0))], dual=True),
+]
+
+
 def test_closed_forms_agree_with_exhaustive_ball_scan():
     rng = random.Random(99)
     metrics = [metric_i(), metric_ii(), metric_iii(),
                metric_i(dual=True), metric_ii(dual=True), metric_iii(dual=True),
-               shifted_family(metric_i(), 1), shifted_family(metric_iii(), -2)]
+               shifted_family(metric_i(), 1), shifted_family(metric_iii(), -2)] + CUSTOM_GOOD
+    assert all(first_shift_violation(m) is None for m in metrics)
     for ring in (R22, Ring(3, 2)):
         s = Sampler(ring, rng)
         for _ in range(12):
@@ -198,8 +233,7 @@ def test_good_axioms_pass_for_standard_metrics():
 
 
 def test_broken_family_reports_shift_violation():
-    broken = GoodMetric("broken",
-                        lambda n: VanishingSpec.empty() if n == 1 else VanishingSpec.ray_above(0))
+    broken = GoodMetric("broken", [("above", LinearExpr(0, 0))])
     rep = check_good_axioms(broken, R22, levels=10, samples=0, seed=0)
     assert not rep.ok
     n, t, deg = rep.shift_violations[0]
@@ -208,6 +242,36 @@ def test_broken_family_reports_shift_violation():
     w = k_at(deg)
     assert in_ball(w, n + 1, broken)
     assert not in_ball(shift(w, t), n, broken)
+
+
+def test_late_shift_violation_reported_past_checked_levels():
+    # up to level 99 the interval piece joins the ray; at level 100 a gap
+    # opens at degree -100, so B_100 is not inside B_99
+    late2 = _custom("late2", [("above", (-1, 0)), ("interval", (-3, 0), (-2, 100))])
+    for levels in (8, 50):
+        rep = check_good_axioms(late2, R22, levels=levels, samples=0, seed=0)
+        assert not rep.ok
+        assert rep.shift_violations == [(99, -1, -100)]
+    n, t, deg = rep.shift_violations[0]
+    w = k_at(deg)
+    assert in_ball(w, n + 1, late2)
+    assert not in_ball(shift(w, t), n, late2)
+    # within the checked levels, the report is every violation found there
+    rep = check_good_axioms(late2, R22, levels=100, samples=0, seed=0)
+    assert [v[0] for v in rep.shift_violations] == [99, 99, 99, 100, 100, 100]
+
+
+def test_shifted_family_is_shift_of_balls():
+    rng = random.Random(31)
+    s = Sampler(R22, rng)
+    xs = [s.complex(-4, 4, max_blocks=1) for _ in range(10)]
+    for m in [metric_i(), metric_ii(), metric_iii(), metric_i(dual=True),
+              metric_ii(dual=True), metric_iii(dual=True)] + CUSTOM_GOOD:
+        for t in (1, -2):
+            mt = shifted_family(m, t)
+            for x in xs:
+                for n in range(1, 8):
+                    assert in_ball(x, n, mt) == in_ball(shift(x, -t), n, m), (m.display_name(), t, n)
 
 
 # -- equivalence -------------------------------------------------------------------

@@ -337,9 +337,25 @@ def test_cli_usage_error_exit_3(capsys):
 
 
 def test_cli_non_good_metric_exit_3(tmp_path, capsys):
-    # the balls of ray-above 0 never shrink: not a good metric
+    # the balls of ray-above 0 never shrink, and those of late2 stop
+    # shrinking at level 99: neither is a good metric
     path = tmp_path / "ws.txt"
-    path.write_text(FIXTURE + "METRIC flat\n  PIECE ray-above 0\nEND\n")
-    code, _, err = run(capsys, ["-w", str(path), "cauchy-check", "towerK", "--metric", "flat"])
+    path.write_text(FIXTURE + "METRIC flat\n  PIECE ray-above 0\nEND\n"
+                    "METRIC late2\n  PIECE ray-above -n\n  PIECE interval -3*n -2*n+100\nEND\n")
+    for command in ("cauchy-check", "colimit", "in-s"):
+        for metric, level in (("flat", 2), ("late2", 99)):
+            code, _, err = run(capsys, ["-w", str(path), command, "towerK", "--metric", metric,
+                                        "--horizon", "40", "--levels", "8"])
+            assert code == 3
+            assert err.startswith("error:")
+            assert "at level %d," % level in err
+
+
+def test_cli_internal_error_exit_3(ws_path, capsys, monkeypatch):
+    def boom(ctx, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tricomplete.cli.cmd_length", boom)
+    code, _, err = run(capsys, ["-w", ws_path, "length", "f", "--metric", "i"])
     assert code == 3
-    assert err.startswith("error:")
+    assert err == "error: internal error: RuntimeError: boom\n"
