@@ -125,7 +125,7 @@ class Tower:
         self.prefix = list(prefix or [])
         self.prefix_maps = list(prefix_maps or [])
         self.tail = tail
-        if self.prefix_maps and len(self.prefix_maps) != len(self.prefix) - 1:
+        if len(self.prefix_maps) != max(len(self.prefix) - 1, 0):
             raise PreconditionError("need exactly one connecting map between consecutive prefix entries")
         for k, f in enumerate(self.prefix_maps):
             if f.source != self.prefix[k] or f.target != self.prefix[k + 1]:

@@ -29,13 +29,10 @@ from .rmodule import (
     RModuleMap,
     Ring,
     direct_sum,
+    free_cover,
     free_module,
     hom_basis,
     identity_map,
-    poly_inv,
-    poly_mul,
-    poly_mult_matrix,
-    projective_cover_and_syzygy,
     quotient_canonicalize,
     subspace_canonicalize,
     zero_map,
@@ -103,9 +100,6 @@ class Complex:
         if self.is_zero():
             return 0
         return self.max_degree - self.min_degree
-
-    def total_dim(self) -> int:
-        return sum(m.dim for m in self._components.values())
 
     def __eq__(self, other):
         if not isinstance(other, Complex):
@@ -479,147 +473,87 @@ class Resolution:
 
 def _build_free_approximation(x: Complex, depth: int):
     """Top-down construction of a degreewise-surjective quasi-isomorphism
-    from a complex of frees, built one projective cover of a pullback at a
-    time.  Not yet minimal."""
+    from a complex of frees, one free cover of a pullback at a time.  Not
+    yet minimal.
+
+    Returns (ranks, diffs, eps): F^i = R^ranks[i], diffs[i] the F_p matrix
+    of d^i : F^i -> F^(i+1) and eps[i] that of the comparison F^i -> X^i,
+    from the cut up to F^(top+1) = 0.
+    """
     ring = x.ring
-    p = ring.p
+    p, n = ring.p, ring.n
     top = x.max_degree
-    modules: dict[int, RModule] = {}
-    dmaps: dict[int, RModuleMap] = {}
-    eps: dict[int, RModuleMap] = {}
+    empty = np.zeros((0, 0), dtype=np.int64)
+    ranks, diffs, eps = {top + 1: 0}, {top + 1: empty}, {top + 1: empty}
     for i in range(top, depth - 1, -1):
-        above = modules.get(i + 1, zero_module(ring))
-        d_above = dmaps.get(i + 1, zero_map(above, modules.get(i + 2, zero_module(ring))))
-        eps_above = eps.get(i + 1, zero_map(above, x.component(i + 1)))
+        da = ranks[i + 1] * n
         comp = x.component(i)
-        # W = { (u, v) in ker(d_above) x X^i : eps(u) = d(v) }
-        K = kernel_basis(d_above.matrix)
-        sysmat = (eps_above.matrix @ K).hstack(-x.differential(i).matrix)
+        # W = { (u, v) in ker(d^(i+1)) x X^i : eps(u) = d(v) }
+        K = kernel_basis(Matrix(diffs[i + 1], p))
+        sysmat = (Matrix(eps[i + 1], p) @ K).hstack(-x.differential(i).matrix)
         null = kernel_basis(sysmat)
         u_part = K @ Matrix(null.a[:K.cols, :], p)
         v_part = Matrix(null.a[K.cols:, :], p)
-        basis = u_part.vstack(v_part)
-        da, dc = above.dim, comp.dim
-        act = np.zeros((da + dc, da + dc), dtype=np.int64)
-        act[:da, :da] = above.x_action().a
+        act = np.zeros((da + comp.dim, da + comp.dim), dtype=np.int64)
+        act[:da, :da] = free_module(ring, ranks[i + 1]).x_action().a
         act[da:, da:] = comp.x_action().a
-        w_mod, emb = subspace_canonicalize(Matrix(act, p), basis, ring)
-        F, cov, _, _ = projective_cover_and_syzygy(w_mod)
-        reach = emb @ cov.matrix
-        modules[i] = F
-        dmaps[i] = RModuleMap(F, above, Matrix(reach.a[:above.dim, :], p))
-        eps[i] = RModuleMap(F, comp, Matrix(reach.a[above.dim:, :], p))
-        if F.is_zero() and (x.min_degree is None or i <= x.min_degree):
+        F, E = free_cover(Matrix(act, p), u_part.vstack(v_part), ring)
+        ranks[i] = len(F.blocks)
+        diffs[i] = E.a[:da, :]
+        eps[i] = E.a[da:, :]
+        if not ranks[i] and i <= x.min_degree:
             break
-    return modules, dmaps, eps
+    return ranks, diffs, eps
 
 
-def _rmatrix_from_free_map(f: RModuleMap, ring: Ring) -> np.ndarray:
-    """R-matrix of a map between free modules: shape (bt, bs, n)."""
-    bs = len(f.source.blocks)
-    bt = len(f.target.blocks)
-    out = np.zeros((bt, bs, ring.n), dtype=np.int64)
-    for j in range(bs):
-        for i in range(bt):
-            out[i, j, :] = f.matrix.a[i * ring.n:(i + 1) * ring.n, j * ring.n]
-    return out
-
-
-def _free_map_from_rmatrix(r: np.ndarray, ring: Ring) -> RModuleMap:
-    bt, bs, n = r.shape
-    src = free_module(ring, bs)
-    tgt = free_module(ring, bt)
-    fp = np.zeros((bt * n, bs * n), dtype=np.int64)
-    for j in range(bs):
-        for i in range(bt):
-            coeffs = r[i, j]
-            for s in range(n):
-                # the image of x^s gen_j has entry x^s * r_ij in block i
-                fp[i * n + s:(i + 1) * n, j * n + s] = coeffs[: n - s]
-    return RModuleMap(src, tgt, Matrix(fp, ring.p))
-
-
-def _minimize_free_complex(ranks: dict[int, int], rmats: dict[int, np.ndarray],
-                           eps: dict[int, Matrix], ring: Ring):
+def _minimize_free_complex(ranks: dict[int, int], diffs: dict[int, np.ndarray],
+                           eps: dict[int, np.ndarray], ring: Ring):
     """Split off contractible R -> R summands at unit entries of the
-    differentials, adjusting neighbours and the comparison map."""
+    differentials, adjusting neighbours and the comparison map.
+
+    Degrees go up from the lowest; within d^i the split is at the first
+    block (r, c), in row-major order, whose n x n block u has a unit
+    constant term.  Clearing row r and column c of d^i by base changes and
+    dropping the pair is one Schur complement:
+      d^i   <- d^i[~r, ~c] - d^i[~r, c] u^-1 d^i[r, ~c],
+      eps^i <- eps^i[:, ~c] - eps^i[:, c] u^-1 d^i[r, ~c].
+    The base change of F^i changes only row c of d^(i-1); afterwards row r
+    of d^i is u e_c, so d^i d^(i-1) = 0 makes row c zero and d^(i-1) just
+    loses the rows of c.  Dually d^(i+1) and eps^(i+1) just lose the
+    columns of r.  Deleting zero rows creates no unit, so the degrees below
+    i stay minimal.
+    """
     n, p = ring.n, ring.p
-
-    def delete_generator(level: int, idx: int):
-        ranks[level] -= 1
-        if level in rmats:
-            rmats[level] = np.delete(rmats[level], idx, axis=1)
-        if level - 1 in rmats:
-            rmats[level - 1] = np.delete(rmats[level - 1], idx, axis=0)
-        if level in eps:
-            cols = list(range(eps[level].cols))
-            keep = [c for c in cols if not (idx * n <= c < (idx + 1) * n)]
-            eps[level] = eps[level].take_columns(keep)
-
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(rmats):
-            D = rmats[i]
-            units = np.argwhere(D[:, :, 0] % p != 0)
+    for i in sorted(diffs):
+        while True:
+            d = diffs[i]
+            units = np.argwhere(d[::n, ::n] % p)
             if units.size == 0:
-                continue
-            r, c = (int(units[0][0]), int(units[0][1]))
-            uinv = poly_inv(D[r, c], ring)
-            # clear row r by column operations (source base change at level i)
-            for c2 in range(D.shape[1]):
-                if c2 == c or not D[r, c2].any():
-                    continue
-                lam = poly_mul(D[r, c2], uinv, ring)
-                for row in range(D.shape[0]):
-                    D[row, c2] = (D[row, c2] - poly_mul(D[row, c], lam, ring)) % p
-                if i - 1 in rmats:
-                    prev = rmats[i - 1]
-                    for col in range(prev.shape[1]):
-                        prev[c, col] = (prev[c, col] + poly_mul(lam, prev[c2, col], ring)) % p
-                if i in eps:
-                    m = eps[i].a.copy()
-                    mult = poly_mult_matrix(lam, ring).a
-                    m[:, c2 * n:(c2 + 1) * n] = (m[:, c2 * n:(c2 + 1) * n]
-                                                 - m[:, c * n:(c + 1) * n] @ mult) % p
-                    eps[i] = Matrix(m, p)
-            # clear column c by row operations (target base change at level i+1)
-            for r2 in range(D.shape[0]):
-                if r2 == r or not D[r2, c].any():
-                    continue
-                mu = poly_mul(D[r2, c], uinv, ring)
-                for col in range(D.shape[1]):
-                    D[r2, col] = (D[r2, col] - poly_mul(mu, D[r, col], ring)) % p
-                if i + 1 in rmats:
-                    nxt = rmats[i + 1]
-                    for row in range(nxt.shape[0]):
-                        nxt[row, r] = (nxt[row, r] + poly_mul(mu, nxt[row, r2], ring)) % p
-                if i + 1 in eps:
-                    m = eps[i + 1].a.copy()
-                    mult = poly_mult_matrix(mu, ring).a
-                    m[:, r * n:(r + 1) * n] = (m[:, r * n:(r + 1) * n]
-                                               + m[:, r2 * n:(r2 + 1) * n] @ mult) % p
-                    eps[i + 1] = Matrix(m, p)
-            # the cleared row/column pair spans a contractible summand
-            if i - 1 in rmats:
-                assert not rmats[i - 1][c, :, :].any(), "nonzero incoming row at split"
-            if i + 1 in rmats:
-                assert not rmats[i + 1][:, r, :].any(), "nonzero outgoing column at split"
-            delete_generator(i + 1, r)
-            delete_generator(i, c)
-            changed = True
-            break
-    return ranks, rmats, eps
+                break
+            r, c = (int(v) for v in units[0])
+            r_blk, c_blk = np.arange(r * n, (r + 1) * n), np.arange(c * n, (c + 1) * n)
+            keep_r = np.delete(np.arange(d.shape[0]), r_blk)
+            keep_c = np.delete(np.arange(d.shape[1]), c_blk)
+            t = solve(Matrix(d[np.ix_(r_blk, c_blk)], p), Matrix(d[np.ix_(r_blk, keep_c)], p)).a
+            diffs[i] = (d[np.ix_(keep_r, keep_c)] - d[np.ix_(keep_r, c_blk)] @ t) % p
+            eps[i] = (eps[i][:, keep_c] - eps[i][:, c_blk] @ t) % p
+            if i - 1 in diffs:
+                diffs[i - 1] = np.delete(diffs[i - 1], c_blk, axis=0)
+            diffs[i + 1] = np.delete(diffs[i + 1], r_blk, axis=1)
+            eps[i + 1] = np.delete(eps[i + 1], r_blk, axis=1)
+            ranks[i] -= 1
+            ranks[i + 1] -= 1
+    return ranks, diffs, eps
 
 
 def projective_resolution(x: Complex, depth: int) -> Resolution:
     """Minimal complex of frees in degrees >= depth, quasi-isomorphic to x
     above the cut, with the cut syzygy.
 
-    The construction is one projective cover per degree, top down; splitting
-    unit entries of the differentials afterwards makes the window minimal,
-    so the syzygy at the cut is well-defined once free summands (artifacts
-    of truncating a contractible straddling the cut) are stripped.
+    The construction is one free cover of a pullback per degree, top down;
+    splitting unit entries of the differentials afterwards makes the window
+    minimal, so the syzygy at the cut is well-defined once free summands
+    (artifacts of truncating a contractible straddling the cut) are stripped.
     """
     ring = x.ring
     if x.is_zero():
@@ -628,21 +562,12 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
     if depth > x.min_degree:
         raise PreconditionError("resolution depth %d must be <= lowest degree %d"
                                 % (depth, x.min_degree))
-    modules, dmaps, eps = _build_free_approximation(x, depth)
-    ranks = {i: len(m.blocks) for i, m in modules.items()}
-    rmats = {i: _rmatrix_from_free_map(f, ring) for i, f in dmaps.items() if i + 1 in modules}
-    eps_mats = {i: e.matrix for i, e in eps.items()}
-    ranks, rmats, eps_mats = _minimize_free_complex(ranks, rmats, eps_mats, ring)
+    ranks, diffs, eps = _minimize_free_complex(*_build_free_approximation(x, depth), ring)
     comps = {i: free_module(ring, r) for i, r in ranks.items() if r}
-    diffs = {}
-    for i, rm in rmats.items():
-        if rm.shape[0] and rm.shape[1]:
-            diffs[i] = _free_map_from_rmatrix(rm, ring)
-    free_part = Complex(ring, comps, diffs)
-    comparison = ChainMap(free_part, x,
-                          {i: RModuleMap(free_part.component(i), x.component(i), m)
-                           for i, m in eps_mats.items()
-                           if i in free_part._components and not m.is_zero()})
+    free_part = Complex(ring, comps, {i: RModuleMap(comps[i], comps[i + 1], Matrix(d, ring.p))
+                                      for i, d in diffs.items() if d.size})
+    comparison = ChainMap(free_part, x, {i: RModuleMap(comps[i], x.component(i), Matrix(e, ring.p))
+                                         for i, e in eps.items() if e.any()})
     # syzygy: kernel of the cut differential, free summands stripped
     cut_comp = free_part.component(depth)
     if cut_comp.is_zero():

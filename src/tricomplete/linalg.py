@@ -67,9 +67,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self.a.any()
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     # -- arithmetic ---------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -129,18 +126,8 @@ class Matrix:
     def column(self, j: int) -> np.ndarray:
         return self.a[:, j].copy()
 
-    def take_columns(self, idx) -> "Matrix":
-        return Matrix(self.a[:, list(idx)].reshape(self.rows, len(list(idx))), self.p)
-
     def take_rows(self, idx) -> "Matrix":
         return Matrix(self.a[list(idx), :].reshape(len(list(idx)), self.cols), self.p)
-
-
-def block_matrix(blocks: list[list[Matrix]], p: int) -> Matrix:
-    """Assemble a matrix from a grid of blocks (numpy.block, mod p)."""
-    if not blocks or not blocks[0]:
-        return Matrix.zeros(0, 0, p)
-    return Matrix(np.block([[b.a for b in row] for row in blocks]), p)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Matrix, SpanTracker, inv_mod, is_prime, kernel_basis, rank, rref, solve
+from .linalg import Matrix, SpanTracker, is_prime, kernel_basis, rank, rref, solve
 
 
 @dataclass(frozen=True)
@@ -36,41 +36,6 @@ class Ring:
 
     def __str__(self):
         return "F_%d[x]/(x^%d)" % (self.p, self.n)
-
-
-# -- elements of R as coefficient vectors (used by resolution minimization) --
-
-def poly_mul(a: np.ndarray, b: np.ndarray, ring: Ring) -> np.ndarray:
-    """Product in R; inputs/outputs are length-n coefficient vectors."""
-    out = np.zeros(ring.n, dtype=np.int64)
-    for i in range(ring.n):
-        if a[i]:
-            hi = ring.n - i
-            out[i:] = (out[i:] + a[i] * b[:hi]) % ring.p
-    return out
-
-
-def poly_inv(a: np.ndarray, ring: Ring) -> np.ndarray:
-    """Inverse of a unit (nonzero constant term), by power-series recursion."""
-    if a[0] % ring.p == 0:
-        raise ZeroDivisionError("not a unit in %s" % ring)
-    inv = np.zeros(ring.n, dtype=np.int64)
-    inv[0] = inv_mod(int(a[0]), ring.p)
-    for k in range(1, ring.n):
-        acc = 0
-        for i in range(1, k + 1):
-            acc += int(a[i]) * int(inv[k - i])
-        inv[k] = (-acc * int(inv[0])) % ring.p
-    return inv
-
-
-def poly_mult_matrix(a: np.ndarray, ring: Ring) -> Matrix:
-    """n x n matrix of multiplication by a on R, basis 1, x, ..., x^(n-1)."""
-    n = ring.n
-    m = np.zeros((n, n), dtype=np.int64)
-    for t in range(n):
-        m[t:, t] = a[: n - t]
-    return Matrix(m, ring.p)
 
 
 @dataclass(frozen=True)
@@ -412,27 +377,36 @@ def subquotient(f: RModuleMap, which: str) -> tuple[RModule, RModuleMap]:
     raise ValueError("which must be kernel|image|cokernel, got %r" % which)
 
 
+def free_cover(action: Matrix, basis: Matrix, ring: Ring) -> tuple[RModule, Matrix]:
+    """Minimal free cover of the x-stable span W of independent columns.
+
+    action is the x-action on the ambient coordinates.  The generators
+    w_k are the columns of basis that are independent modulo xW, the span
+    of action @ basis: by Nakayama they lift a basis of the top W/xW.
+    Returns (F, E) with F = R^(#generators) and E[:, k*n + t] = action^t w_k,
+    so action @ E = E @ F.x_action() and the columns of E span W.
+    """
+    m = basis.cols
+    _, _, pivots = rref((action @ basis).hstack(basis))
+    heads = [c - m for c in pivots if c >= m]
+    powers = [basis.a[:, heads]]
+    for _ in range(ring.n - 1):
+        powers.append((action.a @ powers[-1]) % ring.p)
+    E = np.stack(powers, axis=2).reshape(action.rows, len(heads) * ring.n)
+    return free_module(ring, len(heads)), Matrix(E, ring.p)
+
+
 def projective_cover_and_syzygy(m: RModule) -> tuple[RModule, RModuleMap, RModule, RModuleMap]:
     """Projective cover F -> m and its kernel.
 
     Returns (F, cover, syzygy, incl) with F = R^(#blocks), cover the
-    canonical surjection (generator i onto the i-th block generator) and
-    incl : syzygy -> F the kernel inclusion.  The syzygy of block j is
-    block n - j, so it never contains a free summand.
+    canonical surjection (the free cover of the identity basis, sending
+    generator i onto the i-th block generator) and incl : syzygy -> F the
+    kernel inclusion.  The syzygy of block j is block n - j, so it never
+    contains a free summand.
     """
-    ring = m.ring
-    p = ring.p
-    F = free_module(ring, len(m.blocks))
-    cov = np.zeros((m.dim, F.dim), dtype=np.int64)
-    xm_pow = [Matrix.identity(m.dim, p)]
-    for _ in range(ring.n - 1):
-        xm_pow.append(m.x_action() @ xm_pow[-1])
-    for i, start in enumerate(m.block_starts()):
-        e = np.zeros(m.dim, dtype=np.int64)
-        e[start] = 1
-        for t in range(ring.n):
-            cov[:, i * ring.n + t] = (xm_pow[t].a @ e) % p
-    cover = RModuleMap(F, m, Matrix(cov, p))
+    F, E = free_cover(m.x_action(), Matrix.identity(m.dim, m.ring.p), m.ring)
+    cover = RModuleMap(F, m, E)
     syz, incl = subquotient(cover, "kernel")
     return F, cover, syz, incl
 

@@ -411,10 +411,6 @@ def serialize_workspace(ws: Workspace) -> str:
                 out.append("  DIFF %d %s" % (i, _entries(d.matrix)))
         out.append("END")
         out.append("")
-    complex_names = {}
-    for cname in sorted(ws.complexes):
-        key = id(ws.complexes[cname])
-        complex_names.setdefault(key, cname)
 
     def complex_name(x: Complex) -> str | None:
         for cname in sorted(ws.complexes):

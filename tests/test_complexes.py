@@ -341,9 +341,8 @@ def test_resolution_depth_precondition():
 def test_resolution_stress_minimality_and_syzygy_recursion():
     from tricomplete.rmodule import Ring, RModule, syzygy_type
     from tricomplete.randomgen import Sampler
-    from tricomplete.complexes import _rmatrix_from_free_map
 
-    for ring in (R22, R23, Ring(3, 2)):
+    for ring in (R22, R23, Ring(3, 2), Ring(5, 3)):
         rng = random.Random(ring.p * 100 + ring.n)
         s = Sampler(ring, rng)
         for _ in range(20):
@@ -358,13 +357,32 @@ def test_resolution_stress_minimality_and_syzygy_recursion():
                     assert res.complex.component(i).is_free()
                     f = res.complex._diffs.get(i)
                     if f is not None:
-                        rm = _rmatrix_from_free_map(f, ring)
-                        assert not (rm[:, :, 0] % ring.p).any(), "unit entry survived"
+                        # the constant terms of the R-matrix entries
+                        units = f.matrix.a[::ring.n, ::ring.n] % ring.p
+                        assert not units.any(), "unit entry survived"
             # two cuts deeper, the syzygy has turned over twice
             expect = r1.syzygy.blocks
             for _ in range(2):
                 expect = syzygy_type(RModule(ring, expect))
             assert r2.syzygy.blocks == expect, (x, r1.syzygy, r2.syzygy)
+
+
+def test_minimal_resolution_ranks_follow_syzygy_closed_form():
+    # the minimal resolution of a module M has F^(-t) = R^(#blocks of Omega^t M)
+    from itertools import combinations_with_replacement
+
+    from tricomplete.rmodule import syzygy_type
+
+    for ring in (R22, Ring(3, 3), Ring(2, 4)):
+        for k in (1, 2):
+            for blocks in combinations_with_replacement(range(1, ring.n + 1), k):
+                m = RModule(ring, blocks)
+                res = projective_resolution(module_complex(m, 0), -3)
+                omega = m
+                for t in range(4):
+                    assert res.complex.component(-t) == free_module(ring, len(omega.blocks)), (m, t)
+                    omega = RModule(ring, syzygy_type(omega))
+                assert res.syzygy == omega, m
 
 
 # -- derived hom --------------------------------------------------------------

@@ -1,24 +1,26 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricomplete.linalg import Matrix, rank
+from tricomplete.linalg import Matrix, kernel_basis, rank
 from tricomplete.rmodule import (
     RModule,
     RModuleMap,
     Ring,
     direct_sum,
+    free_cover,
     free_module,
     hom_basis,
     hom_dim_closed_form,
     identity_map,
     jordan_basis,
     jordan_type_from_ranks,
-    poly_inv,
-    poly_mul,
     projective_cover_and_syzygy,
     stable_hom,
     subquotient,
+    subspace_canonicalize,
     syzygy_type,
     zero_map,
     zero_module,
@@ -59,15 +61,6 @@ def test_map_validation_rejects_non_linear():
     bad = Matrix.from_rows([[0, 1], [0, 0]], 2)  # sends xe to e: not R-linear
     with pytest.raises(ValueError):
         RModuleMap(m, m, bad)
-
-
-def test_poly_arithmetic():
-    r = Ring(5, 3)
-    a = np.array([2, 1, 0], dtype=np.int64)
-    b = np.array([3, 0, 4], dtype=np.int64)
-    assert poly_mul(a, b, r).tolist() == [6 % 5, 3, (8 + 0) % 5]
-    inv = poly_inv(a, r)
-    assert poly_mul(a, inv, r).tolist() == [1, 0, 0]
 
 
 # -- Jordan canonicalization ------------------------------------------------
@@ -197,6 +190,28 @@ def test_subquotient_dimensions(data):
 
 
 # -- covers and syzygies ----------------------------------------------------
+
+
+def test_free_cover_of_kernels_and_whole_modules():
+    # E is an R-map F -> ambient onto W, and F has one generator per block of W
+    for ring in (R23, Ring(3, 4), Ring(5, 2)):
+        rng = random.Random(ring.p * 10 + ring.n)
+
+        def module():
+            return RModule(ring, tuple(rng.randint(1, ring.n) for _ in range(rng.randint(0, 3))))
+
+        for _ in range(15):
+            m, nn = module(), module()
+            f = Matrix.zeros(nn.dim, m.dim, ring.p)
+            for b in hom_basis(m, nn):
+                f = f + b.matrix.scale(rng.randrange(ring.p))
+            action = m.x_action()
+            for basis in (kernel_basis(f), Matrix.identity(m.dim, ring.p)):
+                F, E = free_cover(action, basis, ring)
+                assert F.is_free()
+                assert action @ E == E @ F.x_action()
+                assert rank(E) == rank(basis) == rank(E.hstack(basis))
+                assert len(F.blocks) == len(subspace_canonicalize(action, basis, ring)[0].blocks)
 
 
 def test_cover_of_free_module_has_zero_syzygy():

@@ -359,3 +359,13 @@ def test_cli_internal_error_exit_3(ws_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["-w", ws_path, "length", "f", "--metric", "i"])
     assert code == 3
     assert err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_cli_prefix_tower_without_connecting_maps_exit_3(tmp_path, capsys):
+    path = tmp_path / "ws.txt"
+    path.write_text(FIXTURE + "TOWER pre\n  PREFIX k0 k0 k0\nEND\n")
+    for command in ("cauchy-check", "colimit"):
+        code, _, err = run(capsys, ["-w", str(path), command, "pre", "--metric", "i"])
+        assert code == 3
+        assert err.startswith("error: line ")
+        assert "tower 'pre': need exactly one connecting map" in err
