@@ -120,9 +120,9 @@ class _Ctx:
     def need(self, kind: str, name: str):
         if self.workspace is None:
             raise WorkspaceError("command needs a workspace file (-w) defining %r" % name)
-        table = getattr(self.workspace, kind)
+        table = getattr(self.workspace, {"complex": "complexes", "map": "maps", "tower": "towers"}[kind])
         if name not in table:
-            raise WorkspaceError("unknown %s %r" % (kind[:-1] if kind.endswith("s") else kind, name))
+            raise WorkspaceError("unknown %s %r" % (kind, name))
         return table[name]
 
 
@@ -157,7 +157,7 @@ def _table_report(table) -> dict:
 
 
 def cmd_length(ctx: _Ctx, args) -> int:
-    f = ctx.need("maps", args.map)
+    f = ctx.need("map", args.map)
     m = ctx.metric(args.metric)
     val = length(f, m)
     _emit({"command": "length", "map": args.map, "metric": m.display_name(),
@@ -166,7 +166,7 @@ def cmd_length(ctx: _Ctx, args) -> int:
 
 
 def cmd_ball(ctx: _Ctx, args) -> int:
-    x = ctx.need("complexes", args.complex)
+    x = ctx.need("complex", args.complex)
     m = ctx.metric(args.metric)
     verdict = in_ball(x, args.level, m)
     _emit({"command": "ball", "complex": args.complex, "metric": m.display_name(),
@@ -175,7 +175,7 @@ def cmd_ball(ctx: _Ctx, args) -> int:
 
 
 def cmd_cauchy_check(ctx: _Ctx, args) -> int:
-    t = ctx.need("towers", args.tower)
+    t = ctx.need("tower", args.tower)
     m = ctx.metric(args.metric)
     cert = is_cauchy(t, m, args.horizon, args.levels)
     _emit({"command": "cauchy-check", "tower": args.tower,
@@ -188,7 +188,7 @@ def cmd_cauchy_check(ctx: _Ctx, args) -> int:
 
 
 def cmd_colimit(ctx: _Ctx, args) -> int:
-    t = ctx.need("towers", args.tower)
+    t = ctx.need("tower", args.tower)
     m = ctx.metric(args.metric)
     cert = is_cauchy(t, m, args.horizon, args.levels)
     table = colimit(t, _parse_window(args.window), args.horizon, cert)
@@ -198,7 +198,7 @@ def cmd_colimit(ctx: _Ctx, args) -> int:
 
 
 def cmd_in_s(ctx: _Ctx, args) -> int:
-    t = ctx.need("towers", args.tower)
+    t = ctx.need("tower", args.tower)
     m = ctx.metric(args.metric)
     window = _parse_window(args.window) if args.window else None
     c = complete(t, m, horizon=args.horizon, levels=args.levels, window=window)
@@ -215,14 +215,14 @@ def cmd_in_s(ctx: _Ctx, args) -> int:
 
 
 def cmd_is_perfect(ctx: _Ctx, args) -> int:
-    x = ctx.need("complexes", args.complex)
+    x = ctx.need("complex", args.complex)
     verdict = is_perfect(x)
     _emit({"command": "is-perfect", "complex": args.complex, "perfect": verdict}, args.format)
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
 def cmd_inj_bounded(ctx: _Ctx, args) -> int:
-    x = ctx.need("complexes", args.complex)
+    x = ctx.need("complex", args.complex)
     verdict = has_bounded_injective_resolution(x)
     _emit({"command": "inj-bounded", "complex": args.complex,
            "bounded-injective-resolution": verdict}, args.format)
@@ -230,7 +230,7 @@ def cmd_inj_bounded(ctx: _Ctx, args) -> int:
 
 
 def cmd_sing_class(ctx: _Ctx, args) -> int:
-    x = ctx.need("complexes", args.complex)
+    x = ctx.need("complex", args.complex)
     cls = syzygy_class(x)
     _emit({"command": "sing-class", "complex": args.complex,
            "module": str(cls.module), "shift": cls.shift,
@@ -239,8 +239,8 @@ def cmd_sing_class(ctx: _Ctx, args) -> int:
 
 
 def cmd_sing_hom(ctx: _Ctx, args) -> int:
-    a = syzygy_class(ctx.need("complexes", args.complex1))
-    b = syzygy_class(ctx.need("complexes", args.complex2))
+    a = syzygy_class(ctx.need("complex", args.complex1))
+    b = syzygy_class(ctx.need("complex", args.complex2))
     dim = sing_hom(a, b)
     _emit({"command": "sing-hom", "source": args.complex1, "target": args.complex2,
            "class-source": {"module": str(a.module), "shift": a.shift},

@@ -58,7 +58,6 @@ class CompletionObject:
 
     def __post_init__(self):
         if self.representative is not None:
-            lo, hi = self.table.window
             for i, (mod, _) in self.table.entries.items():
                 if cohomology(self.representative, i) != mod:
                     raise PreconditionError(
@@ -153,10 +152,7 @@ def is_perfect(x: Complex) -> bool:
     local Artinian R a minimal resolution continues forever exactly when
     that syzygy is nonzero.
     """
-    if x.is_zero():
-        return True
-    res = projective_resolution(x, x.min_degree - 1)
-    return res.syzygy.is_zero()
+    return syzygy_class(x).is_zero()
 
 
 def has_bounded_injective_resolution(x: Complex) -> bool:

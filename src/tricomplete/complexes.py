@@ -48,6 +48,11 @@ class PreconditionError(ValueError):
     """An operation was called outside its contract."""
 
 
+def _composite(g: RModuleMap | None, f: RModuleMap | None):
+    """The integer array of g f, or 0 when either stored map is absent."""
+    return 0 if g is None or f is None else g.matrix.a @ f.matrix.a
+
+
 class Complex:
     """Bounded cochain complex of RModules with R-linear differentials."""
 
@@ -63,9 +68,8 @@ class Complex:
                 raise ValidationError("differential at degree %d does not match components" % i)
             if not f.is_zero():
                 self._diffs[i] = f
-        for i in self._diffs:
-            nxt = self._diffs.get(i + 1)
-            if nxt is not None and not (nxt @ self._diffs[i]).is_zero():
+        for i, f in self._diffs.items():
+            if np.any(_composite(self._diffs.get(i + 1), f) % ring.p):
                 raise ValidationError("d^2 != 0 between degrees %d and %d" % (i, i + 2))
         self._coh_cache: dict[int, "CohomologyData"] = {}
 
@@ -149,11 +153,10 @@ class ChainMap:
                 raise ValidationError("chain map component at degree %d has wrong (co)domain" % i)
             if not f.is_zero():
                 self._components[i] = f
-        lo = [d for d in source.degrees]
-        for i in set(lo) | set(self._components):
-            lhs = self.component(i + 1) @ source.differential(i)
-            rhs = target.differential(i) @ self.component(i)
-            if lhs.matrix != rhs.matrix:
+        for i in set(source.degrees) | set(self._components):
+            lhs = _composite(self._components.get(i + 1), source._diffs.get(i))
+            rhs = _composite(target._diffs.get(i), self._components.get(i))
+            if np.any((lhs - rhs) % source.ring.p):
                 raise ValidationError("square at degrees (%d, %d) does not commute" % (i, i + 1))
 
     def component(self, i: int) -> RModuleMap:
@@ -203,29 +206,37 @@ def shift_chain_map(f: ChainMap, t: int) -> ChainMap:
 # -- direct sums, cones, triangles ------------------------------------------
 
 
-def direct_sum_complex(parts: list[Complex], ring: Ring) -> tuple[Complex, list[ChainMap], list[ChainMap]]:
-    """Degreewise direct sum with injection and projection chain maps."""
+def _sum_complex(parts: list[Complex], ring: Ring, twist: ChainMap | None = None):
+    """Degreewise direct sum with the block differential diag(d_k), plus
+    twist^(i+1) : parts[0]^i -> parts[1]^(i+1) below the diagonal if given.
+
+    Each differential is one F_p array, validated once.  Returns (complex,
+    injs, projs): injs[i][k], projs[i][k] are direct_sum's maps at degree i.
+    """
     degs = sorted({i for x in parts for i in x.degrees})
     comps, injs, projs = {}, {}, {}
     for i in degs:
-        total, inj, proj = direct_sum([x.component(i) for x in parts], ring)
-        comps[i] = total
-        injs[i] = inj
-        projs[i] = proj
+        comps[i], injs[i], projs[i] = direct_sum([x.component(i) for x in parts], ring)
     diffs = {}
     for i in degs:
         if i + 1 not in comps:
             continue
-        d = zero_map(comps[i], comps[i + 1])
-        for k, x in enumerate(parts):
-            d = d + (injs[i + 1][k] @ x.differential(i) @ projs[i][k])
-        diffs[i] = d
-    total_complex = Complex(ring, comps, diffs)
-    inj_maps = [ChainMap(x, total_complex, {i: injs[i][k] for i in degs if i in x._components})
-                for k, x in enumerate(parts)]
-    proj_maps = [ChainMap(total_complex, x, {i: projs[i][k] for i in degs if i in x._components})
-                 for k, x in enumerate(parts)]
-    return total_complex, inj_maps, proj_maps
+        blocks = [(k, k, x._diffs.get(i)) for k, x in enumerate(parts)]
+        if twist is not None:
+            blocks.append((0, 1, twist._components.get(i + 1)))
+        d = sum(injs[i + 1][t].matrix.a @ g.matrix.a @ projs[i][s].matrix.a
+                for s, t, g in blocks if g is not None)
+        if np.any(d % ring.p):
+            diffs[i] = RModuleMap(comps[i], comps[i + 1], Matrix(d, ring.p))
+    return Complex(ring, comps, diffs), injs, projs
+
+
+def direct_sum_complex(parts: list[Complex], ring: Ring) -> tuple[Complex, list[ChainMap], list[ChainMap]]:
+    """Degreewise direct sum with injection and projection chain maps."""
+    total, injs, projs = _sum_complex(parts, ring)
+    inj_maps = [ChainMap(x, total, {i: injs[i][k] for i in x.degrees}) for k, x in enumerate(parts)]
+    proj_maps = [ChainMap(total, x, {i: projs[i][k] for i in x.degrees}) for k, x in enumerate(parts)]
+    return total, inj_maps, proj_maps
 
 
 @dataclass
@@ -241,28 +252,12 @@ class Triangle:
 
 
 def cone(f: ChainMap) -> Triangle:
-    """Mapping cone with the standard triangle maps."""
+    """Mapping cone TX (+) Y twisted by f, with the standard triangle maps."""
     x, y = f.source, f.target
-    ring = x.ring
-    degs = sorted({i for i in y.degrees} | {i - 1 for i in x.degrees})
-    comps, injX, injY, prjX, prjY = {}, {}, {}, {}, {}
-    for i in degs:
-        total, inj, proj = direct_sum([x.component(i + 1), y.component(i)], ring)
-        comps[i] = total
-        injX[i], injY[i] = inj
-        prjX[i], prjY[i] = proj
-    diffs = {}
-    for i in degs:
-        if i + 1 not in comps:
-            continue
-        d = injX[i + 1] @ (-x.differential(i + 1)) @ prjX[i]
-        d = d + (injY[i + 1] @ f.component(i + 1) @ prjX[i])
-        d = d + (injY[i + 1] @ y.differential(i) @ prjY[i])
-        diffs[i] = d
-    z = Complex(ring, comps, diffs)
-    g = ChainMap(y, z, {i: injY[i] for i in degs if i in y._components})
     tx = shift(x, 1)
-    h = ChainMap(z, tx, {i: prjX[i] for i in degs if i + 1 in x._components})
+    z, injs, projs = _sum_complex([tx, y], x.ring, twist=f)
+    g = ChainMap(y, z, {i: injs[i][1] for i in y.degrees})
+    h = ChainMap(z, tx, {i: projs[i][0] for i in tx.degrees})
     return Triangle(x, y, z, f, g, h)
 
 
@@ -312,7 +307,10 @@ def cohomology(x: Complex, i: int) -> RModule:
 
 
 def cohomology_support(x: Complex) -> frozenset[int]:
-    return frozenset(i for i in x.degrees if not cohomology(x, i).is_zero())
+    """The degrees with H^i != 0: dim X^i > rk d^i + rk d^(i-1)."""
+    ranks = {i: rank(f.matrix) for i, f in x._diffs.items()}
+    return frozenset(i for i in x.degrees
+                     if x.component(i).dim > ranks.get(i, 0) + ranks.get(i - 1, 0))
 
 
 def is_acyclic(x: Complex) -> bool:

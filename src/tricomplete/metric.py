@@ -283,7 +283,7 @@ def standard_metric(spec: str) -> GoodMetric:
     dual = flag == "dual"
     table = {"i": metric_i, "ii": metric_ii, "iii": metric_iii}
     if name not in table:
-        raise ValueError("unknown metric %r" % name)
+        raise ValueError("unknown metric %r" % spec)
     return table[name](dual=dual)
 
 

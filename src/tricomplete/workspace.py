@@ -39,7 +39,7 @@ import numpy as np
 from .linalg import Matrix
 from .rmodule import RModule, RModuleMap, Ring, zero_module
 from .complexes import ChainMap, Complex, ValidationError
-from .metric import GoodMetric, LinearExpr, metric_i, metric_ii, metric_iii
+from .metric import GoodMetric, LinearExpr, standard_metric
 from .cauchy import ConstantTail, Tower, TruncationTail
 
 
@@ -98,18 +98,12 @@ class Workspace:
     metric_specs: dict[str, MetricSpec] = field(default_factory=dict)
 
     def metric(self, name: str) -> GoodMetric:
-        """Resolve a metric name: custom names first, then i/ii/iii[:dual]."""
+        """Resolve a metric name: custom names first, then standard_metric."""
         base, _, flag = name.partition(":")
-        dual = flag == "dual"
-        if flag not in ("", "dual"):
-            raise WorkspaceError("unknown metric flag %r" % flag)
-        if base in self.metric_specs:
+        if base in self.metric_specs and flag in ("", "dual"):
             m = self.metric_specs[base].build()
-            return GoodMetric(m.name, m.pieces, dual=m.dual != dual)
-        table = {"i": metric_i, "ii": metric_ii, "iii": metric_iii}
-        if base in table:
-            return table[base](dual=dual)
-        raise WorkspaceError("unknown metric %r" % name)
+            return GoodMetric(m.name, m.pieces, dual=m.dual != (flag == "dual"))
+        return standard_metric(name)
 
 
 def _tokens(line: str) -> list[str]:
@@ -227,6 +221,8 @@ class _Parser:
                 if len(toks) < 2:
                     raise self.error("DIFF expects: DIFF degree entries...")
                 deg = self._int(toks[1], "degree")
+                if deg in raw_diffs:
+                    raise self.error("duplicate differential at degree %d" % deg)
                 raw_diffs[deg] = toks[2:]
             else:
                 raise self.error("unexpected %r inside COMPLEX" % toks[0])
@@ -261,7 +257,11 @@ class _Parser:
                 break
             if head != "AT":
                 raise self.error("unexpected %r inside MAP" % toks[0])
+            if len(toks) < 2:
+                raise self.error("AT expects: AT degree entries...")
             deg = self._int(toks[1], "degree")
+            if deg in comps:
+                raise self.error("duplicate component at degree %d" % deg)
             s, t = src.component(deg), tgt.component(deg)
             mat = self._matrix(toks[2:], t.dim, s.dim, ws.ring.p,
                                "map %r component at %d" % (name, deg))

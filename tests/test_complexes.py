@@ -56,6 +56,42 @@ def test_d_squared_validated_on_construction():
         Complex(R22, {0: R, 1: R, 2: R}, {0: ident, 1: ident})
 
 
+def test_d_squared_checked_mod_p():
+    # d^1 d^0 is 3 as an integer product, so 0 over F_3
+    ring = Ring(3, 1)
+    k = free_module(ring, 1)
+    k2 = free_module(ring, 2)
+    d0 = RModuleMap(k, k2, Matrix([[1], [1]], 3))
+    d1 = RModuleMap(k2, k, Matrix([[1, 2]], 3))
+    x = Complex(ring, {0: k, 1: k2, 2: k}, {0: d0, 1: d1})
+    assert is_acyclic(x)  # k -> k^2 -> k is exact
+
+
+def scaled_x_on_R(ring, c):
+    """The complex R --c x--> R in degrees 0, 1."""
+    R = free_module(ring, 1)
+    return Complex(ring, {0: R, 1: R}, {0: RModuleMap(R, R, R.x_action().scale(c))})
+
+
+def test_chain_map_rejects_non_commuting_square():
+    ring = Ring(3, 2)
+    x = scaled_x_on_R(ring, 1)
+    R = x.component(0)
+    two = RModuleMap(R, R, Matrix.identity(2, 3).scale(2))
+    with pytest.raises(ValidationError, match="square at degrees"):
+        ChainMap(x, x, {0: identity_map(R), 1: two})
+
+
+def test_chain_map_square_checked_mod_p():
+    # f^1 d_X = 4x and d_Y f^0 = x agree only mod 3
+    ring = Ring(3, 2)
+    x, y = scaled_x_on_R(ring, 2), scaled_x_on_R(ring, 1)
+    R = x.component(0)
+    two = RModuleMap(R, R, Matrix.identity(2, 3).scale(2))
+    f = ChainMap(x, y, {0: identity_map(R), 1: two})
+    assert is_quasi_iso(f)
+
+
 def test_cohomology_of_stalk():
     x = module_complex(K22, 0)
     assert cohomology(x, 0) == K22
@@ -195,7 +231,10 @@ def sample_chain_maps(ring, seed, count):
 
 
 def test_cone_long_exact_sequence():
-    for f in sample_chain_maps(R22, seed=11, count=12) + sample_chain_maps(R23, seed=12, count=6):
+    # over F_3 the sign of -d_X in the cone can be seen; over F_2 it cannot
+    maps = (sample_chain_maps(R22, seed=11, count=12) + sample_chain_maps(R23, seed=12, count=6)
+            + sample_chain_maps(Ring(3, 3), seed=13, count=6))
+    for f in maps:
         tri = cone(f)
         degs = range(-4, 5)
         for i in degs:
@@ -209,6 +248,21 @@ def test_cone_long_exact_sequence():
             assert rank(hf.matrix) == hf.target.dim - rank(hg.matrix)
             assert rank(hg.matrix) == hg.target.dim - rank(hh.matrix)
             assert rank(hh.matrix) == hh.target.dim - rank(hf_next.matrix)
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(5, 2)])
+def test_cohomology_support_matches_cohomology(ring):
+    # the rank formula against the Jordan-canonical quotients
+    from tricomplete.randomgen import Sampler
+
+    s = Sampler(ring, random.Random(80 + ring.p))
+    nonzero = 0
+    for _ in range(30):
+        x = s.complex(-2, 2, max_blocks=3)
+        expected = frozenset(i for i in range(-3, 4) if not cohomology(x, i).is_zero())
+        assert cohomology_support(x) == expected
+        nonzero += bool(x._diffs)
+    assert nonzero >= 10
 
 
 def test_quasi_iso_composition():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tricomplete.cli import main
+from tricomplete.metric import standard_metric
 from tricomplete.workspace import (
     WorkspaceError,
     parse_linear,
@@ -315,6 +316,39 @@ def test_cli_unknown_name_exit_3(ws_path, capsys):
     code, _, err = run(capsys, ["-w", ws_path, "length", "nosuch", "--metric", "i"])
     assert code == 3
     assert "nosuch" in err
+    code, _, err = run(capsys, ["-w", ws_path, "is-perfect", "nosuch"])
+    assert code == 3
+    assert "unknown complex 'nosuch'" in err
+
+
+def test_unknown_metric_names_full_spec():
+    # custom names and the standard families resolve through one path
+    ws = parse_workspace_text(FIXTURE)
+    assert ws.metric("myi:dual").dual and ws.metric("iii:dual").dual
+    for resolve in (ws.metric, standard_metric):
+        with pytest.raises(ValueError, match="unknown metric 'iv:dual'"):
+            resolve("iv:dual")
+
+
+@pytest.mark.parametrize("body,line,message", [
+    ("MAP m a a\n  AT\nEND\n", 7, "AT expects: AT degree entries"),
+    ("MAP m a a\n  AT 0 1\n  AT 0 1\nEND\n", 8, "duplicate component at degree 0"),
+])
+def test_cli_malformed_map_exit_3(tmp_path, capsys, body, line, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("RING 2 2\nMODULE k 1\nCOMPLEX a\n  AT 0 k\nEND\n" + body)
+    code, _, err = run(capsys, ["-w", str(bad), "is-perfect", "a"])
+    assert code == 3
+    assert "line %d: %s" % (line, message) in err
+
+
+def test_cli_repeated_differential_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("RING 2 2\nMODULE RR 2\nCOMPLEX c\n  AT 0 RR\n  AT 1 RR\n"
+                   "  DIFF 0 0 0 1 0\n  DIFF 0 0 0 0 0\nEND\n")
+    code, _, err = run(capsys, ["-w", str(bad), "is-perfect", "c"])
+    assert code == 3
+    assert "line 7: duplicate differential at degree 0" in err
 
 
 def test_cli_missing_workspace_exit_3(capsys):
