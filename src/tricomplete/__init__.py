@@ -10,6 +10,7 @@ from .rmodule import (
     hom_basis,
     projective_cover_and_syzygy,
     stable_hom,
+    stable_hom_dim,
     subquotient,
     syzygy_type,
     zero_module,

@@ -6,8 +6,8 @@ on demand:
 
   * truncation tail of a module M: X_k is the brutal truncation to degrees
     >= -k of the minimal free resolution of M, with subcomplex inclusions
-    as connecting maps (the resolution is eventually periodic, so any X_k
-    is cheap to produce);
+    as connecting maps (below the cover the resolution is the closed-form
+    2-periodic tail, so any X_k costs no elimination);
   * constant tail at a bounded complex X: X_k = X with identity maps.
 
 For tail towers the cone of X_i -> X_j is the quotient complex, whose
@@ -25,9 +25,13 @@ from fractions import Fraction
 
 from .rmodule import (
     RModule,
+    RModuleMap,
     Ring,
-    projective_cover_and_syzygy,
+    cover_matrix,
+    free_module,
     identity_map,
+    syzygy_embedding,
+    syzygy_type,
 )
 from .complexes import (
     ChainMap,
@@ -41,41 +45,31 @@ from .metric import GoodMetric, first_shift_violation, object_length
 
 
 class TruncationTail:
-    """Generates brutal truncations of the minimal free resolution of M."""
+    """Generates brutal truncations of the minimal free resolution of M.
+
+    F_0 = R^(#blocks of M) and below it the closed-form periodic tail: F_t
+    covers Omega^t M, and d : F_t -> F_(t-1) is that cover followed by the
+    syzygy_embedding of Omega^t M in F_(t-1).
+    """
 
     def __init__(self, module: RModule):
         self.module = module
         self.ring = module.ring
-        # stage t: (free module F_t covering Omega^t M, map F_t -> F_(t-1))
-        self._frees: list[RModule] = []
-        self._dmaps: list = []  # _dmaps[t] : F_t -> F_(t-1), t >= 1
-        self._omegas: list[RModule] = [module]
-        self._incls: list = []  # kernel inclusion Omega^(t+1) -> F_t
-
-    def _extend(self, t: int):
-        while len(self._frees) <= t:
-            stage = len(self._frees)
-            m = self._omegas[stage]
-            F, cover, syz, incl = projective_cover_and_syzygy(m)
-            self._frees.append(F)
-            self._omegas.append(syz)
-            self._incls.append(incl)
-            if stage >= 1:
-                # d : F_stage ->> Omega^stage M >-> F_(stage-1)
-                prev_incl = self._incls[stage - 1]
-                self._dmaps.append(prev_incl @ cover)
-            else:
-                self._dmaps.append(None)
 
     def free(self, t: int) -> RModule:
-        self._extend(t)
-        return self._frees[t]
+        m = self.module
+        for _ in range(t):
+            m = RModule(self.ring, syzygy_type(m))
+        return free_module(self.ring, len(m.blocks))
 
     def complex_at(self, k: int) -> Complex:
-        self._extend(k)
-        comps = {-t: self._frees[t] for t in range(0, k + 1) if not self._frees[t].is_zero()}
-        diffs = {-t: self._dmaps[t] for t in range(1, k + 1)
-                 if not self._frees[t].is_zero() and not self._frees[t - 1].is_zero()}
+        m = self.module
+        comps = {0: free_module(self.ring, len(m.blocks))}
+        diffs = {}
+        for t in range(1, k + 1):
+            m, embedding = syzygy_embedding(m)
+            comps[-t] = free_module(self.ring, len(m.blocks))
+            diffs[-t] = RModuleMap(comps[-t], comps[-t + 1], embedding @ cover_matrix(m))
         return Complex(self.ring, comps, diffs)
 
     def map_at(self, k: int, xk: Complex, xk1: Complex) -> ChainMap:

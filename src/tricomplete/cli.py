@@ -11,6 +11,7 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -321,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kw):
         sp = sub.add_parser(name, **kw)
-        sp.set_defaults(fn=fn)
+        # by name: main looks the handler up per call, not once per parser
+        sp.set_defaults(handler=fn.__name__)
         # accept the global options after the subcommand too
         sp.add_argument("--format", choices=("text", "structured"),
                         default=argparse.SUPPRESS)
@@ -397,15 +399,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.  Parsing never mutates it
+    and it holds handler names, not functions, so calls share nothing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         ctx = _Ctx(args)
-        return args.fn(ctx, args)
+        return globals()[args.handler](ctx, args)
     except (WorkspaceError, ValidationError, PreconditionError, ValueError, OSError) as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE

@@ -7,12 +7,18 @@ of Cauchy provenance and compact support.  Over R = F_p[x]/(x^n) the
 perfection test reduces to one deep syzygy: a bounded complex is perfect
 iff the cut syzygy of its minimal free resolution vanishes, since a
 nonzero non-free syzygy regenerates itself 2-periodically and the
-resolution never terminates.
+resolution never terminates.  Each complex is resolved once: the window
+[min-1, max] is eliminated and cached on the complex, and every deeper
+cut splices on the closed-form periodic tail, so is_perfect, syzygy_class
+and derived_hom share one elimination pass per complex (and one for its
+dual in the injective test).
 
 The singularity quotient is modelled through the stable module category
 (R is self-injective): a complex maps to its deep syzygy with a shift
 bookkeeping integer, and Hom in the quotient is stable Hom after aligning
-shifts by the syzygy equivalence.
+shifts by the syzygy equivalence.  Its dimension is the closed form
+sum of min(a, b, n-a, n-b) over block pairs (rmodule.stable_hom_dim); the
+elimination-based rmodule.stable_hom stays public as its oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .rmodule import RModule, stable_hom, syzygy_type, zero_module
+from .rmodule import RModule, stable_hom_dim, syzygy_type, zero_module
 from .complexes import (
     Complex,
     PreconditionError,
@@ -198,7 +204,8 @@ def sing_hom(a: SingClass, b: SingClass) -> int:
 
     The syzygy functor inverts the shift on the stable category, so after
     applying it to whichever class has the shallower cut the classes sit
-    at the same shift and Hom is stable Hom of the representatives.
+    at the same shift and Hom is stable Hom of the representatives, in
+    closed form (stable_hom_dim).
     """
     if a.module.ring != b.module.ring:
         raise PreconditionError("singularity classes over different rings")
@@ -210,5 +217,4 @@ def sing_hom(a: SingClass, b: SingClass) -> int:
     else:
         left = _omega_power(a.module, a.shift - b.shift)
         right = b.module
-    dim, _ = stable_hom(left, right)
-    return dim
+    return stable_hom_dim(left, right)

@@ -3,8 +3,9 @@
 Complexes are stored sparsely: only nonzero components and nonzero
 differentials.  Morphisms of the derived category are realized as strict
 chain maps out of a projective resolution; the resolution machinery at the
-bottom of this file (build, minimize, cut) is the engine behind perfection
-tests, syzygy classes and derived Hom.
+bottom of this file (build, minimize, cut, once per complex, then splice
+the periodic tail) is the engine behind perfection tests, syzygy classes
+and derived Hom.
 
 Sign conventions, fixed once:
   * shift:   (T^t X)^i = X^(i+t), differential scaled by (-1)^t;
@@ -28,6 +29,7 @@ from .rmodule import (
     RModule,
     RModuleMap,
     Ring,
+    cover_matrix,
     direct_sum,
     free_cover,
     free_module,
@@ -35,6 +37,7 @@ from .rmodule import (
     identity_map,
     quotient_canonicalize,
     subspace_canonicalize,
+    syzygy_embedding,
     zero_map,
     zero_module,
 )
@@ -72,6 +75,7 @@ class Complex:
             if np.any(_composite(self._diffs.get(i + 1), f) % ring.p):
                 raise ValidationError("d^2 != 0 between degrees %d and %d" % (i, i + 2))
         self._coh_cache: dict[int, "CohomologyData"] = {}
+        self._window: "_Window | None" = None
 
     # -- access ---------------------------------------------------------
 
@@ -460,6 +464,11 @@ class Resolution:
     comparison : complex -> target induces isomorphisms on H^i for i > depth.
     syzygy is ker(d^depth) with free summands stripped; for cuts below the
     lowest degree of the target it is the obstruction to perfection.
+
+    Every Resolution of a complex is a brutal truncation of one minimal
+    resolution: the window [min-1, max], eliminated once and cached on the
+    complex, and below it the closed-form 2-periodic tail of the cut
+    syzygy (see projective_resolution).
     """
 
     target: Complex
@@ -544,14 +553,67 @@ def _minimize_free_complex(ranks: dict[int, int], diffs: dict[int, np.ndarray],
     return ranks, diffs, eps
 
 
+@dataclass
+class _Window:
+    """The minimal resolution of a complex in degrees [min-1, max], as F_p
+    arrays (see _build_free_approximation), with its cut kernel Omega in
+    canonical form and the embedding Omega >-> F^(min-1)."""
+
+    ranks: dict[int, int]
+    diffs: dict[int, np.ndarray]
+    eps: dict[int, np.ndarray]
+    syzygy: RModule
+    embedding: Matrix
+
+
+def _resolve_window(x: Complex) -> _Window:
+    """Build, minimize and cache the window of x; later calls are lookups.
+
+    The cut kernel has no free summand.  At the cut c = min-1 the component
+    X^c is 0, so the unminimized F^c is the minimal free cover of the
+    pullback W, and d^c is that cover followed by W >-> F^(c+1).  Its
+    kernel lies in x F^c: a kernel element with a unit coefficient at some
+    generator would make the generators dependent modulo xW.  Minimizing
+    splits off pairs R -> R, and at the cut only pairs in degrees (c, c+1),
+    on which d^c is injective; so the minimized kernel is isomorphic to
+    the cover's, and a submodule of x F^c has no block of size n.  A
+    deeper resolution maps F^(c-1) onto that kernel inside x F^c, so
+    d^(c-1) has no unit entry: no deeper minimization could split a
+    summand off F^c, and the tail spliced below keeps the resolution
+    minimal.  The check below only guards this argument; it never strips
+    a summand.
+    """
+    if x._window is not None:
+        return x._window
+    ring = x.ring
+    cut = x.min_degree - 1
+    ranks, diffs, eps = _minimize_free_complex(*_build_free_approximation(x, cut), ring)
+    syz, emb = _kernel_module(ranks, diffs, cut, ring)
+    if syz != syz.strip_free():
+        raise PreconditionError("cut kernel %s of the minimal window has a free summand" % syz)
+    x._window = _Window(ranks, diffs, eps, syz, emb)
+    return x._window
+
+
+def _kernel_module(ranks: dict[int, int], diffs: dict[int, np.ndarray], i: int, ring: Ring):
+    """ker d^i in canonical form with its embedding in F^i = R^ranks[i]."""
+    if not ranks.get(i, 0):
+        return zero_module(ring), Matrix.zeros(0, 0, ring.p)
+    kernel = kernel_basis(Matrix(diffs[i], ring.p))
+    return subspace_canonicalize(free_module(ring, ranks[i]).x_action(), kernel, ring)
+
+
 def projective_resolution(x: Complex, depth: int) -> Resolution:
     """Minimal complex of frees in degrees >= depth, quasi-isomorphic to x
     above the cut, with the cut syzygy.
 
-    The construction is one free cover of a pullback per degree, top down;
-    splitting unit entries of the differentials afterwards makes the window
-    minimal, so the syzygy at the cut is well-defined once free summands
-    (artifacts of truncating a contractible straddling the cut) are stripped.
+    The window [min-1, max] is resolved once per complex (_resolve_window);
+    a cut at min-1 or min reads it.  Below min-1 every cut splices on the
+    minimal resolution of the cut syzygy Omega with no elimination, since
+    X^i = 0 there: d^(min-2) is the canonical cover of Omega followed by its
+    embedding in F^(min-1), and every deeper differential is the cover of
+    the next syzygy followed by its syzygy_embedding, x^j or x^(n-j) block
+    by block (Eisenbud's matrix factorizations).
     """
     ring = x.ring
     if x.is_zero():
@@ -560,20 +622,22 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
     if depth > x.min_degree:
         raise PreconditionError("resolution depth %d must be <= lowest degree %d"
                                 % (depth, x.min_degree))
-    ranks, diffs, eps = _minimize_free_complex(*_build_free_approximation(x, depth), ring)
+    window = _resolve_window(x)
+    cut = x.min_degree - 1
+    ranks = {i: r for i, r in window.ranks.items() if i >= depth}
+    diffs = {i: Matrix(d, ring.p) for i, d in window.diffs.items() if i >= depth and d.size}
+    syz, emb = window.syzygy, window.embedding
+    if depth > cut:  # the window without F^cut: its kernel is not cached
+        syz = _kernel_module(window.ranks, window.diffs, depth, ring)[0].strip_free()
+    elif not syz.is_zero():
+        for i in range(cut - 1, depth - 1, -1):  # F^i covers ker d^(i+1) = syz
+            ranks[i] = len(syz.blocks)
+            diffs[i] = emb @ cover_matrix(syz)
+            syz, emb = syzygy_embedding(syz)
     comps = {i: free_module(ring, r) for i, r in ranks.items() if r}
-    free_part = Complex(ring, comps, {i: RModuleMap(comps[i], comps[i + 1], Matrix(d, ring.p))
-                                      for i, d in diffs.items() if d.size})
+    free_part = Complex(ring, comps, {i: RModuleMap(comps[i], comps[i + 1], d) for i, d in diffs.items()})
     comparison = ChainMap(free_part, x, {i: RModuleMap(comps[i], x.component(i), Matrix(e, ring.p))
-                                         for i, e in eps.items() if e.any()})
-    # syzygy: kernel of the cut differential, free summands stripped
-    cut_comp = free_part.component(depth)
-    if cut_comp.is_zero():
-        syz = zero_module(ring)
-    else:
-        K = kernel_basis(free_part.differential(depth).matrix)
-        syz_mod, _ = subspace_canonicalize(cut_comp.x_action(), K, ring)
-        syz = syz_mod.strip_free()
+                                         for i, e in window.eps.items() if i >= depth and e.any()})
     return Resolution(x, depth, free_part, comparison, syz)
 
 

@@ -403,3 +403,21 @@ def test_cli_prefix_tower_without_connecting_maps_exit_3(tmp_path, capsys):
         assert code == 3
         assert err.startswith("error: line ")
         assert "tower 'pre': need exactly one connecting map" in err
+
+
+def test_cli_parser_built_once_and_calls_share_no_state(ws_path, tmp_path, capsys):
+    from tricomplete import cli
+
+    other = tmp_path / "other.txt"
+    other.write_text("RING 2 2\nMODULE RR 2\nCOMPLEX k0\n  AT 0 RR\nEND\n")
+    code, out, _ = run(capsys, ["-w", ws_path, "--format", "structured", "is-perfect", "k0"])
+    assert code == 1 and json.loads(out)["perfect"] is False
+    parser = cli._parser()
+    # -w and --format after the subcommand, then neither: nothing carries over
+    code, out, _ = run(capsys, ["is-perfect", "k0", "-w", str(other)])
+    assert code == 0 and "perfect: True" in out.splitlines()
+    code, out, _ = run(capsys, ["is-perfect", "k0", "--format", "structured", "-w", ws_path])
+    assert code == 1 and json.loads(out)["perfect"] is False
+    code, out, err = run(capsys, ["length", "f", "--metric", "i"])
+    assert code == 3 and out == ""
+    assert cli._parser() is parser
