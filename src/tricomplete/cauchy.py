@@ -27,11 +27,11 @@ from .rmodule import (
     RModule,
     RModuleMap,
     Ring,
-    cover_matrix,
     free_module,
     identity_map,
+    omega_power,
+    periodic_tail,
     syzygy_embedding,
-    syzygy_type,
 )
 from .complexes import (
     ChainMap,
@@ -47,9 +47,10 @@ from .metric import GoodMetric, first_shift_violation, object_length
 class TruncationTail:
     """Generates brutal truncations of the minimal free resolution of M.
 
-    F_0 = R^(#blocks of M) and below it the closed-form periodic tail: F_t
-    covers Omega^t M, and d : F_t -> F_(t-1) is that cover followed by the
-    syzygy_embedding of Omega^t M in F_(t-1).
+    F_0 = R^(#blocks of M) and below it the closed-form periodic tail of
+    Omega M >-> F_0 (rmodule.periodic_tail): F_t covers Omega^t M, and
+    d : F_t -> F_(t-1) is that cover followed by the syzygy_embedding of
+    Omega^t M in F_(t-1).
     """
 
     def __init__(self, module: RModule):
@@ -57,19 +58,16 @@ class TruncationTail:
         self.ring = module.ring
 
     def free(self, t: int) -> RModule:
-        m = self.module
-        for _ in range(t):
-            m = RModule(self.ring, syzygy_type(m))
-        return free_module(self.ring, len(m.blocks))
+        return free_module(self.ring, len(omega_power(self.module, t).blocks))
 
     def complex_at(self, k: int) -> Complex:
-        m = self.module
-        comps = {0: free_module(self.ring, len(m.blocks))}
+        comps = {0: free_module(self.ring, len(self.module.blocks))}
         diffs = {}
+        tail = periodic_tail(*syzygy_embedding(self.module))
         for t in range(1, k + 1):
-            m, embedding = syzygy_embedding(m)
-            comps[-t] = free_module(self.ring, len(m.blocks))
-            diffs[-t] = RModuleMap(comps[-t], comps[-t + 1], embedding @ cover_matrix(m))
+            rank_t, d, _ = next(tail)
+            comps[-t] = free_module(self.ring, rank_t)
+            diffs[-t] = RModuleMap(comps[-t], comps[-t + 1], d)
         return Complex(self.ring, comps, diffs)
 
     def map_at(self, k: int, xk: Complex, xk1: Complex) -> ChainMap:

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .rmodule import RModule, stable_hom_dim, syzygy_type, zero_module
+from .rmodule import RModule, omega_power, stable_hom_dim, zero_module
 from .complexes import (
     Complex,
     PreconditionError,
@@ -193,12 +193,6 @@ def syzygy_class(x: Complex) -> SingClass:
     return SingClass(res.syzygy, cut)
 
 
-def _omega_power(m: RModule, t: int) -> RModule:
-    for _ in range(t):
-        m = RModule(m.ring, syzygy_type(m))
-    return m
-
-
 def sing_hom(a: SingClass, b: SingClass) -> int:
     """Hom dimension in the singularity category.
 
@@ -212,9 +206,9 @@ def sing_hom(a: SingClass, b: SingClass) -> int:
     if a.is_zero() or b.is_zero():
         return 0
     if b.shift >= a.shift:
-        right = _omega_power(b.module, b.shift - a.shift)
+        right = omega_power(b.module, b.shift - a.shift)
         left = a.module
     else:
-        left = _omega_power(a.module, a.shift - b.shift)
+        left = omega_power(a.module, a.shift - b.shift)
         right = b.module
     return stable_hom_dim(left, right)

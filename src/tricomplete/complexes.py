@@ -29,15 +29,14 @@ from .rmodule import (
     RModule,
     RModuleMap,
     Ring,
-    cover_matrix,
     direct_sum,
     free_cover,
     free_module,
     hom_basis,
     identity_map,
+    periodic_tail,
     quotient_canonicalize,
     subspace_canonicalize,
-    syzygy_embedding,
     zero_map,
     zero_module,
 )
@@ -608,12 +607,14 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
     above the cut, with the cut syzygy.
 
     The window [min-1, max] is resolved once per complex (_resolve_window);
-    a cut at min-1 or min reads it.  Below min-1 every cut splices on the
-    minimal resolution of the cut syzygy Omega with no elimination, since
-    X^i = 0 there: d^(min-2) is the canonical cover of Omega followed by its
-    embedding in F^(min-1), and every deeper differential is the cover of
-    the next syzygy followed by its syzygy_embedding, x^j or x^(n-j) block
-    by block (Eisenbud's matrix factorizations).
+    a cut at min-1 reads it, and a cut at min reads it without F^(min-1)
+    but canonicalizes ker d^min anew (derived_hom never cuts there).  Below
+    min-1 every cut splices on the minimal resolution of the cut syzygy
+    Omega with no elimination, since X^i = 0 there: d^(min-2) is the
+    canonical cover of Omega followed by its embedding in F^(min-1), and
+    every deeper differential is the cover of the next syzygy followed by
+    its syzygy_embedding, x^j or x^(n-j) block by block (Eisenbud's matrix
+    factorizations; rmodule.periodic_tail).
     """
     ring = x.ring
     if x.is_zero():
@@ -626,14 +627,13 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
     cut = x.min_degree - 1
     ranks = {i: r for i, r in window.ranks.items() if i >= depth}
     diffs = {i: Matrix(d, ring.p) for i, d in window.diffs.items() if i >= depth and d.size}
-    syz, emb = window.syzygy, window.embedding
+    syz = window.syzygy
     if depth > cut:  # the window without F^cut: its kernel is not cached
         syz = _kernel_module(window.ranks, window.diffs, depth, ring)[0].strip_free()
     elif not syz.is_zero():
-        for i in range(cut - 1, depth - 1, -1):  # F^i covers ker d^(i+1) = syz
-            ranks[i] = len(syz.blocks)
-            diffs[i] = emb @ cover_matrix(syz)
-            syz, emb = syzygy_embedding(syz)
+        tail = periodic_tail(syz, window.embedding)
+        for i in range(cut - 1, depth - 1, -1):  # F^i covers ker d^(i+1)
+            ranks[i], diffs[i], syz = next(tail)
     comps = {i: free_module(ring, r) for i, r in ranks.items() if r}
     free_part = Complex(ring, comps, {i: RModuleMap(comps[i], comps[i + 1], d) for i, d in diffs.items()})
     comparison = ChainMap(free_part, x, {i: RModuleMap(comps[i], x.component(i), Matrix(e, ring.p))
@@ -649,11 +649,13 @@ def derived_hom(a: Complex, b: Complex, d: int = 0) -> int:
 
     Computed as H^0 of the Hom complex out of a projective resolution of a,
     truncated two degrees below where any component could interact with b:
-    dim Hom^0 - rk delta^0 - rk delta^(-1).
+    dim Hom^0 - rk delta^0 - rk delta^(-1).  Any deeper cut gives the same
+    H^0, so the cut is at least one below a's support and reads a's cached
+    window or its spliced tail.
     """
     if a.is_zero() or b.is_zero():
         return 0
-    depth = min(a.min_degree, b.min_degree - d - 2)
+    depth = min(a.min_degree - 1, b.min_degree - d - 2)
     pc = projective_resolution(a, depth).complex
     tb = shift(b, d)
     _, d0 = hom_complex(pc, tb, 0)

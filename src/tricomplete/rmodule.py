@@ -13,6 +13,7 @@ Hom bases, projective covers and syzygies, and Hom modulo projectives.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -417,6 +418,13 @@ def syzygy_type(m: RModule) -> tuple[int, ...]:
     return tuple(sorted((n - j for j in m.blocks if j < n), reverse=True))
 
 
+def omega_power(m: RModule, t: int) -> RModule:
+    """Omega^t m in canonical form, by the closed-form syzygy_type."""
+    for _ in range(t):
+        m = RModule(m.ring, syzygy_type(m))
+    return m
+
+
 def cover_matrix(m: RModule) -> Matrix:
     """The canonical cover R^(#blocks) ->> m in closed form: x^t e_s goes to
     x^t times the generator of block s, and to 0 once t reaches its size."""
@@ -447,6 +455,20 @@ def syzygy_embedding(m: RModule) -> tuple[RModule, Matrix]:
         b = m.blocks[s]
         a[s * n + b + np.arange(n - b), start + np.arange(n - b)] = 1
     return omega, Matrix(a, m.ring.p)
+
+
+def periodic_tail(m: RModule, embedding: Matrix) -> Iterator[tuple[int, Matrix, RModule]]:
+    """The minimal free resolution below a submodule m of a free F_0, in
+    closed form: for t = 1, 2, ... yields (rank F_t, d_t, Omega^t m), where
+    F_t covers Omega^(t-1) m, d_t : F_t -> F_(t-1) is that cover followed
+    by the embedding of Omega^(t-1) m in F_(t-1) (the given one for t = 1,
+    syzygy_embedding after it), and Omega^t m = ker d_t.  Blocks x^j and
+    x^(n-j) alternate; nothing is eliminated."""
+    while True:
+        rank_t, cover = len(m.blocks), cover_matrix(m)
+        m, next_embedding = syzygy_embedding(m)
+        yield rank_t, embedding @ cover, m
+        embedding = next_embedding
 
 
 def stable_hom_dim(m: RModule, nn: RModule) -> int:

@@ -154,9 +154,9 @@ def test_spliced_resolution_matches_direct_build(ring):
                     continue
                 d = b.min_degree - depth - 2
                 assert hom_h0(res.complex, b, d) == hom_h0(free, b, d), (x, b, depth)
-        # derived_hom cutting at min itself reads the window without F^(min-1)
-        d = k.min_degree - x.min_degree - 2
-        assert derived_hom(x, k, d) == hom_h0(direct_resolution(x, x.min_degree - 1)[0], k, d)
+        # with T^d b sitting high, derived_hom still cuts at min-1: the window
+        for d in range(k.min_degree - x.min_degree - 4, k.min_degree - x.min_degree - 1):
+            assert derived_hom(x, k, d) == hom_h0(direct_resolution(x, x.min_degree - 1)[0], k, d)
     assert nonperfect >= 2
 
 
@@ -175,8 +175,9 @@ def test_spliced_resolution_is_minimal_and_exact_below_the_cut():
 def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
     ring = Ring(3, 4)
     x = splice_samples(ring, seed=5, count=2)[1]
-    calls = {"build": 0, "rref": 0, "jordan": 0}
-    build, rref, jordan = complexes._build_free_approximation, linalg.rref, rmodule.jordan_basis
+    calls = {"build": 0, "kernel": 0, "rref": 0, "jordan": 0}
+    build, kernel = complexes._build_free_approximation, complexes._kernel_module
+    rref, jordan = linalg.rref, rmodule.jordan_basis
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -185,8 +186,15 @@ def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(complexes, "_build_free_approximation", counting("build", build))
+    monkeypatch.setattr(complexes, "_kernel_module", counting("kernel", kernel))
     first = syzygy_class(x)
-    assert calls["build"] == 1 and not first.is_zero()
+    assert calls["build"] == 1 and calls["kernel"] == 1 and not first.is_zero()
+    # every derived_hom out of x reads the window or its tail, however high
+    # T^d b sits; only the Hom complex is eliminated
+    k = module_complex(RModule(ring, (1,)), 0)
+    for d in range(-x.min_degree - 6, -x.min_degree + 2):
+        derived_hom(x, k, d)
+    assert calls["build"] == 1 and calls["kernel"] == 1
     monkeypatch.setattr(linalg, "rref", counting("rref", rref))
     monkeypatch.setattr(rmodule, "rref", counting("rref", rref))
     monkeypatch.setattr(rmodule, "jordan_basis", counting("jordan", jordan))
@@ -194,7 +202,7 @@ def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
     assert is_perfect(x) == first.is_zero()
     for depth in range(x.min_degree - 1, x.min_degree - 6, -1):
         projective_resolution(x, depth)
-    assert calls == {"build": 1, "rref": 0, "jordan": 0}
+    assert calls == {"build": 1, "kernel": 1, "rref": 0, "jordan": 0}
 
 
 def test_window_cut_kernel_with_free_summand_is_refused(monkeypatch):
