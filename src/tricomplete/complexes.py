@@ -11,7 +11,7 @@ Sign conventions, fixed once:
   * shift:   (T^t X)^i = X^(i+t), differential scaled by (-1)^t;
   * cone(f): cone^i = X^(i+1) (+) Y^i with differential
              [[-d_X, 0], [f, d_Y]], g : Y -> cone the inclusion and
-             h : cone -> TX the projection;
+             h : cone -> TX the projection, both built on first read;
   * Hom complex: Hom^k(X, Y) = prod_i Hom(X^i, Y^(i+k)) with
              delta^k(f) = d_Y f - (-1)^k f d_X, so chain maps are
              ker delta^0 and f = d s + s d is f = delta^(-1)(s).
@@ -20,7 +20,8 @@ All tests are relative to these conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -244,14 +245,28 @@ def direct_sum_complex(parts: list[Complex], ring: Ring) -> tuple[Complex, list[
 
 @dataclass
 class Triangle:
-    """X --f--> Y --g--> Z --h--> TX with Z the cone of f."""
+    """X --f--> Y --g--> Z --h--> TX with Z the cone of f.
+
+    g and h are built on first read, as validated chain maps out of the
+    direct-sum structure maps kept from the cone; lengths, quasi-iso tests
+    and Cauchy checks read only z and never build them.
+    """
 
     x: Complex
     y: Complex
     z: Complex
     f: ChainMap
-    g: ChainMap
-    h: ChainMap
+    tx: Complex
+    _injs: dict[int, list[RModuleMap]] = field(repr=False, compare=False)
+    _projs: dict[int, list[RModuleMap]] = field(repr=False, compare=False)
+
+    @cached_property
+    def g(self) -> ChainMap:
+        return ChainMap(self.y, self.z, {i: self._injs[i][1] for i in self.y.degrees})
+
+    @cached_property
+    def h(self) -> ChainMap:
+        return ChainMap(self.z, self.tx, {i: self._projs[i][0] for i in self.tx.degrees})
 
 
 def cone(f: ChainMap) -> Triangle:
@@ -259,9 +274,7 @@ def cone(f: ChainMap) -> Triangle:
     x, y = f.source, f.target
     tx = shift(x, 1)
     z, injs, projs = _sum_complex([tx, y], x.ring, twist=f)
-    g = ChainMap(y, z, {i: injs[i][1] for i in y.degrees})
-    h = ChainMap(z, tx, {i: projs[i][0] for i in tx.degrees})
-    return Triangle(x, y, z, f, g, h)
+    return Triangle(x, y, z, f, tx, injs, projs)
 
 
 # -- cohomology --------------------------------------------------------------

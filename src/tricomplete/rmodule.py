@@ -91,7 +91,9 @@ def _x_action(ring: Ring, blocks: tuple[int, ...]) -> Matrix:
     return Matrix(m, ring.p)
 
 
+@lru_cache(maxsize=None)
 def zero_module(ring: Ring) -> RModule:
+    """The zero module over ring, one shared (frozen) instance per ring."""
     return RModule(ring, ())
 
 
@@ -113,9 +115,10 @@ class RModuleMap:
         if (self.matrix.rows, self.matrix.cols) != (self.target.dim, self.source.dim):
             raise ValueError("matrix is %dx%d, expected %dx%d"
                              % (self.matrix.rows, self.matrix.cols, self.target.dim, self.source.dim))
-        lhs = self.matrix @ self.source.x_action()
-        rhs = self.target.x_action() @ self.matrix
-        if lhs != rhs:
+        if self.matrix.p != self.ring.p:
+            raise ValueError("mixed moduli %d and %d" % (self.matrix.p, self.ring.p))
+        a = self.matrix.a
+        if np.any((a @ self.source.x_action().a - self.target.x_action().a @ a) % self.ring.p):
             raise ValueError("matrix does not commute with the x-actions (not R-linear)")
 
     @property
@@ -294,8 +297,17 @@ def direct_sum(summands: list[RModule], ring: Ring) -> tuple[RModule, list[RModu
     """Direct sum in canonical form, with injections and projections.
 
     Blocks of the sum are re-sorted, so the structural maps are the
-    block-permutation matrices realizing the canonical ordering.
+    block-permutation matrices realizing the canonical ordering.  They
+    depend only on the summands' Jordan types and the ring, so each is
+    built and validated once per key (_direct_sum); every call returns
+    fresh lists of those shared, frozen maps.
     """
+    total, injections, projections = _direct_sum(tuple(summands), ring)
+    return total, list(injections), list(projections)
+
+
+@lru_cache(maxsize=1024)
+def _direct_sum(summands: tuple[RModule, ...], ring: Ring):
     p = ring.p
     tagged = []  # (size, summand index, start within summand)
     for si, m in enumerate(summands):
@@ -310,8 +322,10 @@ def direct_sum(summands: list[RModule], ring: Ring) -> tuple[RModule, list[RModu
         for t in range(size):
             inj_arrays[si][at + t, start + t] = 1
         at += size
-    injections = [RModuleMap(m, total, Matrix(arr, p)) for m, arr in zip(summands, inj_arrays)]
-    projections = [RModuleMap(total, m, Matrix(arr.T, p)) for m, arr in zip(summands, inj_arrays)]
+    injections = tuple(RModuleMap(m, total, Matrix(arr, p)) for m, arr in zip(summands, inj_arrays))
+    projections = tuple(RModuleMap(total, m, Matrix(arr.T, p)) for m, arr in zip(summands, inj_arrays))
+    for f in injections + projections:  # shared by every caller: read-only
+        f.matrix.a.flags.writeable = False
     return total, injections, projections
 
 

@@ -250,6 +250,37 @@ def test_cone_long_exact_sequence():
             assert rank(hh.matrix) == hh.target.dim - rank(hf_next.matrix)
 
 
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(3, 4)])
+def test_cone_triangle_maps_built_on_first_read(ring):
+    from tricomplete.rmodule import direct_sum
+
+    for f in sample_chain_maps(ring, seed=14, count=6):
+        tri = cone(f)
+        tx = shift(f.source, 1)
+        sums = {i: direct_sum([tx.component(i), f.target.component(i)], ring) for i in tri.z.degrees}
+        assert tri.g == ChainMap(f.target, tri.z, {i: sums[i][1][1] for i in f.target.degrees})
+        assert tri.h == ChainMap(tri.z, tx, {i: sums[i][2][0] for i in tx.degrees})
+        assert tri.g is tri.g and tri.h is tri.h
+
+
+def test_length_builds_no_chain_map(monkeypatch):
+    from tricomplete import complexes
+    from tricomplete.metric import length, metric_i
+
+    maps = sample_chain_maps(R22, seed=15, count=6)
+    built = []
+    init = complexes.ChainMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(complexes.ChainMap, "__init__", counting_init)
+    lengths = [length(f, metric_i()) for f in maps]
+    assert built == []
+    assert any(lengths)  # the samples include maps that are not quasi-isos
+
+
 @pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(5, 2)])
 def test_cohomology_support_matches_cohomology(ring):
     # the rank formula against the Jordan-canonical quotients
@@ -312,13 +343,14 @@ def test_dualize_R_self_dual():
 
 
 def test_dualize_involution_and_cohomology_exchange():
-    for f in sample_chain_maps(R23, seed=21, count=8):
-        x = f.source
-        dd = dualize(dualize(x))
-        assert dd == x
-        dx = dualize(x)
-        for i in range(-4, 5):
-            assert cohomology(dx, i) == cohomology(x, -i)
+    for ring in (R23, Ring(3, 3), Ring(3, 4), Ring(5, 3)):
+        for f in sample_chain_maps(ring, seed=21, count=8):
+            x = f.source
+            dd = dualize(dualize(x))
+            assert dd == x
+            dx = dualize(x)
+            for i in range(-4, 5):
+                assert cohomology(dx, i) == cohomology(x, -i), (ring, i)
 
 
 def test_dualize_and_shift_act_on_chain_maps():

@@ -63,6 +63,21 @@ def test_map_validation_rejects_non_linear():
         RModuleMap(m, m, bad)
 
 
+@pytest.mark.parametrize("ring, diag", [(Ring(3, 2), [1, 4]), (Ring(5, 3), [1, 6, 11])])
+def test_map_validation_reads_commutator_mod_p(ring, diag):
+    # The check is A X_src - X_tgt A = 0 over F_p, not over the integers:
+    # diag(1, 1 + p, ...) given as integers has commutator p * (nonzero).
+    m = RModule(ring, (ring.n,))
+    a = np.diag(diag)
+    x = m.x_action().a
+    commutator = a @ x - x @ a
+    assert commutator.any() and not (commutator % ring.p).any()
+    assert RModuleMap(m, m, Matrix(a, ring.p)).matrix == identity_map(m).matrix
+    bad = np.diag([1, 2] + [2] * (ring.n - 2))  # x-coefficients 1 and 2 differ mod p
+    with pytest.raises(ValueError, match="not R-linear"):
+        RModuleMap(m, m, Matrix(bad, ring.p))
+
+
 # -- Jordan canonicalization ------------------------------------------------
 
 
@@ -324,3 +339,36 @@ def test_direct_sum_structure(data):
         for j2, proj2 in enumerate(projs):
             if j2 != i and not (proj2 @ inj).matrix.is_zero():
                 raise AssertionError("cross projection nonzero")
+
+
+def test_direct_sum_returns_fresh_lists_of_cached_maps():
+    from tricomplete.rmodule import _direct_sum
+
+    parts = [RModule(R23, (3, 1)), RModule(R23, (2,)), RModule(R23, ())]
+    total, injs, projs = direct_sum(parts, R23)
+    injs.clear()
+    projs.append(None)
+    again, injs2, projs2 = direct_sum(parts, R23)
+    assert again == total and len(injs2) == len(projs2) == 3
+    assert injs2 is not direct_sum(parts, R23)[1]
+    uncached = _direct_sum.__wrapped__(tuple(parts), R23)
+    assert (again, injs2, projs2) == (uncached[0], list(uncached[1]), list(uncached[2]))
+    # the shared structure maps are read-only
+    with pytest.raises(ValueError):
+        injs2[0].matrix.a[0, 0] = 1
+
+
+def test_direct_sum_keys_on_the_ring():
+    blocks = (2, 1)
+    m2 = direct_sum([RModule(Ring(2, 2), blocks)] * 2, Ring(2, 2))
+    m3 = direct_sum([RModule(Ring(3, 2), blocks)] * 2, Ring(3, 2))
+    assert m2[0].ring == Ring(2, 2) and m3[0].ring == Ring(3, 2)
+    assert [f.matrix.p for f in m2[1] + m2[2]] == [2] * 4
+    assert [f.matrix.p for f in m3[1] + m3[2]] == [3] * 4
+    assert [f.matrix.a.tolist() for f in m2[1]] == [f.matrix.a.tolist() for f in m3[1]]
+
+
+def test_zero_module_is_one_instance_per_ring():
+    assert zero_module(R22) is zero_module(R22)
+    assert zero_module(R22) != zero_module(R23)
+    assert zero_module(Ring(3, 2)).ring == Ring(3, 2) and zero_module(Ring(3, 2)).is_zero()
