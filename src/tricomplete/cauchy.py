@@ -40,6 +40,7 @@ from .complexes import (
     cohomology_data,
     cohomology_map,
     cone,
+    identity_chain_map,
 )
 from .metric import GoodMetric, first_shift_violation, object_length
 
@@ -99,8 +100,6 @@ class ConstantTail:
         return self.complex
 
     def map_at(self, k: int, xk: Complex, xk1: Complex) -> ChainMap:
-        from .complexes import identity_chain_map
-
         return identity_chain_map(self.complex)
 
     def tail_support(self, i: int) -> tuple[frozenset, int | None]:
@@ -162,8 +161,6 @@ class Tower:
 
     def composite(self, i: int, j: int) -> ChainMap:
         """The composite X_i -> X_j."""
-        from .complexes import identity_chain_map
-
         acc = identity_chain_map(self.complex_at(i))
         for k in range(i, j):
             acc = self.map_at(k) @ acc
@@ -251,12 +248,8 @@ def is_cauchy(tower: Tower, m: GoodMetric, horizon: int, levels: int) -> CauchyC
             cert.violation = (1, horizon, -top, Fraction(1))
             return cert
         for n in range(1, levels + 1):
-            eps = Fraction(1, n)
-            found = None
-            for M in range(1, horizon + 1):
-                if all(sup[i] < eps for i in range(M, horizon + 1)):
-                    found = M
-                    break
+            # sup is non-increasing, so the first M below 1/n is the threshold
+            found = next((M for M in range(1, horizon + 1) if sup[M] < Fraction(1, n)), None)
             if found is None:
                 cert.verdict = "inconclusive"
                 cert.conclusive = False

@@ -127,7 +127,7 @@ def _functor_spot_check(c: CompletionObject, samples: int, seed: int) -> bool:
     for _ in range(samples):
         s = sampler.complex(-1, 1, max_blocks=1)
         b = module_complex(RModule(ring, (1,)), -depth)
-        s_plus_b, _, _ = direct_sum_complex([s, b], ring)
+        s_plus_b, _ = direct_sum_complex([s, b], ring)
         if derived_hom(s_plus_b, rep, 0) != derived_hom(s, rep, 0):
             return False
     return True

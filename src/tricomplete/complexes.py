@@ -235,12 +235,10 @@ def _sum_complex(parts: list[Complex], ring: Ring, twist: ChainMap | None = None
     return Complex(ring, comps, diffs), injs, projs
 
 
-def direct_sum_complex(parts: list[Complex], ring: Ring) -> tuple[Complex, list[ChainMap], list[ChainMap]]:
-    """Degreewise direct sum with injection and projection chain maps."""
-    total, injs, projs = _sum_complex(parts, ring)
-    inj_maps = [ChainMap(x, total, {i: injs[i][k] for i in x.degrees}) for k, x in enumerate(parts)]
-    proj_maps = [ChainMap(total, x, {i: projs[i][k] for i in x.degrees}) for k, x in enumerate(parts)]
-    return total, inj_maps, proj_maps
+def direct_sum_complex(parts: list[Complex], ring: Ring) -> tuple[Complex, list[ChainMap]]:
+    """Degreewise direct sum with its injection chain maps."""
+    total, injs, _ = _sum_complex(parts, ring)
+    return total, [ChainMap(x, total, {i: injs[i][k] for i in x.degrees}) for k, x in enumerate(parts)]
 
 
 @dataclass

@@ -499,7 +499,7 @@ def cartesian_invariance_check(f: ChainMap, h: ChainMap, m: GoodMetric) -> Carte
         raise PreconditionError("maps do not share a source")
     a = f.source
     ring = a.ring
-    bc, injs, _ = direct_sum_complex([f.target, h.target], ring)
+    _, injs = direct_sum_complex([f.target, h.target], ring)
     u = (injs[0] @ (-f)) + (injs[1] @ h)
     tri = cone(u)
     g = tri.g @ injs[1]  # C -> B(+)C -> cone(u)

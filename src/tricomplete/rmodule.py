@@ -333,37 +333,34 @@ def _direct_sum(summands: tuple[RModule, ...], ring: Ring):
 
 
 def hom_basis(m: RModule, nn: RModule) -> list[RModuleMap]:
-    """F_p basis of Hom_R(m, nn).
+    """F_p basis of Hom_R(m, nn), written down in closed form.
 
-    Free source: a map is freely determined by the generator images, so the
-    basis is (generator, target basis vector) pairs.  Otherwise solve the
-    commutation system X_nn F = F X_m via Kronecker products.
+    For a source block R/x^a at start sa and a target block R/x^b at start
+    sb, the maps e -> x^s f with max(0, b - a) <= s < b are a basis of
+    Hom(R/x^a, R/x^b); each is the 0/1 matrix with entries at
+    (sb + s + t, sa + t) for t < b - s.
+
+    The order is fixed, because samplers draw random combinations of these
+    maps and any other order changes every sampled input.  A free source
+    orders by generator, then by target basis vector (the image of the
+    generator): the column-major index of the first nonzero entry.  Any
+    other source orders by the row-major index of the last nonzero entry,
+    the free variable an elimination of X_nn F = F X_m would pick.
     """
     if m.ring != nn.ring:
         raise ValueError("ring mismatch")
-    ring = m.ring
-    p = ring.p
     dm, dn = m.dim, nn.dim
-    if dm == 0 or dn == 0:
-        return []
-    if m.is_free():
-        xn = nn.x_action()
-        out = []
-        for gstart in m.block_starts():
-            powers = [Matrix.identity(dn, p)]
-            for _ in range(ring.n - 1):
-                powers.append(xn @ powers[-1])
-            for v in range(dn):
+    free = m.is_free()
+    keyed = []
+    for a, sa in zip(m.blocks, m.block_starts()):
+        for b, sb in zip(nn.blocks, nn.block_starts()):
+            for s in range(max(0, b - a), b):
                 f = np.zeros((dn, dm), dtype=np.int64)
-                for t in range(ring.n):
-                    f[:, gstart + t] = powers[t].a[:, v]
-                out.append(RModuleMap(m, nn, Matrix(f, p)))
-        return out
-    xm, xn = m.x_action(), nn.x_action()
-    # row-major vec: vec(A F) = (A (x) I) vec(F), vec(F B) = (I (x) B^T) vec(F)
-    system = np.kron(xn.a, np.eye(dm, dtype=np.int64)) - np.kron(np.eye(dn, dtype=np.int64), xm.a.T)
-    null = kernel_basis(Matrix(system, p))
-    return [RModuleMap(m, nn, Matrix(null.a[:, j].reshape(dn, dm), p)) for j in range(null.cols)]
+                t = np.arange(b - s)
+                f[sb + s + t, sa + t] = 1
+                keyed.append((sa * dn + sb + s if free else (sb + b - 1) * dm + sa + b - s - 1, f))
+    keyed.sort(key=lambda kf: kf[0])
+    return [RModuleMap(m, nn, Matrix(f, m.ring.p)) for _, f in keyed]
 
 
 def hom_dim_closed_form(m: RModule, nn: RModule) -> int:

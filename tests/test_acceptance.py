@@ -281,10 +281,10 @@ def test_criterion_8_derived_hom():
         d = rng.randint(-1, 2)
         base = derived_hom(a, b, d)
         if samples % 2 == 0:
-            a2, _, _ = direct_sum_complex([a, contractible], R22)
+            a2, _ = direct_sum_complex([a, contractible], R22)
             assert derived_hom(a2, b, d) == base, (a, b, d)
         else:
-            b2, _, _ = direct_sum_complex([b, contractible], R22)
+            b2, _ = direct_sum_complex([b, contractible], R22)
             assert derived_hom(a, b2, d) == base, (a, b, d)
         samples += 1
     return "Ext^d(k,k) = 1 for d <= 6; %d replacement samples" % samples

@@ -281,6 +281,24 @@ def test_length_builds_no_chain_map(monkeypatch):
     assert any(lengths)  # the samples include maps that are not quasi-isos
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_direct_sum_complex_builds_one_chain_map_per_part(monkeypatch, k):
+    from tricomplete import complexes
+
+    parts = [module_complex(RModule(R22, (2, 1)), -j) for j in range(k)]
+    built = []
+    init = complexes.ChainMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(complexes.ChainMap, "__init__", counting_init)
+    total, injs = complexes.direct_sum_complex(parts, R22)
+    assert len(built) == k
+    assert [f.source for f in injs] == parts and all(f.target is total for f in injs)
+
+
 @pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(5, 2)])
 def test_cohomology_support_matches_cohomology(ring):
     # the rank formula against the Jordan-canonical quotients
@@ -319,8 +337,8 @@ def test_composition_of_quasi_isos_is_quasi_iso():
         x = s.complex(-2, 2, max_blocks=2)
         c1 = cone(identity_chain_map(s.complex(-2, 2, max_blocks=1)))
         c2 = cone(identity_chain_map(s.complex(-1, 1, max_blocks=1)))
-        y, injs, _ = direct_sum_complex([x, c1.z], R22)
-        z, injs2, _ = direct_sum_complex([y, c2.z], R22)
+        y, injs = direct_sum_complex([x, c1.z], R22)
+        z, injs2 = direct_sum_complex([y, c2.z], R22)
         q1 = injs[0]   # x -> x (+) contractible
         q2 = injs2[0]  # y -> y (+) contractible
         assert is_quasi_iso(q1)

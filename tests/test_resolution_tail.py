@@ -130,7 +130,7 @@ def splice_samples(ring, seed, count=6):
         if x.is_zero():
             continue
         if len(out) % 2:
-            x, _, _ = direct_sum_complex([x, contractible], ring)
+            x, _ = direct_sum_complex([x, contractible], ring)
         out.append(x)
     return out
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -153,6 +154,73 @@ def test_hom_dim_matches_closed_form(data):
     if basis:
         stacked = Matrix(np.column_stack([f.matrix.a.ravel() for f in basis]), ring.p)
         assert rank(stacked) == len(basis)
+
+
+def reference_hom_basis(m, nn):
+    """Hom basis by elimination: the reference for hom_basis's closed form.
+
+    Free source: generator images run over the target basis vectors, the
+    generator's column t holding X_nn^t times the image.  Otherwise the
+    free-variable basis of the commutation system X_nn F = F X_m.
+    """
+    ring = m.ring
+    p = ring.p
+    dm, dn = m.dim, nn.dim
+    if dm == 0 or dn == 0:
+        return []
+    if m.is_free():
+        xn = nn.x_action()
+        out = []
+        for gstart in m.block_starts():
+            powers = [Matrix.identity(dn, p)]
+            for _ in range(ring.n - 1):
+                powers.append(xn @ powers[-1])
+            for v in range(dn):
+                f = np.zeros((dn, dm), dtype=np.int64)
+                for t in range(ring.n):
+                    f[:, gstart + t] = powers[t].a[:, v]
+                out.append(RModuleMap(m, nn, Matrix(f, p)))
+        return out
+    xm, xn = m.x_action(), nn.x_action()
+    # row-major vec: vec(A F) = (A (x) I) vec(F), vec(F B) = (I (x) B^T) vec(F)
+    system = np.kron(xn.a, np.eye(dm, dtype=np.int64)) - np.kron(np.eye(dn, dtype=np.int64), xm.a.T)
+    null = kernel_basis(Matrix(system, p))
+    return [RModuleMap(m, nn, Matrix(null.a[:, j].reshape(dn, dm), p)) for j in range(null.cols)]
+
+
+def jordan_types(ring, max_blocks):
+    return [RModule(ring, blocks) for k in range(max_blocks + 1)
+            for blocks in itertools.combinations_with_replacement(range(ring.n, 0, -1), k)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 3), (2, 4), (3, 4), (5, 3), (2, 5)])
+def test_hom_basis_equals_elimination_byte_for_byte(p, n):
+    # the order is part of the contract: samplers draw from these bases
+    ring = Ring(p, n)
+    for m in jordan_types(ring, 3):
+        for nn in jordan_types(ring, 2):
+            got, want = hom_basis(m, nn), reference_hom_basis(m, nn)
+            assert len(got) == len(want), (m, nn)
+            for f, g in zip(got, want):
+                assert f.matrix.a.dtype == g.matrix.a.dtype
+                assert f.matrix.a.tobytes() == g.matrix.a.tobytes(), (m, nn)
+
+
+def test_hom_basis_eliminates_nothing(monkeypatch):
+    import tricomplete.linalg as linalg
+    import tricomplete.rmodule as rmodule
+
+    def refuse(*args):
+        raise AssertionError("hom_basis eliminated")
+
+    monkeypatch.setattr(rmodule, "kernel_basis", refuse)
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(rmodule, "rref", refuse)
+    for ring in (R22, Ring(3, 4)):
+        for m in jordan_types(ring, 2):
+            if not m.is_free():
+                for nn in jordan_types(ring, 2):
+                    assert len(hom_basis(m, nn)) == hom_dim_closed_form(m, nn)
 
 
 # -- subquotients -----------------------------------------------------------
