@@ -11,7 +11,9 @@ resolution never terminates.  Each complex is resolved once: the window
 [min-1, max] is eliminated and cached on the complex, and every deeper
 cut splices on the closed-form periodic tail, so is_perfect, syzygy_class
 and derived_hom share one elimination pass per complex (and one for its
-dual in the injective test).
+dual in the injective test).  is_perfect, the injective test and
+syzygy_class read only the cut syzygy of projective_resolution; they
+build no free Complex, comparison ChainMap or RModuleMap.
 
 The singularity quotient is modelled through the stable module category
 (R is self-injective): a complex maps to its deep syzygy with a shift
@@ -185,12 +187,14 @@ class SingClass:
 
 
 def syzygy_class(x: Complex) -> SingClass:
-    """Deep syzygy with its cut degree; zero exactly for perfect complexes."""
+    """Deep syzygy with its cut degree; zero exactly for perfect complexes.
+
+    Reads only the syzygy of the resolution, so after the first call on a
+    complex it is a lookup in the cached window."""
     if x.is_zero():
         return SingClass(zero_module(x.ring), 0)
     cut = x.min_degree - 1
-    res = projective_resolution(x, cut)
-    return SingClass(res.syzygy, cut)
+    return SingClass(projective_resolution(x, cut).syzygy, cut)
 
 
 def sing_hom(a: SingClass, b: SingClass) -> int:

@@ -366,9 +366,8 @@ def hom_complex(x: Complex, y: Complex, k: int) -> tuple[list[tuple[int, list[RM
     for i in x.degrees:
         row_at[i] = rows
         rows += y.component(i + k + 1).dim * x.component(i).dim
-        bs = hom_basis(x.component(i), y.component(i + k))
-        if bs:
-            basis.append((i, bs))
+        if i + k in y._components:  # Hom of nonzero modules over R is nonzero
+            basis.append((i, hom_basis(x.component(i), y.component(i + k))))
     delta = np.zeros((rows, sum(len(bs) for _, bs in basis)), dtype=np.int64)
     sign = -1 if k % 2 == 0 else 1  # -(-1)^k
     col = 0
@@ -469,11 +468,16 @@ def dualize_chain_map(f: ChainMap) -> ChainMap:
 
 @dataclass
 class Resolution:
-    """Free complex quasi-isomorphic to the target above the cut degree.
+    """Free complex quasi-isomorphic to the target above the cut degree,
+    held as F_p arrays: F^i = R^ranks[i] for depth <= i <= max, diffs[i]
+    the matrix of d^i : F^i -> F^(i+1) and eps[i] that of the comparison
+    F^i -> X^i, which induces isomorphisms on H^i for i > depth.
 
-    comparison : complex -> target induces isomorphisms on H^i for i > depth.
     syzygy is ker(d^depth) with free summands stripped; for cuts below the
-    lowest degree of the target it is the obstruction to perfection.
+    lowest degree of the target it is the obstruction to perfection, and
+    reading it builds nothing.  complex and comparison are validated
+    Complex and ChainMap objects, built on first read; band(lo, hi) builds
+    the brutal truncation to [lo, hi] alone, which is all derived_hom reads.
 
     Every Resolution of a complex is a brutal truncation of one minimal
     resolution: the window [min-1, max], eliminated once and cached on the
@@ -483,9 +487,28 @@ class Resolution:
 
     target: Complex
     depth: int
-    complex: Complex
-    comparison: ChainMap
+    ranks: dict[int, int] = field(repr=False, compare=False)
+    diffs: dict[int, np.ndarray] = field(repr=False, compare=False)
+    eps: dict[int, np.ndarray] = field(repr=False, compare=False)
     syzygy: RModule
+
+    def band(self, lo: int, hi: int) -> Complex:
+        """The free complex in degrees [lo, hi], with the differentials
+        between them; d^hi and d^(lo-1) are dropped."""
+        ring = self.target.ring
+        comps = {i: free_module(ring, r) for i, r in self.ranks.items() if r and lo <= i <= hi}
+        return Complex(ring, comps, {i: RModuleMap(comps[i], comps[i + 1], Matrix(d, ring.p))
+                                     for i, d in self.diffs.items() if i in comps and i + 1 in comps})
+
+    @cached_property
+    def complex(self) -> Complex:
+        return self.band(self.depth, max(self.ranks, default=self.depth))
+
+    @cached_property
+    def comparison(self) -> ChainMap:
+        free, x, p = self.complex, self.target, self.target.ring.p
+        return ChainMap(free, x, {i: RModuleMap(free.component(i), x.component(i), Matrix(e, p))
+                                  for i, e in self.eps.items() if e.any()})
 
 
 def _build_free_approximation(x: Complex, depth: int):
@@ -567,7 +590,8 @@ def _minimize_free_complex(ranks: dict[int, int], diffs: dict[int, np.ndarray],
 class _Window:
     """The minimal resolution of a complex in degrees [min-1, max], as F_p
     arrays (see _build_free_approximation), with its cut kernel Omega in
-    canonical form and the embedding Omega >-> F^(min-1)."""
+    canonical form and the embedding Omega >-> F^(min-1).  Every
+    Resolution of the complex shares the arrays, so they are read-only."""
 
     ranks: dict[int, int]
     diffs: dict[int, np.ndarray]
@@ -601,6 +625,8 @@ def _resolve_window(x: Complex) -> _Window:
     syz, emb = _kernel_module(ranks, diffs, cut, ring)
     if syz != syz.strip_free():
         raise PreconditionError("cut kernel %s of the minimal window has a free summand" % syz)
+    for arr in (*diffs.values(), *eps.values()):
+        arr.flags.writeable = False
     x._window = _Window(ranks, diffs, eps, syz, emb)
     return x._window
 
@@ -617,9 +643,11 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
     """Minimal complex of frees in degrees >= depth, quasi-isomorphic to x
     above the cut, with the cut syzygy.
 
-    The window [min-1, max] is resolved once per complex (_resolve_window);
-    a cut at min-1 reads it, and a cut at min reads it without F^(min-1)
-    but canonicalizes ker d^min anew (derived_hom never cuts there).  Below
+    Returns the arrays and the syzygy only; the Complex and ChainMap are
+    built when .complex, .comparison or band() is read.  The window
+    [min-1, max] is resolved once per complex (_resolve_window); a cut at
+    min-1 reads it, and a cut at min reads it without F^(min-1) but
+    canonicalizes ker d^min anew (derived_hom never cuts there).  Below
     min-1 every cut splices on the minimal resolution of the cut syzygy
     Omega with no elimination, since X^i = 0 there: d^(min-2) is the
     canonical cover of Omega followed by its embedding in F^(min-1), and
@@ -629,27 +657,24 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
     """
     ring = x.ring
     if x.is_zero():
-        return Resolution(x, depth, zero_complex(ring), zero_chain_map(zero_complex(ring), x),
-                          zero_module(ring))
+        return Resolution(x, depth, {}, {}, {}, zero_module(ring))
     if depth > x.min_degree:
         raise PreconditionError("resolution depth %d must be <= lowest degree %d"
                                 % (depth, x.min_degree))
     window = _resolve_window(x)
     cut = x.min_degree - 1
     ranks = {i: r for i, r in window.ranks.items() if i >= depth}
-    diffs = {i: Matrix(d, ring.p) for i, d in window.diffs.items() if i >= depth and d.size}
+    diffs = {i: d for i, d in window.diffs.items() if i >= depth}
+    eps = {i: e for i, e in window.eps.items() if i >= depth}
     syz = window.syzygy
     if depth > cut:  # the window without F^cut: its kernel is not cached
         syz = _kernel_module(window.ranks, window.diffs, depth, ring)[0].strip_free()
     elif not syz.is_zero():
         tail = periodic_tail(syz, window.embedding)
         for i in range(cut - 1, depth - 1, -1):  # F^i covers ker d^(i+1)
-            ranks[i], diffs[i], syz = next(tail)
-    comps = {i: free_module(ring, r) for i, r in ranks.items() if r}
-    free_part = Complex(ring, comps, {i: RModuleMap(comps[i], comps[i + 1], d) for i, d in diffs.items()})
-    comparison = ChainMap(free_part, x, {i: RModuleMap(comps[i], x.component(i), Matrix(e, ring.p))
-                                         for i, e in window.eps.items() if i >= depth and e.any()})
-    return Resolution(x, depth, free_part, comparison, syz)
+            ranks[i], d, syz = next(tail)
+            diffs[i] = d.a
+    return Resolution(x, depth, ranks, diffs, eps, syz)
 
 
 # -- derived Hom --------------------------------------------------------------
@@ -658,16 +683,18 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
 def derived_hom(a: Complex, b: Complex, d: int = 0) -> int:
     """dim over F_p of Hom in the derived category from a to T^d b.
 
-    Computed as H^0 of the Hom complex out of a projective resolution of a,
-    truncated two degrees below where any component could interact with b:
-    dim Hom^0 - rk delta^0 - rk delta^(-1).  Any deeper cut gives the same
-    H^0, so the cut is at least one below a's support and reads a's cached
-    window or its spliced tail.
+    Computed as H^0 of the Hom complex out of a projective resolution P of
+    a: dim Hom^0 - rk delta^0 - rk delta^(-1).  With T^d b in degrees
+    [lo + 1, hi - 1], for lo = b.min - d - 1 and hi = b.max - d + 1,
+    Hom^(-1), Hom^0, Hom^1 and both deltas see P only in degrees [lo, hi],
+    so only that band of P is built.  The cut min(a.min - 1, lo) is at
+    least one below a's support, so the arrays come from a's cached window
+    or its spliced tail.
     """
     if a.is_zero() or b.is_zero():
         return 0
-    depth = min(a.min_degree - 1, b.min_degree - d - 2)
-    pc = projective_resolution(a, depth).complex
+    lo, hi = b.min_degree - d - 1, b.max_degree - d + 1
+    pc = projective_resolution(a, min(a.min_degree - 1, lo)).band(lo, hi)
     tb = shift(b, d)
     _, d0 = hom_complex(pc, tb, 0)
     _, dm1 = hom_complex(pc, tb, -1)

@@ -1,10 +1,14 @@
 """Exact dense linear algebra over a prime field F_p.
 
 Matrices are thin wrappers around numpy int64 arrays with entries reduced
-mod p.  Gaussian elimination is the algorithm of record: every matrix in
-this project has dimension well under a few hundred, so asymptotics never
-matter, while exactness does.  Empty (0 x n and n x 0) matrices are
-first-class citizens because zero modules show up constantly.
+mod p; numpy is the interface, for products, stacking and slicing.
+Gaussian elimination is the algorithm of record, and rref runs it on
+Python int rows: the matrices eliminated here are small (a median of
+4 x 4 on the resolution path), so a numpy update of the whole array per
+pivot costs more than reducing, in plain ints, only the rows with a
+nonzero entry in the pivot column.  Asymptotics never matter, exactness
+does.  Empty (0 x n and n x 0) matrices are first-class citizens because
+zero modules show up constantly.
 """
 
 from __future__ import annotations
@@ -127,7 +131,8 @@ class Matrix:
         return self.a[:, j].copy()
 
     def take_rows(self, idx) -> "Matrix":
-        return Matrix(self.a[list(idx), :].reshape(len(list(idx)), self.cols), self.p)
+        idx = list(idx)
+        return Matrix(self.a[idx, :].reshape(len(idx), self.cols), self.p)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
@@ -135,28 +140,33 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
 
     Returns (R, rank, pivot_columns).  Row space is preserved; R has
     leading 1 in each pivot column and zeros elsewhere in that column.
+    Eliminates on the rows as lists of Python ints and returns R as an
+    int64 Matrix; RREF is unique, so the result does not depend on how the
+    elimination is carried out.
     """
     p = m.p
-    A = m.a.copy()
-    nrows, ncols = A.shape
+    nrows, ncols = m.a.shape
+    rows = m.a.tolist()
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        A[r] = (A[r] * inv_mod(int(A[r, c]), p)) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        A = (A - np.outer(col, A[r])) % p
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = inv_mod(rows[r][c], p)
+        if inv != 1:
+            rows[r] = [v * inv % p for v in rows[r]]
+        pivot = rows[r]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(u - f * v) % p for u, v in zip(rows[i], pivot)]
         pivots.append(c)
         r += 1
-    return Matrix(A, p), len(pivots), pivots
+    return Matrix(np.array(rows, dtype=np.int64).reshape(nrows, ncols), p), len(pivots), pivots
 
 
 def rank(m: Matrix) -> int:

@@ -299,6 +299,36 @@ def test_direct_sum_complex_builds_one_chain_map_per_part(monkeypatch, k):
     assert [f.source for f in injs] == parts and all(f.target is total for f in injs)
 
 
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3)], ids=str)
+def test_hom_complex_asks_hom_basis_only_for_nonzero_targets(monkeypatch, ring):
+    from tricomplete import complexes
+    from tricomplete.randomgen import Sampler
+
+    asked = []
+
+    def counting(m, nn):
+        asked.append((m, nn))
+        return hom_basis(m, nn)
+
+    monkeypatch.setattr(complexes, "hom_basis", counting)
+    s = Sampler(ring, random.Random(17))
+    skipped = 0
+    for _ in range(12):
+        x, y = s.complex(-2, 1), s.complex(-1, 2)
+        for k in (-1, 0, 1):
+            asked.clear()
+            basis, delta = complexes.hom_complex(x, y, k)
+            want = [i for i in x.degrees if i + k in y.degrees]
+            skipped += len(x.degrees) - len(want)
+            assert asked == [(x.component(i), y.component(i + k)) for i in want]
+            # the layout is unchanged: every nonzero factor, in increasing i
+            assert [i for i, _ in basis] == want
+            for i, bs in basis:
+                assert bs == hom_basis(x.component(i), y.component(i + k))
+            assert delta.rows == sum(x.component(i).dim * y.component(i + k + 1).dim for i in x.degrees)
+    assert skipped >= 10
+
+
 @pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(5, 2)])
 def test_cohomology_support_matches_cohomology(ring):
     # the rank formula against the Jordan-canonical quotients
@@ -434,6 +464,33 @@ def test_resolution_comparison_iso_above_cut():
         # the free part is a complex of frees with no unit entries
         for i in res.complex.degrees:
             assert res.complex.component(i).is_free()
+
+
+def test_resolution_complex_and_comparison_built_on_first_read():
+    x = module_complex(RModule(R23, (2, 1)), 0)
+    res = projective_resolution(x, -3)
+    assert "complex" not in vars(res) and "comparison" not in vars(res)
+    assert res.comparison.source is res.complex
+    assert res.complex is res.complex and res.comparison is res.comparison
+    assert res.complex == res.band(-3, 0)
+    assert res.band(-1, -1) == Complex(R23, {-1: res.complex.component(-1)}, {})
+
+
+def test_resolution_built_from_arrays_is_validated():
+    x = module_complex(RModule(R23, (2, 1)), 0)
+    bad_d = projective_resolution(x, -3)
+    bad_d.diffs[-2] = np.eye(6, dtype=np.int64)  # R-linear, but d^-1 d^-2 = d^-1 != 0
+    with pytest.raises(ValidationError):
+        bad_d.complex
+    bad_eps = projective_resolution(x, -3)
+    # swapping the two generators of F^0 = R^2 is R-linear but moves im d^-1
+    bad_eps.eps[0] = np.roll(bad_eps.eps[0], R23.n, axis=1)
+    with pytest.raises(ValidationError):
+        bad_eps.comparison
+    assert projective_resolution(x, -3).comparison.target is x
+    # the window's arrays are shared by every resolution of x
+    with pytest.raises(ValueError):
+        projective_resolution(x, -1).diffs[-1][0, 0] = 1
 
 
 def test_resolution_depth_precondition():

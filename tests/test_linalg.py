@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricomplete.linalg import Matrix, SpanTracker, kernel_basis, rank, rref, solve
+from tricomplete.linalg import Matrix, SpanTracker, inv_mod, kernel_basis, rank, rref, solve
 
 
 def mat(rows, p):
@@ -32,6 +32,76 @@ def test_rref_rank_one_over_f2():
     assert rk == 1
     assert piv == [0]
     assert r == mat([[1, 1], [0, 0]], 2)
+
+
+def reference_rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
+    """The numpy elimination rref used before it moved to Python int rows:
+    a full-array update per pivot."""
+    p = m.p
+    A = m.a.copy()
+    nrows, ncols = A.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        A[r] = (A[r] * inv_mod(int(A[r, c]), p)) % p
+        col = A[:, c].copy()
+        col[r] = 0
+        A = (A - np.outer(col, A[r])) % p
+        pivots.append(c)
+        r += 1
+    return Matrix(A, p), len(pivots), pivots
+
+
+def rref_cases(p):
+    rng = np.random.default_rng(p)
+    for n in range(6):
+        yield np.zeros((0, n), dtype=np.int64)
+        yield np.zeros((n, 0), dtype=np.int64)
+    for _ in range(60):
+        rows, cols = (int(v) for v in rng.integers(1, 41, size=2))
+        full = rng.integers(0, p, size=(rows, cols))
+        yield full
+        # low rank, with zero columns, so pivots skip columns
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        low = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))
+        low[:, rng.random(cols) < 0.3] = 0
+        yield low
+    yield np.eye(40, dtype=np.int64)
+    yield rng.integers(0, p, size=(40, 40))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_rref_matches_numpy_reference_byte_for_byte(p):
+    for arr in rref_cases(p):
+        m = Matrix(arr, p)
+        got, want = rref(m), reference_rref(m)
+        assert got[0].a.dtype == want[0].a.dtype == np.int64
+        assert got[0].a.shape == want[0].a.shape == arr.shape
+        assert got[0].a.tobytes() == want[0].a.tobytes(), arr
+        assert got[1:] == want[1:], arr
+        assert got[0].p == p
+
+
+def test_rref_leaves_its_input_alone():
+    m = Matrix([[2, 1], [1, 1]], 3)
+    before = m.a.copy()
+    rref(m)
+    assert np.array_equal(m.a, before)
+
+
+def test_take_rows_accepts_a_generator():
+    m = Matrix(np.arange(12).reshape(4, 3), 13)
+    got = m.take_rows(i for i in (3, 1))
+    assert got == Matrix([[9, 10, 11], [3, 4, 5]], 13)
+    assert m.take_rows(iter(())).a.shape == (0, 3)
 
 
 def test_kernel_identity_empty():

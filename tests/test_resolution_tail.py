@@ -205,6 +205,68 @@ def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
     assert calls == {"build": 1, "kernel": 1, "rref": 0, "jordan": 0}
 
 
+def test_syzygy_read_of_a_resolved_complex_builds_nothing(monkeypatch):
+    built = {"Complex": 0, "ChainMap": 0, "RModuleMap": 0}
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for ring in SPLICE_RINGS:
+        for x in splice_samples(ring, seed=ring.p * 7 + ring.n, count=4):
+            first = syzygy_class(x)
+            counting(complexes.Complex, "__init__")
+            counting(complexes.ChainMap, "__init__")
+            counting(RModuleMap, "__post_init__")
+            assert syzygy_class(x) == first
+            assert is_perfect(x) == first.is_zero()
+            for depth in range(x.min_degree - 1, x.min_degree - 4, -1):
+                assert projective_resolution(x, depth).syzygy.is_zero() == first.is_zero()
+            assert built == {"Complex": 0, "ChainMap": 0, "RModuleMap": 0}, (ring, x)
+            monkeypatch.undo()
+
+
+def band_sources(ring, seed):
+    """Two sampled complexes and two modules, one of them k."""
+    stalks = [module_complex(RModule(ring, blocks), 0) for blocks in ((1,), (ring.n - 1, 1))]
+    return splice_samples(ring, seed, count=2) + stalks
+
+
+def band_targets(ring, seed):
+    """A sampled b with a nonzero differential, and b = R (+) T^-1 R with
+    d = 0.  Free at both ends: a cycle P^lo -> b^min has to vanish on
+    im d_P, and a homotopy P^hi -> b^max reaches Hom^0 through d_P."""
+    s = Sampler(ring, random.Random(seed))
+    while True:
+        b = s.complex(-1, 1, max_blocks=2)
+        if b.amplitude >= 1 and b._diffs:
+            break
+    split = Complex(ring, {0: free_module(ring, 1), 1: free_module(ring, 1)}, {})
+    return [b, split]
+
+
+@pytest.mark.parametrize("ring", SPLICE_RINGS, ids=str)
+def test_derived_hom_on_its_band_matches_a_deep_direct_build(ring):
+    # T^d b in degrees [b.min - d, b.max - d] runs from below a's window
+    # [a.min - 1, a.max], across it, to above it
+    seen = set()
+    for a in band_sources(ring, seed=ring.p * 3 + ring.n):
+        for b in band_targets(ring, seed=ring.p * 5 + ring.n):
+            shifts = range(b.min_degree - a.max_degree - 2, b.max_degree - a.min_degree + 4)
+            deep = min(a.min_degree - 1, b.min_degree - shifts[-1] - 1) - 1
+            free = direct_resolution(a, deep)[0]
+            for d in shifts:
+                got = derived_hom(a, b, d)
+                assert got == hom_h0(free, b, d), (a, b, d)
+                seen.add((b.max_degree - d < a.min_degree - 1, b.min_degree - d > a.max_degree, got > 0))
+    assert {(True, False), (False, False), (False, True)} <= {k[:2] for k in seen}
+    assert (False, False, True) in seen
+
+
 def test_window_cut_kernel_with_free_summand_is_refused(monkeypatch):
     ring = Ring(2, 2)
     x = module_complex(RModule(ring, (1,)), 0)
