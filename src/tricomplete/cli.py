@@ -365,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("complex")
 
     sp = add("inj-bounded", cmd_inj_bounded,
-             help="bounded injective resolution test (via duality)")
+             help="bounded injective resolution test (R is self-injective: "
+                  "the same as perfection)")
     sp.add_argument("complex")
 
     sp = add("sing-class", cmd_sing_class, help="singularity-category class")
@@ -375,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("complex1")
     sp.add_argument("complex2")
 
-    sp = add("metric-equiv", cmd_metric_equiv, help="decide equivalence of two metrics")
+    sp = add("metric-equiv", cmd_metric_equiv,
+             help="equivalence of two metrics, checked on --levels levels "
+                  "with witnesses up to --bound")
     sp.add_argument("metric1")
     sp.add_argument("metric2")
     sp.add_argument("--levels", type=int, default=20)
@@ -415,12 +418,19 @@ def main(argv=None) -> int:
         ctx = _Ctx(args)
         return globals()[args.handler](ctx, args)
     except (WorkspaceError, ValidationError, PreconditionError, ValueError, OSError) as e:
-        sys.stderr.write("error: %s\n" % e)
-        return EXIT_USAGE
+        return _error(args, "usage", str(e))
     except Exception as e:
         # a crash must never read as exit 1, the negative verdict
-        sys.stderr.write("error: internal error: %s: %s\n" % (type(e).__name__, e))
-        return EXIT_USAGE
+        return _error(args, "internal", "internal error: %s: %s" % (type(e).__name__, e))
+
+
+def _error(args, kind: str, message: str) -> int:
+    """Report an error after parsing: an error line on stderr and, under
+    --format structured, an error report on stdout too.  Always exit 3."""
+    sys.stderr.write("error: %s\n" % message)
+    if args.format == "structured":
+        _emit({"command": args.command, "error": {"kind": kind, "message": message}}, args.format)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

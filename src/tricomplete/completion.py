@@ -10,8 +10,8 @@ nonzero non-free syzygy regenerates itself 2-periodically and the
 resolution never terminates.  Each complex is resolved once: the window
 [min-1, max] is eliminated and cached on the complex, and every deeper
 cut splices on the closed-form periodic tail, so is_perfect, syzygy_class
-and derived_hom share one elimination pass per complex (and one for its
-dual in the injective test).  is_perfect, the injective test and
+and derived_hom share one elimination pass per complex.  is_perfect,
+the injective test (the same condition, since R is self-injective) and
 syzygy_class read only the cut syzygy of projective_resolution; they
 build no free Complex, comparison ChainMap or RModuleMap.
 
@@ -36,7 +36,6 @@ from .complexes import (
     cohomology,
     derived_hom,
     direct_sum_complex,
-    dualize,
     module_complex,
     projective_resolution,
     zero_complex,
@@ -164,10 +163,18 @@ def is_perfect(x: Complex) -> bool:
 
 
 def has_bounded_injective_resolution(x: Complex) -> bool:
-    """Injectives over self-injective R are the duals of projectives, so a
-    bounded injective resolution of x is a bounded projective resolution of
-    its dual."""
-    return is_perfect(dualize(x))
+    """Quasi-isomorphic to a bounded complex of injectives: exactly when x
+    is perfect.
+
+    R = F_p[x]/(x^n) is self-injective (a Frobenius algebra), so a finitely
+    generated R-module is injective iff it is projective.  The bounded
+    complexes of injectives are then the bounded complexes of projectives,
+    K^b(inj) = K^b(proj) inside D^b(mod R), and x has a bounded injective
+    resolution iff it has a bounded projective one.  So this reads the cut
+    syzygy of x's own window and resolves nothing new; the route through
+    the dual, is_perfect(dualize(x)), stays in the tests as the oracle.
+    """
+    return is_perfect(x)
 
 
 @dataclass(frozen=True)

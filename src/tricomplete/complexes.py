@@ -198,15 +198,6 @@ def identity_chain_map(x: Complex) -> ChainMap:
     return ChainMap(x, x, {i: identity_map(x.component(i)) for i in x.degrees})
 
 
-def zero_chain_map(x: Complex, y: Complex) -> ChainMap:
-    return ChainMap(x, y, {})
-
-
-def shift_chain_map(f: ChainMap, t: int) -> ChainMap:
-    return ChainMap(shift(f.source, t), shift(f.target, t),
-                    {i - t: g for i, g in f._components.items()})
-
-
 # -- direct sums, cones, triangles ------------------------------------------
 
 
@@ -416,7 +407,10 @@ def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, RModuleMap] | None]:
 
 
 def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
-    """F_p basis of the space of chain maps X -> Y: the kernel of delta^0."""
+    """F_p basis of the space of chain maps X -> Y: the kernel of delta^0.
+
+    Only tests call it; it stays public because bench/tracer.py wraps it
+    by name."""
     basis, delta = hom_complex(x, y, 0)
     null = kernel_basis(delta)
     return [ChainMap(x, y, hom_combination(basis, null.a[:, j])) for j in range(null.cols)]
@@ -456,11 +450,6 @@ def dualize(x: Complex) -> Complex:
         # d' at degree -(i+1): dual of d^i : X^i -> X^(i+1)
         diffs[-(i + 1)] = dual_map(f)
     return Complex(x.ring, comps, diffs)
-
-
-def dualize_chain_map(f: ChainMap) -> ChainMap:
-    comps = {-i: dual_map(g) for i, g in f._components.items()}
-    return ChainMap(dualize(f.target), dualize(f.source), comps)
 
 
 # -- projective resolutions ---------------------------------------------------
@@ -653,7 +642,9 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
     canonical cover of Omega followed by its embedding in F^(min-1), and
     every deeper differential is the cover of the next syzygy followed by
     its syzygy_embedding, x^j or x^(n-j) block by block (Eisenbud's matrix
-    factorizations; rmodule.periodic_tail).
+    factorizations; rmodule.periodic_tail).  Those deeper arrays depend
+    only on the syzygy's Jordan type, so they are shared and read-only,
+    like the window's.
     """
     ring = x.ring
     if x.is_zero():

@@ -54,10 +54,6 @@ class Matrix:
     def identity(n: int, p: int) -> "Matrix":
         return Matrix(np.eye(n, dtype=np.int64), p)
 
-    @staticmethod
-    def from_rows(rows, p: int) -> "Matrix":
-        return Matrix(np.array(rows, dtype=np.int64).reshape(len(rows), -1) if rows else np.zeros((0, 0), np.int64), p)
-
     # -- shape --------------------------------------------------------
 
     @property

@@ -161,24 +161,6 @@ def identity_map(m: RModule) -> RModuleMap:
 # -- Jordan canonicalization ----------------------------------------------
 
 
-def jordan_type_from_ranks(a: Matrix, dim: int) -> tuple[int, ...]:
-    """Jordan type of a nilpotent matrix from the rank profile of its powers.
-
-    #blocks of size >= t equals rank(a^(t-1)) - rank(a^t).
-    """
-    ranks = [dim]
-    power = Matrix.identity(dim, a.p)
-    while ranks[-1] > 0:
-        power = power @ a
-        ranks.append(rank(power))
-    blocks = []
-    for t in range(1, len(ranks)):
-        ge_t = ranks[t - 1] - ranks[t]
-        gt_t = ranks[t] - ranks[t + 1] if t + 1 < len(ranks) else 0
-        blocks.extend([t] * (ge_t - gt_t))
-    return tuple(sorted(blocks, reverse=True))
-
-
 def jordan_basis(a: Matrix) -> tuple[tuple[int, ...], Matrix]:
     """Jordan type and basis of a nilpotent matrix.
 
@@ -363,11 +345,6 @@ def hom_basis(m: RModule, nn: RModule) -> list[RModuleMap]:
     return [RModuleMap(m, nn, Matrix(f, m.ring.p)) for _, f in keyed]
 
 
-def hom_dim_closed_form(m: RModule, nn: RModule) -> int:
-    """dim Hom(m, nn) = sum over block pairs of min(j_i, j_l)."""
-    return sum(min(a, b) for a in m.blocks for b in nn.blocks)
-
-
 # -- kernels, images, cokernels --------------------------------------------
 
 
@@ -474,12 +451,25 @@ def periodic_tail(m: RModule, embedding: Matrix) -> Iterator[tuple[int, Matrix, 
     F_t covers Omega^(t-1) m, d_t : F_t -> F_(t-1) is that cover followed
     by the embedding of Omega^(t-1) m in F_(t-1) (the given one for t = 1,
     syzygy_embedding after it), and Omega^t m = ker d_t.  Blocks x^j and
-    x^(n-j) alternate; nothing is eliminated."""
+    x^(n-j) alternate; nothing is eliminated.  Every stage after the first
+    is read from _tail_stage, so its d_t is shared and refuses writes."""
+    omega = RModule(m.ring, syzygy_type(m))
+    yield len(m.blocks), embedding @ cover_matrix(m), omega
     while True:
-        rank_t, cover = len(m.blocks), cover_matrix(m)
-        m, next_embedding = syzygy_embedding(m)
-        yield rank_t, embedding @ cover, m
-        embedding = next_embedding
+        rank_t, d, m, omega = _tail_stage(m)
+        yield rank_t, d, omega
+
+
+@lru_cache(maxsize=1024)
+def _tail_stage(m: RModule) -> tuple[int, Matrix, RModule, RModule]:
+    """The tail stage below Omega m >-> R^(#blocks of m): (rank F, d, Omega m,
+    Omega^2 m) with F covering Omega m and d that cover followed by
+    syzygy_embedding(m).  It depends only on the Jordan type of m and the
+    ring, so each is built once per key, as _direct_sum's maps are."""
+    omega, embedding = syzygy_embedding(m)
+    d = embedding @ cover_matrix(omega)
+    d.a.flags.writeable = False  # shared by every caller: read-only
+    return len(omega.blocks), d, omega, RModule(m.ring, syzygy_type(omega))
 
 
 def stable_hom_dim(m: RModule, nn: RModule) -> int:

@@ -46,6 +46,8 @@ from tricomplete.randomgen import Sampler
 
 R22 = Ring(2, 2)
 R33 = Ring(3, 3)
+R34 = Ring(3, 4)
+R53 = Ring(5, 3)
 K22 = RModule(R22, (1,))
 
 METRICS = {"i": metric_i, "ii": metric_ii, "iii": metric_iii}
@@ -196,17 +198,17 @@ def test_criterion_4_completion_flagship():
     return "flagship + %d towers over n <= 3" % towers
 
 
-def _sample_300(seed=424):
+def _sample_300(seed=424, ring=R22, count=300):
     rng = random.Random(seed)
-    s = Sampler(R22, rng)
+    s = Sampler(ring, rng)
     out = []
-    while len(out) < 300:
+    while len(out) < count:
         lo = rng.randint(-4, 0)
         x = s.complex(lo, lo + rng.randint(0, 4), max_blocks=3)
         if x.is_zero():
             continue
         assert x.amplitude <= 4
-        assert all(x.component(i).dim <= 6 for i in x.degrees)
+        assert all(x.component(i).dim <= 3 * ring.n for i in x.degrees)
         out.append(x)
     return out
 
@@ -231,9 +233,16 @@ def test_criterion_5_perfection_oracle():
 
 @criterion(6, "injective boundedness equals perfection")
 def test_criterion_6_inj_bounded_equals_perfect():
-    for x in _sample_300():
-        assert has_bounded_injective_resolution(x) == is_perfect(x), x
-    return "300 complexes, zero disagreements"
+    # R is self-injective, so has_bounded_injective_resolution reads
+    # is_perfect(x); the bounded projective resolution of dualize(x) is
+    # the independent leg
+    samples = _sample_300() + [x for r, ring in enumerate((R33, R34, R53))
+                               for x in _sample_300(seed=r, ring=ring, count=30)]
+    for x in samples:
+        perfect = is_perfect(x)
+        assert has_bounded_injective_resolution(x) == perfect, x
+        assert is_perfect(dualize(x)) == perfect, x
+    return "%d complexes over 4 rings, zero disagreements" % len(samples)
 
 
 @criterion(7, "degenerate ring n = 1")

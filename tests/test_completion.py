@@ -151,13 +151,19 @@ def test_perfection_ext_probe_agreement_small():
 
 
 def test_inj_bounded_matches_perfection_over_self_injective_ring():
-    assert has_bounded_injective_resolution(module_complex(free_module(R22, 1), 0))
-    assert not has_bounded_injective_resolution(module_complex(K, 0))
-    rng = random.Random(17)
-    s = Sampler(R23, rng)
-    for _ in range(15):
-        x = s.complex(-2, 2, max_blocks=2)
-        assert has_bounded_injective_resolution(x) == is_perfect(x)
+    # the function reads is_perfect(x); the old path through the dual's
+    # own resolution stays as the independent oracle
+    for ring in (R22, R23, Ring(3, 3), Ring(3, 4), Ring(5, 3)):
+        for m in (free_module(ring, 1), RModule(ring, (1,))):
+            x = module_complex(m, 0)
+            assert has_bounded_injective_resolution(x) == is_perfect(dualize(x)) == m.is_free()
+        rng = random.Random(17)
+        s = Sampler(ring, rng)
+        for _ in range(15):
+            x = s.complex(-2, 2, max_blocks=2)
+            perfect = is_perfect(x)
+            assert has_bounded_injective_resolution(x) == perfect, (ring, x)
+            assert is_perfect(dualize(x)) == perfect, (ring, x)
 
 
 # -- singularity classes ----------------------------------------------------------

@@ -6,7 +6,9 @@ from tricomplete.linalg import Matrix, SpanTracker, inv_mod, kernel_basis, rank,
 
 
 def mat(rows, p):
-    return Matrix.from_rows(rows, p)
+    if not rows:
+        return Matrix.zeros(0, 0, p)
+    return Matrix(np.array(rows, dtype=np.int64).reshape(len(rows), -1), p)
 
 
 def test_rref_identity():

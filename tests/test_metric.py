@@ -13,7 +13,6 @@ from tricomplete.complexes import (
     identity_chain_map,
     module_complex,
     shift,
-    zero_chain_map,
     zero_complex,
 )
 from tricomplete.metric import (
@@ -131,12 +130,12 @@ def test_length_of_identity_zero():
 
 
 def test_length_of_zero_to_deep_stalk():
-    f = zero_chain_map(zero_complex(R22), k_at(-5))
+    f = ChainMap(zero_complex(R22), k_at(-5), {})
     assert length(f, metric_i()) == Fraction(1, 5)
 
 
 def test_length_of_zero_to_k_at_origin():
-    f = zero_chain_map(zero_complex(R22), k_at(0))
+    f = ChainMap(zero_complex(R22), k_at(0), {})
     assert length(f, metric_i()) == 1
 
 
@@ -329,7 +328,7 @@ def test_standard_metric_parser():
 def test_strong_triangle_identity_edge():
     x = k_at(-2)
     f = identity_chain_map(x)
-    g = zero_chain_map(x, k_at(-3))
+    g = ChainMap(x, k_at(-3), {})
     rep = strong_triangle_check(f, g, metric_i())
     assert rep.ok
     assert rep.length_f == 0
@@ -370,7 +369,7 @@ def test_cartesian_invariance_zero_corner_is_defining_reduction():
         a = s.complex(-2, 2, max_blocks=1)
         b = s.complex(-2, 2, max_blocks=1)
         f = s.chain_map(a, b)
-        h = zero_chain_map(a, zero_complex(R22))
+        h = ChainMap(a, zero_complex(R22), {})
         rep = cartesian_invariance_check(f, h, metric_i())
         assert rep.ok
         assert rep.length_f == object_length(cone(f).z, metric_i())

@@ -3,6 +3,7 @@ tail spliced below it, TruncationTail as the module case of that tail, and
 stable Hom by formula, each checked against an elimination-based
 reference."""
 
+import functools
 import random
 from itertools import combinations_with_replacement, product
 
@@ -11,7 +12,12 @@ import pytest
 
 from tricomplete import complexes, linalg, rmodule
 from tricomplete.cauchy import TruncationTail
-from tricomplete.completion import is_perfect, sing_hom, syzygy_class
+from tricomplete.completion import (
+    has_bounded_injective_resolution,
+    is_perfect,
+    sing_hom,
+    syzygy_class,
+)
 from tricomplete.complexes import (
     Complex,
     _build_free_approximation,
@@ -32,10 +38,13 @@ from tricomplete.rmodule import (
     RModule,
     RModuleMap,
     Ring,
+    cover_matrix,
     free_module,
+    periodic_tail,
     projective_cover_and_syzygy,
     stable_hom,
     stable_hom_dim,
+    syzygy_embedding,
     syzygy_type,
 )
 
@@ -230,6 +239,101 @@ def test_syzygy_read_of_a_resolved_complex_builds_nothing(monkeypatch):
             monkeypatch.undo()
 
 
+def test_inj_boundedness_of_a_resolved_complex_eliminates_nothing(monkeypatch):
+    # R is self-injective, so inj-boundedness is perfection: it reads the
+    # window is_perfect cached and resolves no dual
+    builds = []
+    build = complexes._build_free_approximation
+    monkeypatch.setattr(complexes, "_build_free_approximation",
+                        lambda x, depth: builds.append(x) or build(x, depth))
+    for ring in SPLICE_RINGS:
+        for x in splice_samples(ring, seed=ring.p * 13 + ring.n, count=4):
+            perfect = is_perfect(x)
+            before = len(builds)
+            assert has_bounded_injective_resolution(x) == perfect
+            assert len(builds) == before, (ring, x)
+    assert builds
+
+
+# -- the periodic tail, one stage per syzygy type ------------------------------------
+
+
+def fresh_tail(m: RModule, embedding: Matrix):
+    """periodic_tail's recurrence with no memo: every stage rebuilt from
+    cover_matrix and syzygy_embedding."""
+    while True:
+        rank_t, cover = len(m.blocks), cover_matrix(m)
+        m, next_embedding = syzygy_embedding(m)
+        yield rank_t, embedding @ cover, m
+        embedding = next_embedding
+
+
+@pytest.mark.parametrize("ring", SPLICE_RINGS, ids=str)
+def test_periodic_tail_matches_a_fresh_recurrence(ring):
+    for blocks in jordan_types(ring, 3):
+        m = RModule(ring, blocks)
+        tail, ref = periodic_tail(*syzygy_embedding(m)), fresh_tail(*syzygy_embedding(m))
+        for t in range(1, 7):
+            (rank_t, d, omega), (ref_rank, ref_d, ref_omega) = next(tail), next(ref)
+            assert (rank_t, omega) == (ref_rank, ref_omega), (m, t)
+            assert d.p == ref_d.p and d.a.dtype == ref_d.a.dtype and d.a.shape == ref_d.a.shape
+            assert d.a.tobytes() == ref_d.a.tobytes(), (m, t)
+            # stages below the first are shared: they refuse writes (of
+            # the same value, so a failing check corrupts no later test)
+            if t > 1 and d.a.size:
+                with pytest.raises(ValueError):
+                    d.a[0, 0] = d.a[0, 0]
+
+
+def test_tail_stages_are_built_once_per_syzygy_type(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rmodule, "cover_matrix", lambda m: calls.append(m) or cover_matrix(m))
+    for ring in SPLICE_RINGS:
+        x = next(x for x in splice_samples(ring, seed=ring.p * 17 + ring.n, count=6)
+                 if not is_perfect(x))
+        # R -> R in degrees min, min+1: a different complex with the same cut
+        r = module_complex(free_module(ring, 1), x.min_degree + 1)
+        y, _ = direct_sum_complex([x, cone(identity_chain_map(r)).z], ring)
+        syz = syzygy_class(x).module
+        assert syzygy_class(y).module == syz
+        stages = {syz, RModule(ring, syzygy_type(syz))}  # Omega^2 syz = syz
+        rmodule._tail_stage.cache_clear()
+        calls.clear()
+        first = projective_resolution(x, x.min_degree - 9)
+        assert len(calls) == 1 + len(stages)  # the cover of syz, then one per stage type
+        calls.clear()
+        second = projective_resolution(y, y.min_degree - 9)
+        assert calls == [syz]  # only the first stage, under y's own embedding
+        assert rmodule._tail_stage.cache_info().misses == len(stages)
+        for res in (first, second):
+            cut = res.target.min_degree - 1
+            assert res.syzygy == syz  # Omega^8 of the cut syzygy
+            for i in range(res.depth, cut - 1):  # memoized stages: shared, read-only
+                with pytest.raises(ValueError):
+                    res.diffs[i][0, 0] = res.diffs[i][0, 0]
+            # the band still builds and validates a Complex from them
+            band = res.band(res.depth, cut)
+            assert band.degrees == list(range(res.depth, cut + 1))
+        for i in range(second.depth, y.min_degree - 2):
+            assert second.diffs[i] is first.diffs[i]
+
+
+def test_ext_probe_into_k_reads_the_ranks_of_the_minimal_resolution():
+    # F is minimal, so Hom(F, k) has zero differential and
+    # Hom(x, T^d k) = Hom(F^(-d), k) = k^(rank F^(-d)); below the window
+    # F^(cut - t) covers Omega^(t-1) of the cut syzygy
+    for ring in SPLICE_RINGS:
+        k = module_complex(RModule(ring, (1,)), 0)
+        stalks = band_sources(ring, seed=ring.n)[2:]
+        for x in splice_samples(ring, seed=ring.p * 19 + ring.n) + stalks:
+            cut = x.min_degree - 1
+            free, syz = direct_resolution(x, cut)
+            for i in range(cut - 4, x.max_degree + 2):
+                want = len(free.component(i).blocks) if i >= cut else \
+                    len(omega_by_elimination(syz, cut - 1 - i).blocks)
+                assert derived_hom(x, k, -i) == want, (ring, x, i)
+
+
 def band_sources(ring, seed):
     """Two sampled complexes and two modules, one of them k."""
     stalks = [module_complex(RModule(ring, blocks), 0) for blocks in ((1,), (ring.n - 1, 1))]
@@ -303,8 +407,9 @@ def test_sing_hom_of_shifted_classes_is_stable_hom_of_syzygies(ring):
     # stable Hom(M, Omega^(t-s) N); the syzygies here come by elimination
     types = [RModule(ring, b) for b in jordan_types(ring, 2) if b]
     classes = {(m, s): syzygy_class(module_complex(m, s)) for m in types for s in range(3)}
+    # each oracle value is eliminated once and read by every pair that needs it
+    omega, stable = functools.cache(omega_by_elimination), functools.cache(stable_hom)
     for (m, s), (nn, t) in product(classes, classes):
-        want = stable_hom(omega_by_elimination(m, max(0, s - t)),
-                          omega_by_elimination(nn, max(0, t - s)))[0]
+        want = stable(omega(m, max(0, s - t)), omega(nn, max(0, t - s)))[0]
         assert sing_hom(classes[m, s], classes[nn, t]) == want, (m, s, nn, t)
 

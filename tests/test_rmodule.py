@@ -14,10 +14,8 @@ from tricomplete.rmodule import (
     free_cover,
     free_module,
     hom_basis,
-    hom_dim_closed_form,
     identity_map,
     jordan_basis,
-    jordan_type_from_ranks,
     projective_cover_and_syzygy,
     stable_hom,
     subquotient,
@@ -29,6 +27,28 @@ from tricomplete.rmodule import (
 
 R22 = Ring(2, 2)
 R23 = Ring(2, 3)
+
+
+def jordan_type_from_ranks(a: Matrix, dim: int) -> tuple[int, ...]:
+    """Jordan type of a nilpotent matrix from the rank profile of its powers,
+    the oracle for jordan_basis: #blocks of size >= t is
+    rank(a^(t-1)) - rank(a^t)."""
+    ranks = [dim]
+    power = Matrix.identity(dim, a.p)
+    while ranks[-1] > 0:
+        power = power @ a
+        ranks.append(rank(power))
+    blocks = []
+    for t in range(1, len(ranks)):
+        ge_t = ranks[t - 1] - ranks[t]
+        gt_t = ranks[t] - ranks[t + 1] if t + 1 < len(ranks) else 0
+        blocks.extend([t] * (ge_t - gt_t))
+    return tuple(sorted(blocks, reverse=True))
+
+
+def hom_dim_closed_form(m: RModule, nn: RModule) -> int:
+    """dim Hom(m, nn) = sum over block pairs of min(j_i, j_l)."""
+    return sum(min(a, b) for a in m.blocks for b in nn.blocks)
 
 
 def rings():
@@ -59,7 +79,7 @@ def test_x_action_is_nilpotent_shift():
 
 def test_map_validation_rejects_non_linear():
     m = RModule(R22, (2,))
-    bad = Matrix.from_rows([[0, 1], [0, 0]], 2)  # sends xe to e: not R-linear
+    bad = Matrix([[0, 1], [0, 0]], 2)  # sends xe to e: not R-linear
     with pytest.raises(ValueError):
         RModuleMap(m, m, bad)
 

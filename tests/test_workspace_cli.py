@@ -421,3 +421,95 @@ def test_cli_parser_built_once_and_calls_share_no_state(ws_path, tmp_path, capsy
     code, out, err = run(capsys, ["length", "f", "--metric", "i"])
     assert code == 3 and out == ""
     assert cli._parser() is parser
+
+
+# each command that can exit 1, with the report field holding its verdict
+# and that field's negative value
+NEGATIVE_VERDICTS = {
+    "ball": (("in-ball",), False),
+    "cauchy-check": (("certificate", "verdict"), "not_cauchy"),
+    "in-s": (("in-s",), "no"),
+    "is-perfect": (("perfect",), False),
+    "inj-bounded": (("bounded-injective-resolution",), False),
+    "metric-equiv": (("equivalent",), False),
+    "axioms-fuzz": (("ok",), False),
+    "strong-triangle-fuzz": (("ok",), False),
+}
+
+EVERY_COMMAND = [
+    ["length", "f", "--metric", "i"],
+    ["ball", "km5", "6", "--metric", "i"],
+    ["ball", "km5", "5", "--metric", "i"],
+    ["cauchy-check", "towerK", "--metric", "i"],
+    ["cauchy-check", "towerK", "--metric", "ii"],
+    ["colimit", "towerK", "--metric", "i"],
+    ["in-s", "towerK", "--metric", "i"],
+    ["in-s", "towerK", "--metric", "ii"],
+    ["is-perfect", "k0"],
+    ["is-perfect", "rstalk"],
+    ["inj-bounded", "k0"],
+    ["inj-bounded", "rstalk"],
+    ["sing-class", "k0"],
+    ["sing-hom", "k0", "km5"],
+    ["metric-equiv", "i", "ii"],
+    ["metric-equiv", "myi", "i"],
+    ["metric-equiv", "myi", "nosuch"],
+    ["axioms-fuzz", "i", "--seed", "1", "--samples", "4", "--levels", "5"],
+    ["axioms-fuzz", "flat", "--seed", "1", "--samples", "4", "--levels", "5"],
+    ["strong-triangle-fuzz", "i", "--seed", "1", "--samples", "4", "--cartesian-samples", "2"],
+    ["strong-triangle-fuzz", "flat", "--seed", "1", "--samples", "4", "--cartesian-samples", "2"],
+    ["length", "nosuch", "--metric", "i"],
+]
+
+
+def test_cli_no_command_exits_1_without_a_verdict(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ws.txt"
+    path.write_text(FIXTURE + "METRIC flat\n  PIECE ray-above 0\nEND\n")
+    seen = set()
+    for argv in EVERY_COMMAND:
+        for fmt in ("structured", "text"):
+            code, out, err = run(capsys, ["-w", str(path), "--format", fmt] + argv)
+            seen.add((argv[0], code))
+            assert code in (0, 1, 2, 3), argv
+            if code == 1:
+                keys, negative = NEGATIVE_VERDICTS[argv[0]]
+                if fmt == "text":
+                    assert "%s: %s" % (keys[-1], negative) in out, argv
+                    continue
+                report = json.loads(out)
+                for key in keys:
+                    report = report[key]
+                assert report == negative, argv
+            elif code == 3:
+                assert err.startswith("error: "), argv
+    assert {code for _, code in seen} == {0, 1, 3}
+    # in-s and strong-triangle-fuzz have no negative verdict on this workspace
+    negative = {name for name, code in seen if code == 1}
+    assert negative == set(NEGATIVE_VERDICTS) - {"in-s", "strong-triangle-fuzz"}
+    # a crash inside any command is exit 3, never a negative verdict
+    for name in ("need", "metric"):
+        monkeypatch.setattr(f"tricomplete.cli._Ctx.{name}", lambda *a: 1 / 0)
+    for argv in EVERY_COMMAND:
+        code, out, err = run(capsys, ["-w", str(path), "--format", "structured"] + argv)
+        assert code == 3 and json.loads(out)["error"]["kind"] == "internal", argv
+
+
+def test_cli_structured_error_is_a_json_report(ws_path, capsys, monkeypatch):
+    argv = ["-w", ws_path, "--format", "structured", "metric-equiv", "myi", "nosuch"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert err == "error: unknown metric 'nosuch'\n"
+    assert json.loads(out) == {"command": "metric-equiv",
+                               "error": {"kind": "usage", "message": "unknown metric 'nosuch'"}}
+    code, out, err = run(capsys, argv[:2] + argv[4:])  # text: the error line only
+    assert code == 3 and out == "" and err == "error: unknown metric 'nosuch'\n"
+    monkeypatch.setattr("tricomplete.cli.cmd_length", lambda ctx, args: 1 / 0)
+    code, out, err = run(capsys, ["-w", ws_path, "length", "f", "--metric", "i",
+                                  "--format", "structured"])
+    message = "internal error: ZeroDivisionError: division by zero"
+    assert code == 3
+    assert json.loads(out)["error"] == {"kind": "internal", "message": message}
+    assert err == "error: %s\n" % message
+    # argparse's own usage errors come before --format is read: its message only
+    code, out, err = run(capsys, ["--format", "structured", "length"])
+    assert code == 3 and out == "" and "usage:" in err
