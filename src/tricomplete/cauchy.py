@@ -42,7 +42,7 @@ from .complexes import (
     cone,
     identity_chain_map,
 )
-from .metric import GoodMetric, first_shift_violation, object_length
+from .metric import GoodMetric, object_length, require_good
 
 
 class TruncationTail:
@@ -223,19 +223,10 @@ def is_cauchy(tower: Tower, m: GoodMetric, horizon: int, levels: int) -> CauchyC
     """
     if horizon < 2:
         raise PreconditionError("horizon must be >= 2")
+    require_good(m)
     name = m.display_name()
-    bad = first_shift_violation(m)
-    if bad is not None:
-        n, t, deg = bad
-        raise PreconditionError(
-            "metric %s is not good: at level %d, T^%d B_%d is not inside B_%d (witness degree %d)"
-            % (name, n, t, n + 1, n, deg))
     if tower.has_tail:
         sup = {i: _tail_sup_length(tower, m, i) for i in range(1, horizon + 1)}
-        # the shipped spec families make sup lengths non-increasing; guard it
-        vals = [sup[i] for i in range(1, horizon + 1)]
-        if any(vals[t + 1] > vals[t] for t in range(len(vals) - 1)):
-            raise PreconditionError("sup lengths not monotone; cannot certify this metric on a tail tower")
         cert = CauchyCertificate(metric=name, horizon=horizon, levels=levels,
                                  verdict="cauchy", conclusive=True, sup_lengths=sup)
         _, escape = tower.tail.tail_support(horizon)
@@ -248,7 +239,8 @@ def is_cauchy(tower: Tower, m: GoodMetric, horizon: int, levels: int) -> CauchyC
             cert.violation = (1, horizon, -top, Fraction(1))
             return cert
         for n in range(1, levels + 1):
-            # sup is non-increasing, so the first M below 1/n is the threshold
+            # tail_support(i+1) lies in tail_support(i), so sup is
+            # non-increasing and the first M below 1/n is the threshold
             found = next((M for M in range(1, horizon + 1) if sup[M] < Fraction(1, n)), None)
             if found is None:
                 cert.verdict = "inconclusive"

@@ -203,7 +203,7 @@ def cmd_in_s(ctx: _Ctx, args) -> int:
     m = ctx.metric(args.metric)
     window = _parse_window(args.window) if args.window else None
     c = complete(t, m, horizon=args.horizon, levels=args.levels, window=window)
-    verdict = in_S(c, functor_check_samples=args.functor_samples, seed=args.seed or 0)
+    verdict = in_S(c)
     _emit({"command": "in-s", "tower": args.tower, "metric": m.display_name(),
            "certificate-verdict": c.certificate.verdict,
            "colimit-support": c.table.support(),
@@ -358,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=int, default=12)
     sp.add_argument("--levels", type=int, default=6)
     sp.add_argument("--window", default=None)
-    sp.add_argument("--functor-samples", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
+    no_effect = "accepted; no effect until compact support is decided with a witness (ROADMAP item 2)"
+    sp.add_argument("--functor-samples", type=int, default=2, help=no_effect)
+    sp.add_argument("--seed", type=int, default=0, help=no_effect)
 
     sp = add("is-perfect", cmd_is_perfect, help="perfection of a named complex")
     sp.add_argument("complex")
@@ -377,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("complex2")
 
     sp = add("metric-equiv", cmd_metric_equiv,
-             help="equivalence of two metrics, checked on --levels levels "
-                  "with witnesses up to --bound")
+             help="equivalence of two good metrics, decided for every level; "
+                  "--levels sets the length of the witness table and --bound "
+                  "only sizes the separating probes")
     sp.add_argument("metric1")
     sp.add_argument("metric2")
     sp.add_argument("--levels", type=int, default=20)

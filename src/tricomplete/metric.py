@@ -177,9 +177,14 @@ def _meeting_constraints(p: tuple, d: int, ray: bool) -> list[LinearExpr]:
     a = p[1]
     out = [LinearExpr(-a.a, d - a.b)]  # a(n) < d
     if p[0] == "interval":
-        b = p[2]  # d < b(n), or for the ray: the interval is not empty
-        out.append(LinearExpr(b.a - a.a, b.b - a.b - 1) if ray else LinearExpr(b.a, b.b - d))
+        # d < b(n), or for the ray: the interval is not empty
+        out.append(_interval_nonempty(p) if ray else LinearExpr(p[2].a, p[2].b - d))
     return out
+
+
+def _interval_nonempty(p: tuple) -> LinearExpr:
+    """b(n) - a(n) - 1: positive iff the interval piece p(n) holds a degree."""
+    return LinearExpr(p[2].a - p[1].a, p[2].b - p[1].b - 1)
 
 
 class GoodMetric:
@@ -211,10 +216,6 @@ class GoodMetric:
 
     # -- ball membership & lengths ----------------------------------------
 
-    def support_in_ball(self, supp: frozenset, n: int) -> bool:
-        spec = self.effective_spec(n)
-        return not any(spec.contains(i) for i in supp)
-
     def ball_level(self, supp: frozenset, below: int | None = None) -> int | None:
         """Largest n with the support, and every degree <= below when given,
         inside B_n; None when inside all balls.
@@ -230,11 +231,8 @@ class GoodMetric:
 
 def in_ball(x: Complex, n: int, m: GoodMetric) -> bool:
     """Membership of a complex in the n-th ball (B_1 is everything)."""
-    if n < 1:
-        raise PreconditionError("ball level must be >= 1")
-    if n == 1:
-        return True
-    return m.support_in_ball(cohomology_support(x), n)
+    spec = m.effective_spec(n)
+    return spec.is_empty() or not any(spec.contains(i) for i in cohomology_support(x))
 
 
 def object_length(x: Complex, m: GoodMetric) -> Fraction:
@@ -359,6 +357,17 @@ def first_shift_violation(m: GoodMetric, start: int = 1) -> tuple[int, int, int]
     return None
 
 
+def require_good(m: GoodMetric) -> None:
+    """Refuse a metric that is not good, naming the first level where its
+    shift axiom fails (certificates and equivalence need good metrics)."""
+    bad = first_shift_violation(m)
+    if bad is not None:
+        n, t, deg = bad
+        raise PreconditionError(
+            "metric %s is not good: at level %d, T^%d B_%d is not inside B_%d (witness degree %d)"
+            % (m.display_name(), n, t, n + 1, n, deg))
+
+
 def check_good_axioms(m: GoodMetric, ring: Ring, levels: int = 50,
                       samples: int = 200, seed: int = 0) -> AxiomReport:
     """Verify the good-metric axioms.
@@ -411,6 +420,10 @@ def check_good_axioms(m: GoodMetric, ring: Ring, levels: int = 50,
 
 @dataclass
 class EquivalenceReport:
+    """witness[n], n <= levels, is the least m putting each metric's B_m in
+    the other's B_n; fail_level may exceed levels; search_bound only sizes
+    the separating family's probes."""
+
     metric1: str
     metric2: str
     equivalent: bool
@@ -427,40 +440,63 @@ class EquivalenceReport:
         return [(mm, module_complex(k, deg)) for _, mm, deg in self.separating]
 
 
+def _first_nonempty_level(m: GoodMetric) -> int | None:
+    """The least level n >= 2 with spec(n) nonempty, or None."""
+    hits = [2 if p[0] != "interval" else _least_level([_interval_nonempty(p)])
+            for p in m.effective_pieces]
+    return min((n for n in hits if n is not None), default=None)
+
+
+def _fail_level(inner: GoodMetric, outer: GoodMetric) -> int | None:
+    """The least n with no m putting B(inner)_m inside B(outer)_n, or None."""
+    rays_in, rays_out = ({p[0] for p in m.effective_pieces} - {"interval"} for m in (inner, outer))
+    if not rays_out <= rays_in:
+        return 2
+    return _first_nonempty_level(outer) if _first_nonempty_level(inner) is None else None
+
+
 def equivalent(m1: GoodMetric, m2: GoodMetric, levels: int = 20,
                search_bound: int = 200) -> EquivalenceReport:
-    """Decide equivalence at the ball level.
+    """Decide equivalence of two good metrics (require_good) at every level.
 
-    B(1)_m inside B(2)_n is exactly spec2(n) inside spec1(m) (on effective
-    specs), so per level the least witness m is found by search; the table
-    records the max of the two directions.  On failure the report carries a
-    separating family of stalk degrees.
+    B(in)_m inside B(out)_n iff spec_out(n) lies in spec_in(m) (effective
+    specs; spec(1) is empty).  By the shift axiom spec(m+1) contains
+    spec(m) and both its unit shifts: once nonempty, a spec's runs grow by
+    at least one degree on each side per level, so they eventually cover
+    any finite set and the finite ends of its rays move outward without
+    bound.  Pieces are never dropped, so spec(n) has the same rays (above,
+    below) at every n >= 2.  So some m serves a level n >= 2 iff rays(out)
+    lies in rays(in), and spec_out(n) is empty or some spec_in(m) is not.
+
+    A direction thus fails from level 2 if a ray is missing, else from the
+    least level with spec_out nonempty; the report names the earlier one
+    ("1->2": B(1) inside B(2); "1->2" on a tie) with stalk degrees that
+    separate it at inner levels up to search_bound.  Otherwise the witness
+    table holds, for n <= levels, the max over both directions of the
+    least m: containment is monotone in m and the least m never falls as
+    n grows, so each level's scan starts at the previous witness.
     """
+    require_good(m1)
+    require_good(m2)
     report = EquivalenceReport(metric1=m1.display_name(), metric2=m2.display_name(),
                                equivalent=True, levels=levels, search_bound=search_bound)
-
-    def least_witness(n: int, inner: GoodMetric, outer: GoodMetric) -> int | None:
-        # smallest m with B(inner)_m inside B(outer)_n
-        spec_out = outer.effective_spec(n)
-        for mm in range(1, search_bound + 1):
-            if spec_out.is_subset(inner.effective_spec(mm)):
-                return mm
-        return None
-
+    f12, f21 = _fail_level(m1, m2), _fail_level(m2, m1)
+    if f12 is not None or f21 is not None:
+        n = min(f for f in (f12, f21) if f is not None)
+        direction, inner, outer = ("1->2", m1, m2) if f12 == n else ("2->1", m2, m1)
+        report.equivalent = False
+        report.fail_level = n
+        report.separating = [
+            (direction, mm, _witness_degree(outer.effective_spec(n), inner.effective_spec(mm)))
+            for mm in (1, 2, 4, 8, max(16, search_bound // 2), search_bound)]
+        return report
+    least = {(m1, m2): 1, (m2, m1): 1}  # (inner, outer) -> least m at the last level
     for n in range(1, levels + 1):
-        a = least_witness(n, m1, m2)
-        b = least_witness(n, m2, m1)
-        if a is None or b is None:
-            report.equivalent = False
-            report.fail_level = n
-            direction = "1->2" if a is None else "2->1"
-            inner, outer = (m1, m2) if a is None else (m2, m1)
-            for mm in (1, 2, 4, 8, max(16, search_bound // 2), search_bound):
-                deg = _witness_degree(outer.effective_spec(n), inner.effective_spec(mm))
-                if deg is not None:
-                    report.separating.append((direction, mm, deg))
-            return report
-        report.witness[n] = max(a, b)
+        for inner, outer in least:
+            spec_out = outer.effective_spec(n)
+            while not spec_out.is_subset(inner.effective_spec(least[inner, outer])):
+                least[inner, outer] += 1
+        report.witness[n] = max(least.values())
     return report
 
 

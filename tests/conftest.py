@@ -1,7 +1,32 @@
-"""Hypothesis runs derandomized and without an example database, so every
-process draws the same examples and no run depends on an earlier one."""
+"""Shared test set-up.  Hypothesis runs derandomized and without an
+example database, so every process draws the same examples and no run
+depends on an earlier one."""
 
+import pytest
 from hypothesis import settings
+
+from tricomplete.metric import GoodMetric, LinearExpr, first_shift_violation
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def draw_good_metric():
+    """Draws random good metrics from an rng: one or two pieces with
+    endpoints a*n + b, a in -3..3 and b in -4..4, dual 30% of the time,
+    redrawn until the shift axiom holds at every level."""
+
+    def draw(rng):
+        while True:
+            pieces = []
+            for _ in range(rng.randint(1, 2)):
+                kind = rng.choice(("above", "below", "interval"))
+                ends = 2 if kind == "interval" else 1
+                pieces.append((kind,) + tuple(LinearExpr(rng.randint(-3, 3), rng.randint(-4, 4))
+                                              for _ in range(ends)))
+            m = GoodMetric("random", pieces, dual=rng.random() < 0.3)
+            if first_shift_violation(m) is None:
+                return m
+
+    return draw

@@ -114,6 +114,23 @@ def test_certificate_thresholds_monotone():
             assert cert.thresholds[n] <= cert.thresholds[n + 1]
 
 
+def test_tail_sup_lengths_never_increase(draw_good_metric):
+    # tail_support(i+1) lies in tail_support(i) for both tails (a point and
+    # a downward ray that shrink, or nothing), so ball levels never fall
+    rng = random.Random(21)
+    metrics = [draw_good_metric(rng) for _ in range(40)]
+    for ring in (R22, Ring(3, 3), Ring(2, 4)):
+        s = Sampler(ring, rng)
+        n = ring.n
+        towers = [truncation_tower(RModule(ring, blocks))
+                  for blocks in ((1,), (n,), (n - 1, 1), (n, 1), ())]
+        towers.append(constant_tower(s.complex(-2, 2, max_blocks=2)))
+        for t in towers:
+            for m in metrics:
+                sup = is_cauchy(t, m, horizon=20, levels=1).sup_lengths
+                assert all(sup[i + 1] <= sup[i] for i in range(1, 20)), m.effective_pieces
+
+
 def test_constant_tower_cauchy_every_metric():
     rng = random.Random(3)
     s = Sampler(R22, rng)

@@ -43,7 +43,7 @@ def test_flagship_k_enters_completion_of_perf():
     assert all(c.certificate.thresholds[n] == n for n in range(1, 7))
     assert c.table.support() == [0]
     assert c.table.module_at(0) == K
-    assert in_S(c, functor_check_samples=3, seed=1) is Verdict.YES
+    assert in_S(c) is Verdict.YES
     assert not is_perfect(c.representative)
     cls = syzygy_class(c.representative)
     assert sing_hom(cls, cls) == 1
@@ -113,6 +113,23 @@ def test_in_S_for_all_small_jordan_types():
             assert c.table.module_at(0) == m
             count += 1
     assert count >= 10
+
+
+def test_deep_simple_stalk_has_no_hom_into_any_tail_representative():
+    # compact support once spot-checked Hom(s (+) b, rep) = Hom(s, rep) for
+    # b = k in degree -(|rep.min| + 8); b lies in D^(<= rep.min - 8) and rep
+    # in D^(>= rep.min), so Hom(b, rep) = 0 and, Hom being additive, the
+    # check could never fail
+    for ring in (R22, Ring(3, 3), Ring(2, 4)):
+        s = Sampler(ring, random.Random(5 * ring.p + ring.n))
+        n = ring.n
+        towers = [truncation_tower(RModule(ring, blocks))
+                  for blocks in ((1,), (n,), (n - 1, 1), (n, 1), ())]
+        towers += [constant_tower(s.complex(-2, 2, max_blocks=2)) for _ in range(3)]
+        for t in towers:
+            rep = complete(t, metric_i(), horizon=6, levels=3).representative
+            depth = abs(rep.min_degree if not rep.is_zero() else 0) + 8
+            assert derived_hom(module_complex(RModule(ring, (1,)), -depth), rep, 0) == 0
 
 
 # -- perfection -----------------------------------------------------------------

@@ -315,6 +315,76 @@ def test_shifted_family_equivalent_with_witness_n_plus_one():
             assert rep.witness[n] == n + 1, (base.name, n, rep.witness)
 
 
+def _scan_equivalence(runs1, runs2, levels):
+    """Brute force over the runs of spec(1..bound) of two metrics: per
+    level, the least witness m <= bound in each direction, by set
+    comparison; stops at the first level where a direction has none."""
+
+    def least(n, inner, outer):
+        return next((k for k in range(1, len(inner))
+                     if all(any(ilo <= lo and hi <= ihi for ilo, ihi in inner[k])
+                            for lo, hi in outer[n])), None)
+
+    witness = {}
+    for n in range(1, levels + 1):
+        a, b = least(n, runs1, runs2), least(n, runs2, runs1)
+        if a is None or b is None:
+            return False, n, "1->2" if a is None else "2->1", witness
+        witness[n] = max(a, b)
+    return True, None, None, witness
+
+
+def test_equivalence_agrees_with_a_far_scan_on_random_good_metrics(draw_good_metric):
+    # the closed form decides every level; the scan sees 12 levels and
+    # witnesses up to 300, past every witness and fail level here
+    rng = random.Random(13)
+    pool = [draw_good_metric(rng) for _ in range(30)] + [
+        GoodMetric("e", []),                                          # every ball is everything
+        _custom("late5", [("interval", (-1, 4), (1, -4))]),           # nonempty from level 5
+        _custom("late7", [("interval", (-1, 6), (1, -6))], dual=True),
+        _custom("wide2", [("interval", (-2, 3), (2, -3))]),           # nonempty from level 2
+    ]
+    runs = [[None] + [m.effective_spec(k).runs() for k in range(1, 301)] for m in pool]
+    later = 0
+    for i, m1 in enumerate(pool):
+        for j in range(i, len(pool)):
+            m2 = pool[j]
+            rep = equivalent(m1, m2, levels=4)
+            ok, fail, direction, witness = _scan_equivalence(runs[i], runs[j], 12)
+            assert rep.equivalent == ok, (m1.effective_pieces, m2.effective_pieces)
+            assert rep.fail_level == fail
+            assert all(w <= 100 for w in witness.values())
+            if ok:
+                assert rep.witness == {n: witness[n] for n in range(1, 5)}
+            else:
+                inner, outer = (m1, m2) if direction == "1->2" else (m2, m1)
+                for d, mm, deg in rep.separating:
+                    assert d == direction
+                    assert not inner.effective_spec(mm).contains(deg)
+                    assert outer.effective_spec(fail).contains(deg)
+                later += fail > 4
+    assert later  # some pairs part only past the witness table
+
+
+def test_equivalence_past_the_probe_bound_and_the_table():
+    a1 = _custom("a1", [("above", (-1, 0))])
+    a5 = _custom("a5", [("above", (-5, 0))])
+    rep = equivalent(a1, a5, levels=50, search_bound=200)
+    assert rep.equivalent
+    assert rep.witness[1] == 1 and all(rep.witness[n] == 5 * n for n in range(2, 51))
+    for levels in (0, 1):
+        rep = equivalent(metric_i(), metric_ii(), levels=levels)
+        assert not rep.equivalent and rep.fail_level == 2 and rep.witness == {}
+
+
+def test_equivalence_refuses_a_metric_that_is_not_good():
+    flat = _custom("flat", [("above", (0, 0))])
+    with pytest.raises(PreconditionError, match="metric flat is not good: at level 2,"):
+        equivalent(flat, metric_i())
+    with pytest.raises(PreconditionError, match="metric flat is not good"):
+        equivalent(metric_i(), flat)
+
+
 def test_standard_metric_parser():
     assert standard_metric("i").name == "i"
     assert standard_metric("iii:dual").dual

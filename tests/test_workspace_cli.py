@@ -272,6 +272,37 @@ def test_cli_custom_metric_equivalent_to_builtin(ws_path, capsys):
     assert data["witness"]["5"] == 5
 
 
+def test_cli_metric_equiv_decides_past_bound_and_levels(tmp_path, capsys):
+    # B(a1)_(5n) lies in B(a5)_n: the witness at level 41 is 205, past the
+    # default --bound of 200, which only sizes the separating probes
+    path = tmp_path / "ws.txt"
+    path.write_text("RING 2 2\nMETRIC a1\n  PIECE ray-above -n\nEND\n"
+                    "METRIC a5\n  PIECE ray-above -5*n\nEND\n")
+    code, out, _ = run(capsys, ["-w", str(path), "--format", "structured",
+                                "metric-equiv", "a1", "a5", "--levels", "50"])
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert witness["1"] == 1 and witness["41"] == 205
+    assert all(witness[str(n)] == 5 * n for n in range(2, 51))
+    # --levels only sets the table length: i and ii part at level 2 anyway
+    for levels in ("0", "1"):
+        code, out, _ = run(capsys, ["--format", "structured", "metric-equiv", "i", "ii",
+                                    "--levels", levels])
+        assert code == 1
+        data = json.loads(out)
+        assert not data["equivalent"] and data["fail-level"] == 2
+
+
+def test_cli_metric_equiv_refuses_a_metric_that_is_not_good(tmp_path, capsys):
+    path = tmp_path / "ws.txt"
+    path.write_text(FIXTURE + "METRIC flat\n  PIECE ray-above 0\nEND\n"
+                    "METRIC late2\n  PIECE ray-above -n\n  PIECE interval -3*n -2*n+100\nEND\n")
+    for pair, bad, level in ((("flat", "i"), "flat", 2), (("i", "late2"), "late2", 99)):
+        code, out, err = run(capsys, ["-w", str(path), "metric-equiv", *pair])
+        assert code == 3 and out == ""
+        assert err.startswith("error: metric %s is not good: at level %d," % (bad, level))
+
+
 def test_cli_custom_metric_full_pipeline(ws_path, capsys):
     # custom families run through the scan-based level resolution
     code, out, _ = run(capsys, ["-w", ws_path, "--format", "structured", "cauchy-check",
