@@ -611,7 +611,10 @@ def _resolve_window(x: Complex) -> _Window:
     ring = x.ring
     cut = x.min_degree - 1
     ranks, diffs, eps = _minimize_free_complex(*_build_free_approximation(x, cut), ring)
-    syz, emb = _kernel_module(ranks, diffs, cut, ring)
+    syz, emb = zero_module(ring), Matrix.zeros(0, 0, ring.p)
+    if ranks.get(cut, 0):  # ker d^cut in canonical form, embedded in F^cut
+        kernel = kernel_basis(Matrix(diffs[cut], ring.p))
+        syz, emb = subspace_canonicalize(free_module(ring, ranks[cut]).x_action(), kernel, ring)
     if syz != syz.strip_free():
         raise PreconditionError("cut kernel %s of the minimal window has a free summand" % syz)
     for arr in (*diffs.values(), *eps.values()):
@@ -620,47 +623,36 @@ def _resolve_window(x: Complex) -> _Window:
     return x._window
 
 
-def _kernel_module(ranks: dict[int, int], diffs: dict[int, np.ndarray], i: int, ring: Ring):
-    """ker d^i in canonical form with its embedding in F^i = R^ranks[i]."""
-    if not ranks.get(i, 0):
-        return zero_module(ring), Matrix.zeros(0, 0, ring.p)
-    kernel = kernel_basis(Matrix(diffs[i], ring.p))
-    return subspace_canonicalize(free_module(ring, ranks[i]).x_action(), kernel, ring)
-
-
 def projective_resolution(x: Complex, depth: int) -> Resolution:
     """Minimal complex of frees in degrees >= depth, quasi-isomorphic to x
     above the cut, with the cut syzygy.
 
     Returns the arrays and the syzygy only; the Complex and ChainMap are
-    built when .complex, .comparison or band() is read.  The window
-    [min-1, max] is resolved once per complex (_resolve_window); a cut at
-    min-1 reads it, and a cut at min reads it without F^(min-1) but
-    canonicalizes ker d^min anew (derived_hom never cuts there).  Below
-    min-1 every cut splices on the minimal resolution of the cut syzygy
-    Omega with no elimination, since X^i = 0 there: d^(min-2) is the
-    canonical cover of Omega followed by its embedding in F^(min-1), and
-    every deeper differential is the cover of the next syzygy followed by
-    its syzygy_embedding, x^j or x^(n-j) block by block (Eisenbud's matrix
-    factorizations; rmodule.periodic_tail).  Those deeper arrays depend
-    only on the syzygy's Jordan type, so they are shared and read-only,
-    like the window's.
+    built when .complex, .comparison or band() is read.  The depth must
+    be at most min-1, one below the lowest degree.  The window [min-1,
+    max] is resolved once per complex (_resolve_window) and a cut at
+    min-1 reads it.  Below min-1 every cut splices on the minimal
+    resolution of the cut syzygy Omega with no elimination, since X^i = 0
+    there: d^(min-2) is the canonical cover of Omega followed by its
+    embedding in F^(min-1), and every deeper differential is the cover of
+    the next syzygy followed by its syzygy_embedding, x^j or x^(n-j) block
+    by block (Eisenbud's matrix factorizations; rmodule.periodic_tail).
+    Those deeper arrays depend only on the syzygy's Jordan type, so they
+    are shared and read-only, like the window's.
     """
     ring = x.ring
     if x.is_zero():
         return Resolution(x, depth, {}, {}, {}, zero_module(ring))
-    if depth > x.min_degree:
-        raise PreconditionError("resolution depth %d must be <= lowest degree %d"
-                                % (depth, x.min_degree))
-    window = _resolve_window(x)
     cut = x.min_degree - 1
+    if depth > cut:
+        raise PreconditionError("resolution depth %d must be <= %d, one below the lowest degree"
+                                % (depth, cut))
+    window = _resolve_window(x)
     ranks = {i: r for i, r in window.ranks.items() if i >= depth}
     diffs = {i: d for i, d in window.diffs.items() if i >= depth}
     eps = {i: e for i, e in window.eps.items() if i >= depth}
     syz = window.syzygy
-    if depth > cut:  # the window without F^cut: its kernel is not cached
-        syz = _kernel_module(window.ranks, window.diffs, depth, ring)[0].strip_free()
-    elif not syz.is_zero():
+    if not syz.is_zero():
         tail = periodic_tail(syz, window.embedding)
         for i in range(cut - 1, depth - 1, -1):  # F^i covers ker d^(i+1)
             ranks[i], d, syz = next(tail)

@@ -2,7 +2,9 @@
 
 Matrices are thin wrappers around numpy int64 arrays with entries reduced
 mod p; numpy is the interface, for products, stacking and slicing.
-Gaussian elimination is the algorithm of record, and rref runs it on
+Gaussian elimination is the algorithm of record and rref is its only
+implementation: ranks, kernels and solutions read its output, and every
+choice of independent columns (new_columns) reads its pivots.  It runs on
 Python int rows: the matrices eliminated here are small (a median of
 4 x 4 on the resolution path), so a numpy update of the whole array per
 pivot costs more than reducing, in plain ints, only the rows with a
@@ -80,10 +82,6 @@ class Matrix:
         self._same_field(other)
         return Matrix(self.a + other.a, self.p)
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_field(other)
-        return Matrix(self.a - other.a, self.p)
-
     def __neg__(self) -> "Matrix":
         return Matrix(-self.a, self.p)
 
@@ -122,13 +120,6 @@ class Matrix:
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
         return Matrix(np.vstack([self.a, other.a]), self.p)
-
-    def column(self, j: int) -> np.ndarray:
-        return self.a[:, j].copy()
-
-    def take_rows(self, idx) -> "Matrix":
-        idx = list(idx)
-        return Matrix(self.a[idx, :].reshape(len(idx), self.cols), self.p)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
@@ -169,6 +160,14 @@ def rank(m: Matrix) -> int:
     return rref(m)[1]
 
 
+def new_columns(a: Matrix, b: Matrix) -> list[int]:
+    """Indices of the columns of b independent of the columns of a and of
+    b's earlier columns: the columns a greedy left-to-right span adds, read
+    off the pivots of rref([a | b]) past a's columns."""
+    m = a.cols
+    return [c - m for c in rref(a.hstack(b))[2] if c >= m]
+
+
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the null space {x : m x = 0}.
 
@@ -205,53 +204,3 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
     for i, pc in enumerate(pivots):
         x[pc, :] = R.a[i, m.cols:]
     return Matrix(x, m.p)
-
-
-class SpanTracker:
-    """Incremental column span with membership tests.
-
-    Keeps a reduced generating set keyed by leading index; add() performs
-    one round of Gaussian reduction, so the total cost stays quadratic in
-    the ambient dimension.
-    """
-
-    def __init__(self, dim: int, p: int):
-        self.dim = dim
-        self.p = p
-        self._lead: dict[int, np.ndarray] = {}
-
-    def _reduce(self, v: np.ndarray) -> np.ndarray:
-        v = v % self.p
-        for lead in sorted(self._lead):
-            if v[lead]:
-                v = (v - v[lead] * self._lead[lead]) % self.p
-        return v
-
-    def contains(self, v) -> bool:
-        return not self._reduce(np.asarray(v, dtype=np.int64)).any()
-
-    def add(self, v) -> bool:
-        """Add a vector; True if it enlarged the span."""
-        v = self._reduce(np.asarray(v, dtype=np.int64))
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        lead = int(nz[0])
-        v = (v * inv_mod(int(v[lead]), self.p)) % self.p
-        # re-reduce stored vectors against the new one to keep them reduced
-        for k in self._lead:
-            w = self._lead[k]
-            if w[lead]:
-                self._lead[k] = (w - w[lead] * v) % self.p
-        self._lead[lead] = v
-        return True
-
-    def add_columns(self, m: Matrix) -> int:
-        added = 0
-        for j in range(m.cols):
-            added += self.add(m.a[:, j])
-        return added
-
-    @property
-    def rank(self) -> int:
-        return len(self._lead)

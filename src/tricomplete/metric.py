@@ -475,7 +475,12 @@ def equivalent(m1: GoodMetric, m2: GoodMetric, levels: int = 20,
     table holds, for n <= levels, the max over both directions of the
     least m: containment is monotone in m and the least m never falls as
     n grows, so each level's scan starts at the previous witness.
+    search_bound must be >= 1 and levels >= 0.
     """
+    if search_bound < 1:
+        raise PreconditionError("search_bound (--bound) must be >= 1, got %d" % search_bound)
+    if levels < 0:
+        raise PreconditionError("levels (--levels) must be >= 0, got %d" % levels)
     require_good(m1)
     require_good(m2)
     report = EquivalenceReport(metric1=m1.display_name(), metric2=m2.display_name(),

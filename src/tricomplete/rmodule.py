@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Matrix, SpanTracker, is_prime, kernel_basis, rank, rref, solve
+from .linalg import Matrix, is_prime, kernel_basis, new_columns, rank, rref, solve
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,15 @@ def identity_map(m: RModule) -> RModuleMap:
 # -- Jordan canonicalization ----------------------------------------------
 
 
+def _chains(action: Matrix, heads: np.ndarray, length: int) -> np.ndarray:
+    """The chains v, action v, ..., action^(length-1) v of the columns v of
+    heads, chain by chain: column k*length + t is action^t of head k."""
+    powers = [heads]
+    for _ in range(length - 1):
+        powers.append((action.a @ powers[-1]) % action.p)
+    return np.stack(powers, axis=2).reshape(action.rows, heads.shape[1] * length)
+
+
 def jordan_basis(a: Matrix) -> tuple[tuple[int, ...], Matrix]:
     """Jordan type and basis of a nilpotent matrix.
 
@@ -168,9 +177,10 @@ def jordan_basis(a: Matrix) -> tuple[tuple[int, ...], Matrix]:
     canonical lower-shift action for the returned type: column order is
     chain by chain, v, a v, a^2 v, ..., blocks sorted descending.
 
-    Chain heads are chosen top height down: heads of height t complete
-    ker(a^(t-1)) together with the pushed-down tails of taller chains to a
-    basis of ker(a^t).
+    Chain heads are chosen top height down: the heads of height t are the
+    columns of the basis of ker(a^t) that are new (new_columns) beside
+    ker(a^(t-1)) and the tails of the taller chains pushed down to height
+    t, so together they complete those to a basis of ker(a^t).
     """
     p, d = a.p, a.rows
     if d == 0:
@@ -180,30 +190,15 @@ def jordan_basis(a: Matrix) -> tuple[tuple[int, ...], Matrix]:
     while kernels[-1].cols < d:
         power = power @ a
         kernels.append(kernel_basis(power))
-    s = len(kernels) - 1  # nilpotency index
-    heads: list[tuple[np.ndarray, int]] = []
-    for t in range(s, 0, -1):
-        span = SpanTracker(d, p)
-        span.add_columns(kernels[t - 1])
-        for v, h in heads:
-            w = v.copy()
-            for _ in range(h - t):
-                w = (a.a @ w) % p
-            span.add(w)
-        for j in range(kernels[t].cols):
-            v = kernels[t].a[:, j]
-            if span.add(v):
-                heads.append((v.copy(), t))
-    heads.sort(key=lambda vh: -vh[1])
-    cols = []
-    for v, h in heads:
-        w = v.copy()
-        for _ in range(h):
-            cols.append(w.copy())
-            w = (a.a @ w) % p
-    blocks = tuple(h for _, h in heads)
-    J = Matrix(np.column_stack(cols), p)
-    return blocks, J
+    blocks: list[int] = []
+    chains = []
+    tails = Matrix.zeros(d, 0, p)  # the heads so far, pushed down to height t
+    for t in range(len(kernels) - 1, 0, -1):
+        heads = kernels[t].a[:, new_columns(kernels[t - 1].hstack(tails), kernels[t])]
+        blocks += [t] * heads.shape[1]
+        chains.append(_chains(a, heads, t))
+        tails = a @ tails.hstack(Matrix(heads, p))
+    return tuple(blocks), Matrix(np.hstack(chains), p)
 
 
 def subspace_canonicalize(action: Matrix, basis: Matrix, ring: Ring) -> tuple[RModule, Matrix]:
@@ -222,57 +217,34 @@ def subspace_canonicalize(action: Matrix, basis: Matrix, ring: Ring) -> tuple[RM
     return RModule(ring, blocks), basis @ J
 
 
-def module_from_invariant_subspace(ambient: RModule, basis: Matrix) -> tuple[RModule, RModuleMap]:
-    """Canonicalize an x-stable subspace (independent columns) of ambient.
-
-    Returns (M, incl) with M in canonical form and incl : M -> ambient an
-    injective R-map whose image is the given column span.
-    """
-    mod, emb = subspace_canonicalize(ambient.x_action(), basis, ambient.ring)
-    return mod, RModuleMap(mod, ambient, emb)
-
-
 def quotient_canonicalize(action: Matrix, sub_basis: Matrix, ring: Ring) -> tuple[RModule, Matrix, Matrix]:
     """Canonicalize the quotient of a coordinate space by a stable span.
 
     Returns (Q, proj, section): proj maps ambient coordinates onto the
     canonical coordinates of Q, section is a linear (not R-linear) right
     inverse picking representatives.  sub_basis columns may be dependent.
+
+    The pivots of one rref([sub_basis | I]) pick the independent columns
+    of sub_basis and then the standard vectors that complete them to a
+    basis T; the quotient coordinates are the complement's rows of T^-1,
+    the projection along span(sub_basis) whichever of its bases T holds.
     """
-    d = action.rows
-    p = ring.p
-    R_, rk, _ = rref(sub_basis.T)
-    sub = Matrix(R_.a[:rk, :].T, p) if rk else Matrix.zeros(d, 0, p)
+    d, p = action.rows, ring.p
+    both = sub_basis.hstack(Matrix.identity(d, p))
+    picked = new_columns(Matrix.zeros(d, 0, p), both)
+    rk = sum(c < sub_basis.cols for c in picked)
     if rk == d:
         return zero_module(ring), Matrix.zeros(0, d, p), Matrix.zeros(d, 0, p)
-    # complete the subspace to a basis of the ambient space with standard vectors
-    span = SpanTracker(d, p)
-    span.add_columns(sub)
-    comp_cols = []
-    for i in range(d):
-        e = np.zeros(d, dtype=np.int64)
-        e[i] = 1
-        if span.add(e):
-            comp_cols.append(e)
-    C = Matrix(np.column_stack(comp_cols), p)
-    T = sub.hstack(C) if sub.cols else C
+    T = Matrix(both.a[:, picked], p)
+    C = Matrix(T.a[:, rk:], p)
     Tinv = solve(T, Matrix.identity(d, p))
     assert Tinv is not None
-    P = Tinv.take_rows(range(rk, d))  # ambient coords -> quotient coords
+    P = Matrix(Tinv.a[rk:], p)  # ambient coords -> quotient coords
     induced = P @ action @ C
     blocks, J = jordan_basis(induced)
     Jinv = solve(J, Matrix.identity(J.rows, p))
     assert Jinv is not None
     return RModule(ring, blocks), Jinv @ P, C @ J
-
-
-def module_from_quotient(ambient: RModule, sub_basis: Matrix) -> tuple[RModule, RModuleMap]:
-    """Canonicalize the quotient of ambient by an x-stable column span.
-
-    Returns (Q, proj) with proj : ambient -> Q the surjective R-map.
-    """
-    mod, proj, _ = quotient_canonicalize(ambient.x_action(), sub_basis, ambient.ring)
-    return mod, RModuleMap(ambient, mod, proj)
 
 
 def direct_sum(summands: list[RModule], ring: Ring) -> tuple[RModule, list[RModuleMap], list[RModuleMap]]:
@@ -356,13 +328,16 @@ def subquotient(f: RModuleMap, which: str) -> tuple[RModule, RModuleMap]:
     cokernel: (C, projection target -> C)
     """
     if which == "kernel":
-        return module_from_invariant_subspace(f.source, kernel_basis(f.matrix))
+        mod, emb = subspace_canonicalize(f.source.x_action(), kernel_basis(f.matrix), f.ring)
+        return mod, RModuleMap(mod, f.source, emb)
     if which == "image":
-        R_, rk, piv = rref(f.matrix.T)
+        R_, rk, _ = rref(f.matrix.T)
         img = Matrix(R_.a[:rk, :].T, f.matrix.p)
-        return module_from_invariant_subspace(f.target, img)
+        mod, emb = subspace_canonicalize(f.target.x_action(), img, f.ring)
+        return mod, RModuleMap(mod, f.target, emb)
     if which == "cokernel":
-        return module_from_quotient(f.target, f.matrix)
+        mod, proj, _ = quotient_canonicalize(f.target.x_action(), f.matrix, f.ring)
+        return mod, RModuleMap(f.target, mod, proj)
     raise ValueError("which must be kernel|image|cokernel, got %r" % which)
 
 
@@ -375,13 +350,8 @@ def free_cover(action: Matrix, basis: Matrix, ring: Ring) -> tuple[RModule, Matr
     Returns (F, E) with F = R^(#generators) and E[:, k*n + t] = action^t w_k,
     so action @ E = E @ F.x_action() and the columns of E span W.
     """
-    m = basis.cols
-    _, _, pivots = rref((action @ basis).hstack(basis))
-    heads = [c - m for c in pivots if c >= m]
-    powers = [basis.a[:, heads]]
-    for _ in range(ring.n - 1):
-        powers.append((action.a @ powers[-1]) % ring.p)
-    E = np.stack(powers, axis=2).reshape(action.rows, len(heads) * ring.n)
+    heads = new_columns(action @ basis, basis)
+    E = _chains(action, basis.a[:, heads], ring.n)
     return free_module(ring, len(heads)), Matrix(E, ring.p)
 
 
@@ -485,7 +455,8 @@ def stable_hom(m: RModule, nn: RModule) -> tuple[int, list[RModuleMap]]:
 
     A map factors through a projective iff it factors through the
     projective cover P(nn) ->> nn, so the factoring subspace is
-    {cover o g : g in Hom(m, P(nn))}.  Returns (dimension, coset reps).
+    {cover o g : g in Hom(m, P(nn))}.  Returns (dimension, coset reps):
+    the hom_basis maps new beside that subspace and the earlier basis maps.
     """
     if m.ring != nn.ring:
         raise ValueError("ring mismatch")
@@ -493,11 +464,11 @@ def stable_hom(m: RModule, nn: RModule) -> tuple[int, list[RModuleMap]]:
     if not basis:
         return 0, []
     P, cover, _, _ = projective_cover_and_syzygy(nn)
-    span = SpanTracker(nn.dim * m.dim, m.ring.p)
-    for g in hom_basis(m, P):
-        span.add((cover.matrix @ g.matrix).a.ravel())
-    reps = []
-    for f in basis:
-        if span.add(f.matrix.a.ravel()):
-            reps.append(f)
+
+    def flattened(mats: list[Matrix]) -> Matrix:  # one column per map
+        flat = np.array([f.a.ravel() for f in mats]).reshape(len(mats), nn.dim * m.dim)
+        return Matrix(flat.T, m.ring.p)
+
+    factoring = flattened([cover.matrix @ g.matrix for g in hom_basis(m, P)])
+    reps = [basis[k] for k in new_columns(factoring, flattened([f.matrix for f in basis]))]
     return len(reps), reps

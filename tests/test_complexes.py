@@ -504,6 +504,11 @@ def test_resolution_depth_precondition():
     x = module_complex(K22, 0)
     with pytest.raises(PreconditionError):
         projective_resolution(x, 1)
+    # a cut at the lowest degree is refused too: every cut reads the window
+    # [min-1, max] or splices below it
+    with pytest.raises(PreconditionError, match="must be <= -1"):
+        projective_resolution(x, 0)
+    assert projective_resolution(x, -1).syzygy == K22
 
 
 def test_resolution_stress_minimality_and_syzygy_recursion():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricomplete.linalg import Matrix, SpanTracker, inv_mod, kernel_basis, rank, rref, solve
+from tricomplete.linalg import Matrix, inv_mod, kernel_basis, new_columns, rank, rref, solve
 
 
 def mat(rows, p):
@@ -99,13 +99,6 @@ def test_rref_leaves_its_input_alone():
     assert np.array_equal(m.a, before)
 
 
-def test_take_rows_accepts_a_generator():
-    m = Matrix(np.arange(12).reshape(4, 3), 13)
-    got = m.take_rows(i for i in (3, 1))
-    assert got == Matrix([[9, 10, 11], [3, 4, 5]], 13)
-    assert m.take_rows(iter(())).a.shape == (0, 3)
-
-
 def test_kernel_identity_empty():
     assert kernel_basis(Matrix.identity(4, 3)).cols == 0
 
@@ -120,7 +113,7 @@ def test_kernel_sum_over_f2():
     # x + y = 0 over F_2: kernel spanned by (1,1)
     k = kernel_basis(mat([[1, 1]], 2))
     assert k.cols == 1
-    assert k.column(0).tolist() == [1, 1]
+    assert k.a[:, 0].tolist() == [1, 1]
 
 
 def test_solve_identity():
@@ -192,6 +185,83 @@ def test_solve_exact_when_solvable(m, rng):
     x = solve(m, rhs)
     assert x is not None
     assert m @ x == rhs
+
+
+class SpanTracker:
+    """The incremental column span the library chose independent columns
+    with before new_columns read them off rref's pivots: one round of
+    Gaussian reduction per added vector, on numpy vectors."""
+
+    def __init__(self, dim: int, p: int):
+        self.dim = dim
+        self.p = p
+        self._lead: dict[int, np.ndarray] = {}
+
+    def _reduce(self, v: np.ndarray) -> np.ndarray:
+        v = v % self.p
+        for lead in sorted(self._lead):
+            if v[lead]:
+                v = (v - v[lead] * self._lead[lead]) % self.p
+        return v
+
+    def contains(self, v) -> bool:
+        return not self._reduce(np.asarray(v, dtype=np.int64)).any()
+
+    def add(self, v) -> bool:
+        """Add a vector; True if it enlarged the span."""
+        v = self._reduce(np.asarray(v, dtype=np.int64))
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return False
+        lead = int(nz[0])
+        v = (v * inv_mod(int(v[lead]), self.p)) % self.p
+        # re-reduce stored vectors against the new one to keep them reduced
+        for k in self._lead:
+            w = self._lead[k]
+            if w[lead]:
+                self._lead[k] = (w - w[lead] * v) % self.p
+        self._lead[lead] = v
+        return True
+
+    def add_columns(self, m: Matrix) -> int:
+        added = 0
+        for j in range(m.cols):
+            added += self.add(m.a[:, j])
+        return added
+
+    @property
+    def rank(self) -> int:
+        return len(self._lead)
+
+
+def greedy_new_columns(a: Matrix, b: Matrix) -> list[int]:
+    """The columns of b that enlarge the span of a's columns and b's earlier
+    ones, added one at a time to a SpanTracker."""
+    span = SpanTracker(a.rows, a.p)
+    span.add_columns(a)
+    return [j for j in range(b.cols) if span.add(b.a[:, j])]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_new_columns_is_the_greedy_span_choice(p):
+    rng = np.random.default_rng(100 + p)
+    for _ in range(150):
+        rows = int(rng.integers(0, 9))
+        ka, kb = (int(v) for v in rng.integers(0, 8, size=2))
+        # low rank with repeated and zero columns, so many columns are dependent
+        r = int(rng.integers(0, rows + 1))
+        both = rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, ka + kb))
+        both[:, rng.random(ka + kb) < 0.2] = 0
+        if ka + kb > 1 and rng.random() < 0.5:
+            i, j = (int(v) for v in rng.choice(ka + kb, size=2, replace=False))
+            both[:, j] = both[:, i] * int(rng.integers(1, p))
+        a, b = Matrix(both[:, :ka], p), Matrix(both[:, ka:], p)
+        assert new_columns(a, b) == greedy_new_columns(a, b), (both, ka)
+    for rows in range(4):
+        full = Matrix(rng.integers(0, p, size=(rows, 5)), p)
+        empty = Matrix.zeros(rows, 0, p)
+        assert new_columns(empty, full) == greedy_new_columns(empty, full)
+        assert new_columns(full, empty) == []
 
 
 def test_span_tracker_matches_rank():

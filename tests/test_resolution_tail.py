@@ -21,7 +21,6 @@ from tricomplete.completion import (
 from tricomplete.complexes import (
     Complex,
     _build_free_approximation,
-    _kernel_module,
     _minimize_free_complex,
     cone,
     derived_hom,
@@ -32,7 +31,7 @@ from tricomplete.complexes import (
     projective_resolution,
     shift,
 )
-from tricomplete.linalg import Matrix, rank
+from tricomplete.linalg import Matrix, kernel_basis, rank
 from tricomplete.randomgen import Sampler
 from tricomplete.rmodule import (
     RModule,
@@ -44,8 +43,10 @@ from tricomplete.rmodule import (
     projective_cover_and_syzygy,
     stable_hom,
     stable_hom_dim,
+    subspace_canonicalize,
     syzygy_embedding,
     syzygy_type,
+    zero_module,
 )
 
 SPLICE_RINGS = (Ring(2, 2), Ring(3, 3), Ring(3, 4), Ring(5, 3))
@@ -110,12 +111,20 @@ def test_truncation_tail_block_permutation():
 # -- the splice against a direct build at the same depth ---------------------------
 
 
+def kernel_module(ranks: dict[int, int], diffs: dict[int, np.ndarray], i: int, ring: Ring):
+    """ker d^i in canonical form with its embedding in F^i = R^ranks[i]."""
+    if not ranks.get(i, 0):
+        return zero_module(ring), Matrix.zeros(0, 0, ring.p)
+    kernel = kernel_basis(Matrix(diffs[i], ring.p))
+    return subspace_canonicalize(free_module(ring, ranks[i]).x_action(), kernel, ring)
+
+
 def direct_resolution(x: Complex, depth: int):
     """Build and minimize down to depth in one elimination pass, as every
     cut was resolved before the window was cached."""
     ranks, diffs, _ = _minimize_free_complex(*_build_free_approximation(x, depth), x.ring)
     ranks = {i: r for i, r in ranks.items() if r}
-    syz = _kernel_module(ranks, diffs, depth, x.ring)[0].strip_free()
+    syz = kernel_module(ranks, diffs, depth, x.ring)[0].strip_free()
     comps = {i: free_module(x.ring, r) for i, r in ranks.items()}
     maps = {i: RModuleMap(comps[i], comps[i + 1], Matrix(d, x.ring.p))
             for i, d in diffs.items() if d.size}
@@ -185,7 +194,8 @@ def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
     ring = Ring(3, 4)
     x = splice_samples(ring, seed=5, count=2)[1]
     calls = {"build": 0, "kernel": 0, "rref": 0, "jordan": 0}
-    build, kernel = complexes._build_free_approximation, complexes._kernel_module
+    # the window's cut kernel is the one subspace_canonicalize in complexes
+    build, kernel = complexes._build_free_approximation, complexes.subspace_canonicalize
     rref, jordan = linalg.rref, rmodule.jordan_basis
 
     def counting(name, fn):
@@ -195,7 +205,7 @@ def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(complexes, "_build_free_approximation", counting("build", build))
-    monkeypatch.setattr(complexes, "_kernel_module", counting("kernel", kernel))
+    monkeypatch.setattr(complexes, "subspace_canonicalize", counting("kernel", kernel))
     first = syzygy_class(x)
     assert calls["build"] == 1 and calls["kernel"] == 1 and not first.is_zero()
     # every derived_hom out of x reads the window or its tail, however high

@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_linalg import SpanTracker
 
-from tricomplete.linalg import Matrix, kernel_basis, rank
+from tricomplete.linalg import Matrix, kernel_basis, rank, rref, solve
 from tricomplete.rmodule import (
     RModule,
     RModuleMap,
@@ -17,6 +18,7 @@ from tricomplete.rmodule import (
     identity_map,
     jordan_basis,
     projective_cover_and_syzygy,
+    quotient_canonicalize,
     stable_hom,
     subquotient,
     subspace_canonicalize,
@@ -122,8 +124,6 @@ def test_jordan_basis_of_conjugated_action(m, rng):
                             dtype=np.int64).reshape(d, d), p)
         if rank(g) == d:
             break
-    from tricomplete.linalg import solve
-
     ginv = solve(g, Matrix.identity(d, p))
     a = g @ m.x_action() @ ginv
     blocks, J = jordan_basis(a)
@@ -241,6 +241,152 @@ def test_hom_basis_eliminates_nothing(monkeypatch):
             if not m.is_free():
                 for nn in jordan_types(ring, 2):
                     assert len(hom_basis(m, nn)) == hom_dim_closed_form(m, nn)
+
+
+# -- vector choices against the SpanTracker that made them before ------------
+
+
+def span_tracker_jordan_basis(a: Matrix) -> tuple[tuple[int, ...], Matrix]:
+    """jordan_basis as it chose chain heads before new_columns: each height
+    t adds ker(a^(t-1)) and the pushed-down tails to a SpanTracker, then
+    keeps the columns of the basis of ker(a^t) that enlarge it."""
+    p, d = a.p, a.rows
+    if d == 0:
+        return (), Matrix.zeros(0, 0, p)
+    kernels = [Matrix.zeros(d, 0, p)]
+    power = Matrix.identity(d, p)
+    while kernels[-1].cols < d:
+        power = power @ a
+        kernels.append(kernel_basis(power))
+    heads = []
+    for t in range(len(kernels) - 1, 0, -1):
+        span = SpanTracker(d, p)
+        span.add_columns(kernels[t - 1])
+        for v, h in heads:
+            w = v.copy()
+            for _ in range(h - t):
+                w = (a.a @ w) % p
+            span.add(w)
+        for j in range(kernels[t].cols):
+            v = kernels[t].a[:, j]
+            if span.add(v):
+                heads.append((v.copy(), t))
+    heads.sort(key=lambda vh: -vh[1])
+    cols = []
+    for v, h in heads:
+        w = v.copy()
+        for _ in range(h):
+            cols.append(w.copy())
+            w = (a.a @ w) % p
+    return tuple(h for _, h in heads), Matrix(np.column_stack(cols), p)
+
+
+def span_tracker_quotient_canonicalize(action: Matrix, sub_basis: Matrix, ring: Ring):
+    """quotient_canonicalize as it was before new_columns: an RREF basis
+    of the subspace, completed by standard vectors through a SpanTracker."""
+    d, p = action.rows, ring.p
+    R_, rk, _ = rref(sub_basis.T)
+    sub = Matrix(R_.a[:rk, :].T, p) if rk else Matrix.zeros(d, 0, p)
+    if rk == d:
+        return zero_module(ring), Matrix.zeros(0, d, p), Matrix.zeros(d, 0, p)
+    span = SpanTracker(d, p)
+    span.add_columns(sub)
+    comp_cols = []
+    for i in range(d):
+        e = np.zeros(d, dtype=np.int64)
+        e[i] = 1
+        if span.add(e):
+            comp_cols.append(e)
+    C = Matrix(np.column_stack(comp_cols), p)
+    T = sub.hstack(C) if sub.cols else C
+    P = Matrix(solve(T, Matrix.identity(d, p)).a[rk:], p)
+    blocks, J = span_tracker_jordan_basis(P @ action @ C)
+    Jinv = solve(J, Matrix.identity(J.rows, p))
+    return RModule(ring, blocks), Jinv @ P, C @ J
+
+
+def span_tracker_stable_hom(m: RModule, nn: RModule) -> tuple[int, list[RModuleMap]]:
+    """stable_hom as it was before new_columns: the maps factoring through
+    the cover of nn go into a SpanTracker, then each basis map that
+    enlarges it is a coset representative."""
+    basis = hom_basis(m, nn)
+    if not basis:
+        return 0, []
+    P, cover, _, _ = projective_cover_and_syzygy(nn)
+    span = SpanTracker(nn.dim * m.dim, m.ring.p)
+    for g in hom_basis(m, P):
+        span.add((cover.matrix @ g.matrix).a.ravel())
+    reps = [f for f in basis if span.add(f.matrix.a.ravel())]
+    return len(reps), reps
+
+
+def same_bytes(got: Matrix, want: Matrix) -> bool:
+    return got.a.dtype == want.a.dtype and got.a.shape == want.a.shape \
+        and got.a.tobytes() == want.a.tobytes()
+
+
+def random_invertible(d: int, p: int, rng) -> Matrix:
+    while True:
+        g = Matrix(rng.integers(0, p, size=(d, d)), p)
+        if rank(g) == d:
+            return g
+
+
+def nilpotent_actions(ring: Ring, rng):
+    """Every canonical action with at most 3 blocks, each also scrambled by
+    a random invertible matrix, then conjugates of random strictly lower
+    triangular matrices of nilpotency index at most n, so their Jordan
+    types are modules over ring."""
+    for m in jordan_types(ring, 3):
+        g = random_invertible(m.dim, ring.p, rng)
+        yield m.x_action()
+        yield g @ m.x_action() @ solve(g, Matrix.identity(m.dim, ring.p))
+    found = 0
+    while found < 40:
+        d = int(rng.integers(1, 9))
+        low = Matrix(np.tril(rng.integers(0, ring.p, size=(d, d)), -1), ring.p)
+        low = Matrix(low.a * (rng.random((d, d)) < 0.4), ring.p)
+        power = Matrix.identity(d, ring.p)
+        for _ in range(ring.n):
+            power = power @ low
+        if power.is_zero():
+            g = random_invertible(d, ring.p, rng)
+            found += 1
+            yield g @ low @ solve(g, Matrix.identity(d, ring.p))
+
+
+def stable_spans(a: Matrix, rng):
+    """Action-stable column spans with dependent columns: the chains of 0
+    to 3 random vectors, and all of the space."""
+    d, p = a.rows, a.p
+    for k in range(4):
+        v = rng.integers(0, p, size=(d, k))
+        chain = [v]
+        for _ in range(d):
+            chain.append((a.a @ chain[-1]) % p)
+        yield Matrix(np.hstack(chain), p)
+    yield Matrix.identity(d, p)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 3), (2, 4), (3, 4), (5, 3)])
+def test_vector_choices_match_the_span_tracker_byte_for_byte(p, n):
+    ring = Ring(p, n)
+    rng = np.random.default_rng(10 * p + n)
+    for a in nilpotent_actions(ring, rng):
+        got, want = jordan_basis(a), span_tracker_jordan_basis(a)
+        assert got[0] == want[0] and same_bytes(got[1], want[1]), a
+        for sub in stable_spans(a, rng):
+            got, want = quotient_canonicalize(a, sub, ring), span_tracker_quotient_canonicalize(a, sub, ring)
+            assert got[0] == want[0], (a, sub)
+            assert same_bytes(got[1], want[1]) and same_bytes(got[2], want[2]), (a, sub)
+    # every pair of types with at most 2 blocks, and every 3-block type
+    # against every single block, either way round
+    for m, nn in itertools.product(jordan_types(ring, 3), repeat=2):
+        if len(m.blocks) * len(nn.blocks) > 4:
+            continue
+        got, want = stable_hom(m, nn), span_tracker_stable_hom(m, nn)
+        assert got[0] == want[0], (m, nn)
+        assert all(same_bytes(f.matrix, g.matrix) for f, g in zip(got[1], want[1])), (m, nn)
 
 
 # -- subquotients -----------------------------------------------------------

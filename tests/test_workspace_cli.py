@@ -293,6 +293,17 @@ def test_cli_metric_equiv_decides_past_bound_and_levels(tmp_path, capsys):
         assert not data["equivalent"] and data["fail-level"] == 2
 
 
+def test_cli_metric_equiv_refuses_a_bound_below_1_and_negative_levels(capsys):
+    # equivalent (i, i) and failing (i, ii) pairs alike: the arguments are
+    # checked before either metric is read
+    for pair in (("i", "i"), ("i", "ii")):
+        for flag, value, message in (("--bound", "0", "search_bound (--bound) must be >= 1, got 0"),
+                                     ("--levels", "-3", "levels (--levels) must be >= 0, got -3")):
+            code, out, err = run(capsys, ["metric-equiv", *pair, flag, value])
+            assert code == 3 and out == ""
+            assert err == "error: %s\n" % message
+
+
 def test_cli_metric_equiv_refuses_a_metric_that_is_not_good(tmp_path, capsys):
     path = tmp_path / "ws.txt"
     path.write_text(FIXTURE + "METRIC flat\n  PIECE ray-above 0\nEND\n"
