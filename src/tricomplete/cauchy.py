@@ -13,9 +13,11 @@ on demand:
 For tail towers the cone of X_i -> X_j is the quotient complex, whose
 cohomology support has a closed form, so certificates are unconditional:
 the union over all j > i of these supports (a point and a ray escaping to
--infinity) is measured exactly, once per i.  Certificates are issued only
-for good metrics.  Prefix-only towers can only ever be measured up to the
-horizon, and their certificates say so rather than guessing.
+-infinity) is measured exactly, once per i, and colimits read H^i off the
+one entry from which the tail is constant around degree i.  Certificates
+are issued only for good metrics.  Prefix-only towers can only ever be
+measured (and their colimits scanned) up to the horizon, and their
+certificates say so rather than guessing.
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ class TruncationTail:
         escapes = not self.module.is_free() and not self.module.is_zero()
         return supp, (-i - 1 if escapes else None)
 
+    def stable_from(self, i: int) -> int:
+        """From X_k with k >= this on, degrees i-1..i+1 are all in X_k."""
+        return max(1, 1 - i)
+
+    def vanishes_outside(self, lo: int, hi: int) -> bool:
+        return lo <= 0 <= hi
+
 
 class ConstantTail:
     """X_k = X for all k, with identity connecting maps."""
@@ -104,6 +113,13 @@ class ConstantTail:
 
     def tail_support(self, i: int) -> tuple[frozenset, int | None]:
         return frozenset(), None
+
+    def stable_from(self, i: int) -> int:
+        return 1
+
+    def vanishes_outside(self, lo: int, hi: int) -> bool:
+        x = self.complex
+        return x.is_zero() or (lo <= x.min_degree and x.max_degree <= hi)
 
 
 class Tower:
@@ -125,6 +141,9 @@ class Tower:
             for k, x in enumerate(self.prefix, start=1):
                 if x != tail.complex_at(k):
                     raise PreconditionError("prefix entry %d disagrees with the tail rule" % k)
+            for k, f in enumerate(self.prefix_maps, start=1):
+                if f != tail.map_at(k, self.prefix[k - 1], self.prefix[k]):
+                    raise PreconditionError("connecting map %d disagrees with the tail rule" % k)
         self._cplx_cache: dict[int, Complex] = {}
         self._map_cache: dict[int, ChainMap] = {}
 
@@ -296,13 +315,18 @@ class ColimitTable:
 
 def colimit(tower: Tower, window: tuple[int, int], horizon: int,
             certificate: CauchyCertificate) -> ColimitTable:
-    """Degreewise stabilized cohomology of the tower over the window.
+    """Degreewise stabilized cohomology of the tower over the window: entry
+    i is (H^i(X_k), k) with H^i of every connecting map from X_k on an
+    isomorphism, and i is inconclusive when no such k <= h - 1 is known.
 
-    Stabilization is witnessed: every connecting map on H^i from the
-    stabilization index to the horizon is checked to be an isomorphism.
-    For the built-in tails the index is structural; for prefix towers the
-    scan is honest and degrees that fail to stabilize are reported
-    inconclusive.
+    A tail tower takes k = tail.stable_from(i) and computes H^i once, on
+    X_k.  This is exact for every later map, not just up to the horizon:
+    for k' >= k, X_k' and X_(k'+1) have the same components in degrees
+    i-1..i+1 and the same d^(i-1) and d^i (a truncation adds components
+    only below -k' <= i-1, a constant tail none), and the connecting map,
+    which Tower checks against the rule, is the identity there, so H^i of
+    it is the identity on the same data.  A prefix-only tower is scanned:
+    the least k whose maps up to the horizon are isomorphisms on H^i.
     """
     if certificate.verdict == "not_cauchy":
         raise PreconditionError("tower is not Cauchy for %s: no colimit in the completion"
@@ -312,26 +336,19 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
         raise PreconditionError("empty window")
     h = tower.available_horizon(horizon)
     table = ColimitTable(ring=tower.ring, window=window, horizon=h)
-    if isinstance(tower.tail, TruncationTail):
-        table.outside_window_vanishes = lo <= 0 <= hi
-    elif isinstance(tower.tail, ConstantTail):
-        x = tower.tail.complex
-        table.outside_window_vanishes = x.is_zero() or (lo <= x.min_degree and x.max_degree <= hi)
+    table.outside_window_vanishes = tower.has_tail and tower.tail.vanishes_outside(lo, hi)
     for i in range(lo, hi + 1):
-        if isinstance(tower.tail, TruncationTail):
-            k_start = max(1, abs(i) + 1) if i <= 0 else 1
+        if tower.has_tail:
+            k_i = tower.tail.stable_from(i)
+            data = cohomology_data(tower.complex_at(k_i), i) if k_i <= h - 1 else None
         else:
-            k_start = 1
-        k_i = None
-        if k_start <= h - 1:
-            datas = {k: cohomology_data(tower.complex_at(k), i) for k in range(k_start, h + 1)}
-            for k0 in range(k_start, h):
-                if all(cohomology_map(tower.map_at(k), i, datas[k], datas[k + 1]).is_isomorphism()
-                       for k in range(k0, h)):
-                    k_i = k0
-                    break
-        if k_i is None:
+            datas = {k: cohomology_data(tower.complex_at(k), i) for k in range(1, h + 1) if h > 1}
+            k_i = next((k0 for k0 in range(1, h) if all(
+                cohomology_map(tower.map_at(k), i, datas[k], datas[k + 1]).is_isomorphism()
+                for k in range(k0, h))), None)
+            data = datas.get(k_i)
+        if data is None:
             table.inconclusive.append(i)
         else:
-            table.entries[i] = (datas[k_i].module, k_i)
+            table.entries[i] = (data.module, k_i)
     return table

@@ -493,7 +493,8 @@ def equivalent(m1: GoodMetric, m2: GoodMetric, levels: int = 20,
         report.fail_level = n
         report.separating = [
             (direction, mm, _witness_degree(outer.effective_spec(n), inner.effective_spec(mm)))
-            for mm in (1, 2, 4, 8, max(16, search_bound // 2), search_bound)]
+            for mm in sorted({1, 2, 4, 8, max(16, search_bound // 2), search_bound})
+            if mm <= search_bound]
         return report
     least = {(m1, m2): 1, (m2, m1): 1}  # (inner, outer) -> least m at the last level
     for n in range(1, levels + 1):

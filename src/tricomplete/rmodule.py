@@ -377,8 +377,9 @@ def syzygy_type(m: RModule) -> tuple[int, ...]:
 
 
 def omega_power(m: RModule, t: int) -> RModule:
-    """Omega^t m in canonical form, by the closed-form syzygy_type."""
-    for _ in range(t):
+    """Omega^t m in canonical form, by the closed-form syzygy_type; as Omega
+    drops free blocks and swaps j, n - j, Omega^(t+2) = Omega^t for t >= 1."""
+    for _ in range(min(t, 2 - t % 2)):
         m = RModule(m.ring, syzygy_type(m))
     return m
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,13 +9,18 @@ from tricomplete.complexes import (
     ChainMap,
     PreconditionError,
     cohomology,
+    cohomology_data,
+    cohomology_map,
     cone,
     identity_chain_map,
     module_complex,
 )
 from tricomplete.metric import metric_i, metric_ii, metric_iii, object_length
 from tricomplete.cauchy import (
+    ColimitTable,
+    ConstantTail,
     Tower,
+    TruncationTail,
     colimit,
     constant_tower,
     is_cauchy,
@@ -26,6 +32,39 @@ from tricomplete.randomgen import Sampler
 R22 = Ring(2, 2)
 R23 = Ring(2, 3)
 K = RModule(R22, (1,))
+
+
+def scan_colimit(tower, window, horizon):
+    """The colimit table by a scan, the reference for colimit: H^i of every
+    entry from the first one the tail rule fixes around degree i (entry 1
+    without a tail) up to the horizon, and the least index from which every
+    connecting map up to the horizon is checked to be an isomorphism on H^i."""
+    lo, hi = window
+    h = tower.available_horizon(horizon)
+    table = ColimitTable(ring=tower.ring, window=window, horizon=h)
+    if isinstance(tower.tail, TruncationTail):
+        table.outside_window_vanishes = lo <= 0 <= hi
+    elif isinstance(tower.tail, ConstantTail):
+        x = tower.tail.complex
+        table.outside_window_vanishes = x.is_zero() or (lo <= x.min_degree and x.max_degree <= hi)
+    for i in range(lo, hi + 1):
+        if isinstance(tower.tail, TruncationTail):
+            k_start = max(1, abs(i) + 1) if i <= 0 else 1
+        else:
+            k_start = 1
+        k_i = None
+        if k_start <= h - 1:
+            datas = {k: cohomology_data(tower.complex_at(k), i) for k in range(k_start, h + 1)}
+            for k0 in range(k_start, h):
+                if all(cohomology_map(tower.map_at(k), i, datas[k], datas[k + 1]).is_isomorphism()
+                       for k in range(k0, h)):
+                    k_i = k0
+                    break
+        if k_i is None:
+            table.inconclusive.append(i)
+        else:
+            table.entries[i] = (datas[k_i].module, k_i)
+    return table
 
 
 def sum_projections(total, parts):
@@ -168,6 +207,24 @@ def test_prefix_validation():
         Tower(R22, prefix=[t.complex_at(2)], tail=t.tail)  # entry 1 must match the rule
 
 
+def test_prefix_maps_must_agree_with_the_tail_rule():
+    # a zero map X_1 -> X_2 in a constant tower would make length(X_1 ->
+    # X_2) = 1 under a certificate that claims it is 0
+    ring = Ring(3, 3)
+    x = module_complex(RModule(ring, (1,)), 0)
+    with pytest.raises(PreconditionError, match="connecting map 1 disagrees with the tail rule"):
+        Tower(ring, prefix=[x, x], prefix_maps=[ChainMap(x, x, {})], tail=ConstantTail(x))
+    t = truncation_tower(K)
+    entries = [t.complex_at(k) for k in range(1, 4)]
+    wrong = [t.map_at(1), ChainMap(entries[1], entries[2], {})]
+    with pytest.raises(PreconditionError, match="connecting map 2 disagrees with the tail rule"):
+        Tower(R22, prefix=entries, prefix_maps=wrong, tail=t.tail)
+    # agreeing maps, built afresh, are accepted
+    Tower(ring, prefix=[x, x], prefix_maps=[identity_chain_map(x)], tail=ConstantTail(x))
+    Tower(R22, prefix=entries, prefix_maps=[TruncationTail(K).map_at(k, entries[k - 1], entries[k])
+                                            for k in (1, 2)], tail=t.tail)
+
+
 # -- colimits -------------------------------------------------------------------
 
 
@@ -247,3 +304,53 @@ def test_colimit_invariant_under_levelwise_contractible_inflation():
                    is_cauchy(truncation_tower(K), metric_i(), 6, 2))
     for i in range(-2, 2):
         assert table.module_at(i) == tref.module_at(i)
+
+
+def _colimit_towers(ring, rng):
+    """Truncation towers of every Jordan type with <= 3 blocks (the zero
+    module too), 6 sampled constant towers, and the same rules behind an
+    agreeing prefix, plus prefix-only copies of a few of them."""
+    n = ring.n
+    types = [b for r in range(4) for b in itertools.combinations_with_replacement(range(n, 0, -1), r)]
+    s = Sampler(ring, rng)
+    towers = [truncation_tower(RModule(ring, b)) for b in types]
+    towers += [constant_tower(s.complex(-2, 2, max_blocks=2)) for _ in range(6)]
+    for t in towers[1:4] + towers[-2:]:
+        entries = [t.complex_at(k) for k in range(1, 4)]
+        maps = [t.map_at(k) for k in (1, 2)]
+        towers.append(Tower(ring, prefix=entries, prefix_maps=maps, tail=t.tail))
+        towers.append(prefix_tower(entries, maps))
+    return towers
+
+
+def test_colimit_matches_the_scan_to_the_horizon():
+    rng = random.Random(15)
+    tables = 0
+    for ring in (R22, Ring(3, 3), Ring(2, 4), Ring(5, 3)):
+        for t in _colimit_towers(ring, rng):
+            for h in (2, 3, 4, 6):
+                cert = is_cauchy(t, metric_i(), h, 2)
+                for window in ((-4, 2), (-1, 1), (1, 3)):
+                    new, ref = colimit(t, window, h, cert), scan_colimit(t, window, h)
+                    assert (new.entries, new.inconclusive, new.outside_window_vanishes, new.horizon) \
+                        == (ref.entries, ref.inconclusive, ref.outside_window_vanishes, ref.horizon)
+                    tables += 1
+    assert tables >= 1308
+
+
+def test_tail_colimit_computes_each_degree_once(monkeypatch):
+    from tricomplete import cauchy
+
+    degrees = []
+
+    def counted(x, i):
+        degrees.append(i)
+        return cohomology_data(x, i)
+
+    monkeypatch.setattr(cauchy, "cohomology_data", counted)
+    x = Sampler(R23, random.Random(4)).complex(-2, 2, max_blocks=2)
+    for t in (truncation_tower(RModule(R23, (2, 1))), constant_tower(x)):
+        degrees.clear()
+        table = colimit(t, (-4, 2), 12, is_cauchy(t, metric_i(), 12, 3))
+        assert not table.inconclusive
+        assert sorted(degrees) == list(range(-4, 3))

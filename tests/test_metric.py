@@ -377,6 +377,13 @@ def test_equivalence_past_the_probe_bound_and_the_table():
         assert not rep.equivalent and rep.fail_level == 2 and rep.witness == {}
 
 
+def test_separating_probes_are_sorted_distinct_and_within_the_bound():
+    probes = {b: [mm for _, mm, _ in equivalent(metric_i(), metric_ii(), search_bound=b).separating]
+              for b in (1, 3, 16, 40, 60, 200)}
+    assert probes == {1: [1], 3: [1, 2, 3], 16: [1, 2, 4, 8, 16], 40: [1, 2, 4, 8, 20, 40],
+                      60: [1, 2, 4, 8, 30, 60], 200: [1, 2, 4, 8, 100, 200]}
+
+
 def test_equivalence_refuses_a_metric_that_is_not_good():
     flat = _custom("flat", [("above", (0, 0))])
     with pytest.raises(PreconditionError, match="metric flat is not good: at level 2,"):

@@ -17,6 +17,7 @@ from tricomplete.rmodule import (
     hom_basis,
     identity_map,
     jordan_basis,
+    omega_power,
     projective_cover_and_syzygy,
     quotient_canonicalize,
     stable_hom,
@@ -606,3 +607,16 @@ def test_zero_module_is_one_instance_per_ring():
     assert zero_module(R22) is zero_module(R22)
     assert zero_module(R22) != zero_module(R23)
     assert zero_module(Ring(3, 2)).ring == Ring(3, 2) and zero_module(Ring(3, 2)).is_zero()
+
+
+def test_omega_power_matches_iterated_syzygies():
+    # every Jordan type with <= 3 blocks: zero, free, mixed and free-free
+    for p, n in ((2, 2), (3, 3), (2, 4), (5, 3)):
+        ring = Ring(p, n)
+        for r in range(4):
+            for blocks in itertools.combinations_with_replacement(range(n, 0, -1), r):
+                m = RModule(ring, blocks)
+                it = m
+                for t in range(13):
+                    assert omega_power(m, t) == it, (p, n, blocks, t)
+                    it = RModule(ring, syzygy_type(it))

@@ -447,6 +447,21 @@ def test_cli_prefix_tower_without_connecting_maps_exit_3(tmp_path, capsys):
         assert "tower 'pre': need exactly one connecting map" in err
 
 
+def test_cli_tower_prefix_map_disagreeing_with_the_tail_exit_3(tmp_path, capsys):
+    path = tmp_path / "ws.txt"
+    good = "TOWER good\n  PREFIX k0 k0\n  CONNECT idk\n  TAIL constant k0\nEND\n"
+    path.write_text(FIXTURE + good + "MAP zk k0 k0\nEND\n"
+                    "TOWER bad\n  PREFIX k0 k0\n  CONNECT zk\n  TAIL constant k0\nEND\n")
+    for command in ("cauchy-check", "colimit"):
+        code, out, err = run(capsys, ["-w", str(path), command, "bad", "--metric", "i"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: line ")
+        assert "tower 'bad': connecting map 1 disagrees with the tail rule" in err
+    path.write_text(FIXTURE + good)
+    code, out, _ = run(capsys, ["-w", str(path), "colimit", "good", "--metric", "i"])
+    assert code == 0 and "conclusive: True" in out and "support:\n    - 0\n" in out
+
+
 def test_cli_parser_built_once_and_calls_share_no_state(ws_path, tmp_path, capsys):
     from tricomplete import cli
 
