@@ -26,6 +26,7 @@ from .complexes import (
     cohomology_map,
     cohomology_support,
     cone,
+    cone_support,
     derived_hom,
     direct_sum_complex,
     dualize,

@@ -41,10 +41,9 @@ from .complexes import (
     PreconditionError,
     cohomology_data,
     cohomology_map,
-    cone,
     identity_chain_map,
 )
-from .metric import GoodMetric, object_length, require_good
+from .metric import GoodMetric, length, require_good
 
 
 class TruncationTail:
@@ -220,16 +219,6 @@ class CauchyCertificate:
         return self.verdict == "cauchy"
 
 
-def _tail_sup_length(tower: Tower, m: GoodMetric, i: int) -> Fraction:
-    """sup over j >= i of length(X_i -> X_j) for a tail tower, exactly.
-
-    The balls of a good metric are nested, so the least level over the
-    union of all cone supports is the least level over each of them."""
-    supp, below = tower.tail.tail_support(i)
-    lvl = m.ball_level(supp, below=below)
-    return Fraction(0) if lvl is None else Fraction(1, lvl)
-
-
 def is_cauchy(tower: Tower, m: GoodMetric, horizon: int, levels: int) -> CauchyCertificate:
     """Certify the Cauchy condition per level n: a threshold M(n) beyond
     which all composites are shorter than 1/n.
@@ -245,7 +234,10 @@ def is_cauchy(tower: Tower, m: GoodMetric, horizon: int, levels: int) -> CauchyC
     require_good(m)
     name = m.display_name()
     if tower.has_tail:
-        sup = {i: _tail_sup_length(tower, m, i) for i in range(1, horizon + 1)}
+        # sup over j >= i of length(X_i -> X_j), exactly: the balls of a
+        # good metric are nested, so the least level over the union of all
+        # cone supports is the least level over each of them
+        sup = {i: m.support_length(*tower.tail.tail_support(i)) for i in range(1, horizon + 1)}
         cert = CauchyCertificate(metric=name, horizon=horizon, levels=levels,
                                  verdict="cauchy", conclusive=True, sup_lengths=sup)
         _, escape = tower.tail.tail_support(horizon)
@@ -270,11 +262,8 @@ def is_cauchy(tower: Tower, m: GoodMetric, horizon: int, levels: int) -> CauchyC
         return cert
     # prefix-only: measure within the horizon, never certify beyond it
     h = tower.available_horizon(horizon)
-    measured: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, h + 1):
-        for j in range(i, h + 1):
-            z = cone(tower.composite(i, j)).z
-            measured[(i, j)] = object_length(z, m)
+    measured = {(i, j): length(tower.composite(i, j), m)
+                for i in range(1, h + 1) for j in range(i, h + 1)}
     cert = CauchyCertificate(metric=name, horizon=h, levels=levels,
                              verdict="inconclusive", conclusive=False,
                              note="prefix-only tower: behaviour beyond entry %d is unknown" % h)

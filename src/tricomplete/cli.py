@@ -5,7 +5,8 @@ Every command emits a report, as indented text or as JSON
 like ``1/5``, never floats.  Exit codes: 0 completed (affirmative where
 boolean), 1 negative verdict, 2 inconclusive, 3 usage or validation error.
 Fuzz commands require an explicit seed; reports are byte-stable for fixed
-inputs and seed.
+inputs and seed.  On a good metric what they fuzz are theorems, so a hit
+there is an internal error (exit 3), never a negative verdict.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .metric import (
     cartesian_invariance_check,
     check_good_axioms,
     equivalent,
+    first_shift_violation,
     in_ball,
     length,
     standard_metric,
@@ -46,6 +48,12 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+
+
+class TheoremViolation(RuntimeError):
+    """A fuzz hit on a good metric: extension closure, the strong triangle
+    inequality and cartesian invariance are theorems there, so the hit is
+    a library fault."""
 
 
 def _frac(x: Fraction) -> str:
@@ -271,13 +279,17 @@ def cmd_axioms_fuzz(ctx: _Ctx, args) -> int:
     m = ctx.metric(args.metric)
     ring = ctx.ring()
     rep = check_good_axioms(m, ring, levels=args.levels, samples=args.samples, seed=args.seed)
+    if rep.fuzz_violations and not rep.shift_violations:
+        k, n, supp = rep.fuzz_violations[0]
+        raise TheoremViolation("extension violation at sample %d on good metric %s: level %d, "
+                               "cone support %s" % (k, rep.metric, n, supp))
     out = {"command": "axioms-fuzz", "metric": rep.metric, "ring": str(ring),
            "seed": args.seed, "levels-checked": rep.levels_checked,
            "fuzz-samples": rep.fuzz_samples, "ok": rep.ok,
            "shift-violations": [{"level": n, "shift": t, "witness-degree": deg}
                                 for n, t, deg in rep.shift_violations],
            "extension-violations": [{"level": n, "cone-support": supp}
-                                    for n, supp in rep.fuzz_violations]}
+                                    for _, n, supp in rep.fuzz_violations]}
     _emit(out, args.format)
     return EXIT_OK if rep.ok else EXIT_NEGATIVE
 
@@ -287,21 +299,27 @@ def cmd_strong_triangle_fuzz(ctx: _Ctx, args) -> int:
     ring = ctx.ring()
     rng = random.Random(args.seed)
     sampler = Sampler(ring, rng)
+    good = first_shift_violation(m) is None
+
+    def hit(kind: str, k: int, lengths: list) -> dict:
+        if good:
+            raise TheoremViolation("%s violation at sample %d on good metric %s: lengths %s"
+                                   % (kind, k, m.display_name(), ", ".join(lengths)))
+        return {"sample": k, "lengths": lengths}
+
     violations = []
     for k in range(args.samples):
         f, g = sampler.composable_pair(-2, 2, max_blocks=1)
         rep = strong_triangle_check(f, g, m)
         if not rep.ok:
-            violations.append({"sample": k, "lengths": [_frac(rep.length_f),
-                                                        _frac(rep.length_g),
-                                                        _frac(rep.length_gf)]})
+            violations.append(hit("triangle", k, [_frac(rep.length_f), _frac(rep.length_g),
+                                                  _frac(rep.length_gf)]))
     cart_violations = []
     for k in range(args.cartesian_samples):
         f, h = sampler.corner(-2, 2, max_blocks=1)
         rep = cartesian_invariance_check(f, h, m)
         if not rep.ok:
-            cart_violations.append({"sample": k, "lengths": [_frac(rep.length_f),
-                                                             _frac(rep.length_g)]})
+            cart_violations.append(hit("cartesian", k, [_frac(rep.length_f), _frac(rep.length_g)]))
     ok = not violations and not cart_violations
     _emit({"command": "strong-triangle-fuzz", "metric": m.display_name(), "ring": str(ring),
            "seed": args.seed, "samples": args.samples,

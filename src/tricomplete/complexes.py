@@ -5,7 +5,9 @@ differentials.  Morphisms of the derived category are realized as strict
 chain maps out of a projective resolution; the resolution machinery at the
 bottom of this file (build, minimize, cut, once per complex, then splice
 the periodic tail) is the engine behind perfection tests, syzygy classes
-and derived Hom.
+and derived Hom.  Lengths and quasi-iso tests need only where the cone's
+cohomology vanishes: cone_support reads it off the cone's block ranks
+without building the cone.
 
 Sign conventions, fixed once:
   * shift:   (T^t X)^i = X^(i+t), differential scaled by (-1)^t;
@@ -237,8 +239,8 @@ class Triangle:
     """X --f--> Y --g--> Z --h--> TX with Z the cone of f.
 
     g and h are built on first read, as validated chain maps out of the
-    direct-sum structure maps kept from the cone; lengths, quasi-iso tests
-    and Cauchy checks read only z and never build them.
+    direct-sum structure maps kept from the cone.  Lengths, quasi-iso tests
+    and Cauchy checks build no Triangle: they read cone_support.
     """
 
     x: Complex
@@ -335,8 +337,35 @@ def cohomology_map(f: ChainMap, i: int, src_data: CohomologyData | None = None,
     return RModuleMap(a.module, b.module, b.to_classes @ coords)
 
 
+def cone_support(f: ChainMap) -> frozenset[int]:
+    """cohomology_support(cone(f).z), read off ranks without building the
+    cone: cone^i = X^(i+1) (+) Y^i, and d^i has the rank of the unsorted
+    block array [[d_X^(i+1), 0], [f^(i+1), d_Y^i]], since reordering the
+    blocks and negating d_X change no rank.  Its d^2 = 0 needs no check:
+    f is a validated chain map.  One rank per nonzero array, as for the
+    built cone."""
+    x, y, p = f.source, f.target, f.source.ring.p
+    dims = {i: x.component(i + 1).dim + y.component(i).dim
+            for i in {i - 1 for i in x.degrees} | set(y.degrees)}
+    ranks = {}
+    for i in dims:
+        dx, fi, dy = x._diffs.get(i + 1), f._components.get(i + 1), y._diffs.get(i)
+        if dx is None and fi is None and dy is None:
+            continue
+        top, left = x.component(i + 2).dim, x.component(i + 1).dim
+        a = np.zeros((dims[i + 1], dims[i]), dtype=np.int64)
+        if dx is not None:
+            a[:top, :left] = dx.matrix.a
+        if fi is not None:
+            a[top:, :left] = fi.matrix.a
+        if dy is not None:
+            a[top:, left:] = dy.matrix.a
+        ranks[i] = rank(Matrix(a, p))
+    return frozenset(i for i, dim in dims.items() if dim > ranks.get(i, 0) + ranks.get(i - 1, 0))
+
+
 def is_quasi_iso(f: ChainMap) -> bool:
-    return is_acyclic(cone(f).z)
+    return not cone_support(f)
 
 
 # -- the Hom complex -------------------------------------------------------------

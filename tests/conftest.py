@@ -2,6 +2,8 @@
 example database, so every process draws the same examples and no run
 depends on an earlier one."""
 
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -30,3 +32,19 @@ def draw_good_metric():
                 return m
 
     return draw
+
+
+@pytest.fixture
+def rebind(monkeypatch):
+    """Replaces a function in every tricomplete namespace that binds it,
+    since modules import each other's functions by name; undone after the
+    test."""
+
+    def rebind(fn, replacement):
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and name.split(".")[0] == "tricomplete":
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, replacement)
+
+    return rebind

@@ -23,7 +23,9 @@ from tricomplete.complexes import (
     cohomology_map,
     cohomology_support,
     cone,
+    cone_support,
     derived_hom,
+    direct_sum_complex,
     dual_map,
     dualize,
     identity_chain_map,
@@ -341,6 +343,44 @@ def test_cohomology_support_matches_cohomology(ring):
         assert cohomology_support(x) == expected
         nonzero += bool(x._diffs)
     assert nonzero >= 10
+
+
+def cone_support_samples(ring, seed):
+    """Chain maps of every shape the length path meets: sampled maps,
+    composites g f, identities, maps with a zero source or target, and the
+    twisted u : A -> B (+) C of the cartesian check with its g : C -> cone(u)."""
+    from tricomplete.randomgen import Sampler
+
+    s = Sampler(ring, random.Random(seed))
+    zero = zero_complex(ring)
+    out = []
+    for _ in range(6):
+        f, g = s.composable_pair(-2, 2, max_blocks=2)
+        x = f.source
+        out += [f, g, g @ f, identity_chain_map(x), ChainMap(zero, x, {}), ChainMap(x, zero, {})]
+        f, h = s.corner(-2, 2, max_blocks=2)
+        _, injs = direct_sum_complex([f.target, h.target], ring)
+        u = (injs[0] @ (-f)) + (injs[1] @ h)
+        out += [u, cone(u).g @ injs[1]]
+    return out
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(2, 4), Ring(5, 2)], ids=str)
+def test_cone_support_matches_the_built_cone(ring):
+    # over F_3 and F_5 the sign of -d_X in the cone can be seen
+    from tricomplete.metric import length, metric_i, metric_ii, metric_iii, object_length
+
+    metrics = [metric_i(), metric_ii(), metric_iii(), metric_i(dual=True)]
+    shapes = {"nonzero": 0, "acyclic": 0}
+    for f in cone_support_samples(ring, seed=90 + ring.p + ring.n):
+        z = cone(f).z
+        supp = cone_support(f)
+        assert supp == cohomology_support(z)
+        assert is_quasi_iso(f) == is_acyclic(z)
+        for m in metrics:
+            assert length(f, m) == object_length(z, m)
+        shapes["nonzero" if supp else "acyclic"] += 1
+    assert min(shapes.values()) >= 5
 
 
 def test_quasi_iso_composition():

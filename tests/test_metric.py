@@ -460,3 +460,79 @@ def test_cartesian_invariance_fuzz_small():
             f, h = s.corner(-2, 2, max_blocks=1)
             rep = cartesian_invariance_check(f, h, m)
             assert rep.ok, (m.name, rep)
+
+
+# -- lengths read ranks, not cones ------------------------------------------------
+
+
+def extension_fuzz_inputs(m, ring, samples, seed):
+    """The (level, map) pairs the extension fuzz of check_good_axioms draws,
+    in its order: its loop without the measurement."""
+    rng = random.Random(seed)
+    sampler = Sampler(ring, rng)
+    out = []
+    for k in range(samples):
+        n = (2, 3, 4, 5)[k % 4]
+        spec = m.effective_spec(n)
+        allowed = [i for i in range(-(n + 6), n + 7) if not spec.contains(i)]
+        if allowed:
+            degs = rng.sample(allowed, k=min(3, len(allowed)))
+            b = sampler.complex(0, 0, max_blocks=2, degrees=degs)
+            b2 = sampler.complex(0, 0, max_blocks=2, degrees=degs)
+            out.append((n, sampler.chain_map(shift(b2, -1), b)))
+    return out
+
+
+def test_lengths_build_no_cone_and_run_the_same_eliminations(monkeypatch, rebind):
+    # length, is_quasi_iso, prefix-only is_cauchy and the extension fuzz
+    # build no Complex beyond their inputs and call no cone, yet eliminate
+    # exactly what the cone-building path eliminated
+    from tricomplete import complexes, linalg
+    from tricomplete.cauchy import is_cauchy, prefix_tower, truncation_tower
+    from tricomplete.complexes import is_acyclic, is_quasi_iso
+
+    counts = dict.fromkeys(("Complex", "cone", "rref"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(complexes.Complex, "__init__", counting("Complex", complexes.Complex.__init__))
+    rebind(complexes.cone, counting("cone", complexes.cone))
+    rebind(linalg.rref, counting("rref", linalg.rref))
+
+    def measure(run):
+        counts.update(Complex=0, cone=0, rref=0)
+        return run(), dict(counts)
+
+    ring = Ring(3, 3)
+    s = Sampler(ring, random.Random(41))
+    maps = [s.chain_map(s.complex(-2, 2, max_blocks=2), s.complex(-2, 2, max_blocks=2))
+            for _ in range(8)]
+    metrics = (metric_i(), metric_ii(), metric_iii())
+    new, seen = measure(lambda: [length(f, m) for f in maps for m in metrics]
+                        + [is_quasi_iso(f) for f in maps])
+    old, was = measure(lambda: [object_length(cone(f).z, m) for f in maps for m in metrics]
+                       + [is_acyclic(cone(f).z) for f in maps])
+    assert new == old and any(new)
+    assert seen["Complex"] == seen["cone"] == 0 and was["cone"] == 0  # cone itself is not rebound
+    assert seen["rref"] == was["rref"] > 0
+
+    t = truncation_tower(RModule(ring, (2, 1)))
+    tower = prefix_tower([t.complex_at(k) for k in range(1, 5)], [t.map_at(k) for k in range(1, 4)])
+    cert, seen = measure(lambda: is_cauchy(tower, metric_i(), horizon=4, levels=3))
+    old, was = measure(lambda: {(i, j): object_length(cone(tower.composite(i, j)).z, metric_i())
+                                for i in range(1, 5) for j in range(i, 5)})
+    assert cert.sup_lengths == {i: max(old[i, j] for j in range(i, 5)) for i in range(1, 5)}
+    assert seen["Complex"] == seen["cone"] == 0
+    assert seen["rref"] == was["rref"] > 0
+
+    for m in (metric_i(), metric_iii()):
+        rep, seen = measure(lambda: check_good_axioms(m, ring, levels=5, samples=16, seed=7))
+        inputs, drawn = measure(lambda: extension_fuzz_inputs(m, ring, 16, 7))
+        supports, was = measure(lambda: [cohomology_support(cone(w).z) for _, w in inputs])
+        assert rep.ok and any(supports)
+        assert seen["cone"] == 0 and seen["Complex"] == drawn["Complex"]
+        assert seen["rref"] == drawn["rref"] + was["rref"]

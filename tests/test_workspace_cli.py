@@ -570,3 +570,40 @@ def test_cli_structured_error_is_a_json_report(ws_path, capsys, monkeypatch):
     # argparse's own usage errors come before --format is read: its message only
     code, out, err = run(capsys, ["--format", "structured", "length"])
     assert code == 3 and out == "" and "usage:" in err
+
+
+def test_cli_fuzz_hit_on_a_good_metric_is_an_internal_error(tmp_path, capsys, rebind):
+    # what the fuzz commands sample are theorems on a good metric, so a hit
+    # there can only be a library fault: exit 3, kind internal, the sample
+    # named.  On a metric that is not good a hit stays a finding (exit 1).
+    from tricomplete import complexes
+
+    path = tmp_path / "ws.txt"
+    path.write_text(FIXTURE + "METRIC flat\n  PIECE ray-above 0\nEND\n")
+    real = complexes.cone_support
+    fault = {"add": False}
+
+    def faulty(f):
+        # drop the top degree; dropping only shrinks a support, so it cannot
+        # break extension closure, and the axioms fuzz gets one added above
+        supp = real(f)
+        if not supp:
+            return supp
+        return (supp - {max(supp)}) | ({max(supp) + 1} if fault["add"] else set())
+
+    rebind(real, faulty)
+    triangle = ["--samples", "20", "--cartesian-samples", "6"]
+    axioms = ["--seed", "1", "--samples", "12", "--levels", "5"]
+    for add, argv, key in ((False, ["strong-triangle-fuzz", "i", "--seed", "3"] + triangle, 13),
+                           (False, ["strong-triangle-fuzz", "flat", "--seed", "1"] + triangle,
+                            "triangle-violations"),
+                           (True, ["axioms-fuzz", "i"] + axioms, 4),
+                           (True, ["axioms-fuzz", "flat"] + axioms, "extension-violations")):
+        fault["add"] = add
+        code, out, err = run(capsys, ["-w", str(path), "--format", "structured"] + argv)
+        report = json.loads(out)
+        if argv[1] == "i":
+            assert code == 3 and report["error"]["kind"] == "internal", argv
+            assert "TheoremViolation" in err and "at sample %d on good metric i" % key in err
+        else:
+            assert code == 1 and not report["ok"] and report[key], argv
