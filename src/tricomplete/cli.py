@@ -338,39 +338,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "structured"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, **kw):
         sp = sub.add_parser(name, **kw)
-        # by name: main looks the handler up per call, not once per parser
-        sp.set_defaults(handler=fn.__name__)
+        # by name: main looks the handler up per call, not once per parser,
+        # so a parser built while a handler is patched still names cmd_*
+        sp.set_defaults(handler="cmd_" + name.replace("-", "_"))
         # accept the global options after the subcommand too
         sp.add_argument("--format", choices=("text", "structured"),
                         default=argparse.SUPPRESS)
         sp.add_argument("-w", "--workspace", default=argparse.SUPPRESS)
         return sp
 
-    sp = add("length", cmd_length, help="length of a named chain map")
+    sp = add("length", help="length of a named chain map")
     sp.add_argument("map")
     sp.add_argument("--metric", required=True)
 
-    sp = add("ball", cmd_ball, help="ball membership of a named complex")
+    sp = add("ball", help="ball membership of a named complex")
     sp.add_argument("complex")
     sp.add_argument("level", type=int)
     sp.add_argument("--metric", required=True)
 
-    sp = add("cauchy-check", cmd_cauchy_check, help="certify a tower Cauchy")
+    sp = add("cauchy-check", help="certify a tower Cauchy")
     sp.add_argument("tower")
     sp.add_argument("--metric", required=True)
     sp.add_argument("--horizon", type=int, default=12)
     sp.add_argument("--levels", type=int, default=6)
 
-    sp = add("colimit", cmd_colimit, help="degreewise colimit table of a tower")
+    sp = add("colimit", help="degreewise colimit table of a tower")
     sp.add_argument("tower")
     sp.add_argument("--metric", required=True)
     sp.add_argument("--horizon", type=int, default=12)
     sp.add_argument("--levels", type=int, default=6)
     sp.add_argument("--window", default="-2..2")
 
-    sp = add("in-s", cmd_in_s, help="membership in the triangulated completion")
+    sp = add("in-s", help="membership in the triangulated completion")
     sp.add_argument("tower")
     sp.add_argument("--metric", required=True)
     sp.add_argument("--horizon", type=int, default=12)
@@ -380,22 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--functor-samples", type=int, default=2, help=no_effect)
     sp.add_argument("--seed", type=int, default=0, help=no_effect)
 
-    sp = add("is-perfect", cmd_is_perfect, help="perfection of a named complex")
+    sp = add("is-perfect", help="perfection of a named complex")
     sp.add_argument("complex")
 
-    sp = add("inj-bounded", cmd_inj_bounded,
+    sp = add("inj-bounded",
              help="bounded injective resolution test (R is self-injective: "
                   "the same as perfection)")
     sp.add_argument("complex")
 
-    sp = add("sing-class", cmd_sing_class, help="singularity-category class")
+    sp = add("sing-class", help="singularity-category class")
     sp.add_argument("complex")
 
-    sp = add("sing-hom", cmd_sing_hom, help="Hom dimension in the singularity category")
+    sp = add("sing-hom", help="Hom dimension in the singularity category")
     sp.add_argument("complex1")
     sp.add_argument("complex2")
 
-    sp = add("metric-equiv", cmd_metric_equiv,
+    sp = add("metric-equiv",
              help="equivalence of two good metrics, decided for every level; "
                   "--levels sets the length of the witness table and --bound "
                   "only sizes the separating probes")
@@ -404,14 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", type=int, default=20)
     sp.add_argument("--bound", type=int, default=200)
 
-    sp = add("axioms-fuzz", cmd_axioms_fuzz, help="good-metric axiom check with fuzzing")
+    sp = add("axioms-fuzz", help="good-metric axiom check with fuzzing")
     sp.add_argument("metric")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--levels", type=int, default=50)
     sp.add_argument("--ring", default="2,2", help="p,n when no workspace is given")
 
-    sp = add("strong-triangle-fuzz", cmd_strong_triangle_fuzz,
+    sp = add("strong-triangle-fuzz",
              help="strong triangle inequality and cartesian invariance fuzz")
     sp.add_argument("metric")
     sp.add_argument("--seed", type=int, required=True)

@@ -2,6 +2,11 @@
 
 Matrices are thin wrappers around numpy int64 arrays with entries reduced
 mod p; numpy is the interface, for products, stacking and slicing.
+Entries are reduced once, where data enters: the public Matrix(a, p) and
+every product, sum, negation, scale and transpose reduce, since their
+entries may leave [0, p).  The functions here that allocate a fresh array
+from entries already in [0, p) (rref, kernel_basis, solve, hstack, vstack,
+zeros, identity) wrap it as it is, through Matrix._reduced.
 Gaussian elimination is the algorithm of record and rref is its only
 implementation: ranks, kernels and solutions read its output, and every
 choice of independent columns (new_columns) reads its pivots.  It runs on
@@ -46,15 +51,24 @@ class Matrix:
         self.a = arr % p
         self.p = p
 
+    @classmethod
+    def _reduced(cls, arr: np.ndarray, p: int) -> "Matrix":
+        """Wraps, without reducing or copying, a 2-d int64 array that the
+        caller has just allocated, every entry already in [0, p)."""
+        m = cls.__new__(cls)
+        m.a = arr
+        m.p = p
+        return m
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int, p: int) -> "Matrix":
-        return Matrix(np.zeros((rows, cols), dtype=np.int64), p)
+        return Matrix._reduced(np.zeros((rows, cols), dtype=np.int64), p)
 
     @staticmethod
     def identity(n: int, p: int) -> "Matrix":
-        return Matrix(np.eye(n, dtype=np.int64), p)
+        return Matrix._reduced(np.eye(n, dtype=np.int64), p)
 
     # -- shape --------------------------------------------------------
 
@@ -113,13 +127,13 @@ class Matrix:
         self._same_field(other)
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Matrix(np.hstack([self.a, other.a]), self.p)
+        return Matrix._reduced(np.hstack([self.a, other.a]), self.p)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         self._same_field(other)
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return Matrix(np.vstack([self.a, other.a]), self.p)
+        return Matrix._reduced(np.vstack([self.a, other.a]), self.p)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
@@ -153,7 +167,8 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
                 rows[i] = [(u - f * v) % p for u, v in zip(rows[i], pivot)]
         pivots.append(c)
         r += 1
-    return Matrix(np.array(rows, dtype=np.int64).reshape(nrows, ncols), p), len(pivots), pivots
+    reduced = Matrix._reduced(np.array(rows, dtype=np.int64).reshape(nrows, ncols), p)
+    return reduced, len(pivots), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -183,7 +198,7 @@ def kernel_basis(m: Matrix) -> Matrix:
         basis[j, k] = 1
         for i, pc in enumerate(pivots):
             basis[pc, k] = (-R.a[i, j]) % p
-    return Matrix(basis, p)
+    return Matrix._reduced(basis, p)
 
 
 def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
@@ -203,4 +218,4 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
     x = np.zeros((m.cols, rhs.cols), dtype=np.int64)
     for i, pc in enumerate(pivots):
         x[pc, :] = R.a[i, m.cols:]
-    return Matrix(x, m.p)
+    return Matrix._reduced(x, m.p)

@@ -88,7 +88,9 @@ def _x_action(ring: Ring, blocks: tuple[int, ...]) -> Matrix:
         for t in range(j - 1):
             m[at + t + 1, at + t] = 1
         at += j
-    return Matrix(m, ring.p)
+    action = Matrix(m, ring.p)
+    action.a.flags.writeable = False  # shared by every caller: read-only
+    return action
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +99,9 @@ def zero_module(ring: Ring) -> RModule:
     return RModule(ring, ())
 
 
+@lru_cache(maxsize=1024)
 def free_module(ring: Ring, rank_: int) -> RModule:
+    """R^rank_, one shared (frozen) instance per ring and rank."""
     return RModule(ring, (ring.n,) * rank_)
 
 
@@ -150,12 +154,23 @@ class RModuleMap:
         return (self.source, self.target, self.matrix) == (other.source, other.target, other.matrix)
 
 
+def _shared(f: RModuleMap) -> RModuleMap:
+    f.matrix.a.flags.writeable = False  # shared by every caller: read-only
+    return f
+
+
+@lru_cache(maxsize=1024)
 def zero_map(source: RModule, target: RModule) -> RModuleMap:
-    return RModuleMap(source, target, Matrix.zeros(target.dim, source.dim, source.ring.p))
+    """The zero map source -> target: built and validated once per pair
+    of Jordan types, then shared, its matrix read-only."""
+    return _shared(RModuleMap(source, target, Matrix.zeros(target.dim, source.dim, source.ring.p)))
 
 
+@lru_cache(maxsize=1024)
 def identity_map(m: RModule) -> RModuleMap:
-    return RModuleMap(m, m, Matrix.identity(m.dim, m.ring.p))
+    """The identity of m: built and validated once per Jordan type, then
+    shared, its matrix read-only."""
+    return _shared(RModuleMap(m, m, Matrix.identity(m.dim, m.ring.p)))
 
 
 # -- Jordan canonicalization ----------------------------------------------
@@ -276,10 +291,10 @@ def _direct_sum(summands: tuple[RModule, ...], ring: Ring):
         for t in range(size):
             inj_arrays[si][at + t, start + t] = 1
         at += size
-    injections = tuple(RModuleMap(m, total, Matrix(arr, p)) for m, arr in zip(summands, inj_arrays))
-    projections = tuple(RModuleMap(total, m, Matrix(arr.T, p)) for m, arr in zip(summands, inj_arrays))
-    for f in injections + projections:  # shared by every caller: read-only
-        f.matrix.a.flags.writeable = False
+    injections = tuple(_shared(RModuleMap(m, total, Matrix(arr, p)))
+                       for m, arr in zip(summands, inj_arrays))
+    projections = tuple(_shared(RModuleMap(total, m, Matrix(arr.T, p)))
+                        for m, arr in zip(summands, inj_arrays))
     return total, injections, projections
 
 
@@ -300,9 +315,19 @@ def hom_basis(m: RModule, nn: RModule) -> list[RModuleMap]:
     generator): the column-major index of the first nonzero entry.  Any
     other source orders by the row-major index of the last nonzero entry,
     the free variable an elimination of X_nn F = F X_m would pick.
+
+    The basis depends only on the two Jordan types and the ring, so its
+    maps are built and validated once per pair (_hom_basis); every call
+    returns a fresh list of those shared maps, whose matrices refuse
+    writes.
     """
     if m.ring != nn.ring:
         raise ValueError("ring mismatch")
+    return list(_hom_basis(m, nn))
+
+
+@lru_cache(maxsize=1024)
+def _hom_basis(m: RModule, nn: RModule) -> tuple[RModuleMap, ...]:
     dm, dn = m.dim, nn.dim
     free = m.is_free()
     keyed = []
@@ -314,7 +339,7 @@ def hom_basis(m: RModule, nn: RModule) -> list[RModuleMap]:
                 f[sb + s + t, sa + t] = 1
                 keyed.append((sa * dn + sb + s if free else (sb + b - 1) * dm + sa + b - s - 1, f))
     keyed.sort(key=lambda kf: kf[0])
-    return [RModuleMap(m, nn, Matrix(f, m.ring.p)) for _, f in keyed]
+    return tuple(_shared(RModuleMap(m, nn, Matrix(f, m.ring.p))) for _, f in keyed)
 
 
 # -- kernels, images, cokernels --------------------------------------------

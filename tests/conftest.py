@@ -1,6 +1,6 @@
 """Shared test set-up.  Hypothesis runs derandomized and without an
-example database, so every process draws the same examples and no run
-depends on an earlier one."""
+example database, and every tricomplete cache starts empty, so every
+process draws the same examples and no test depends on an earlier one."""
 
 import sys
 
@@ -11,6 +11,19 @@ from tricomplete.metric import GoodMetric, LinearExpr, first_shift_violation
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def empty_caches():
+    """Clears every lru_cache in the tricomplete modules before each test,
+    so a test that counts or forbids work sees the build path, not a
+    result an earlier test left cached."""
+    caches = {id(value): value
+              for name, mod in list(sys.modules.items())
+              if mod is not None and name.split(".")[0] == "tricomplete"
+              for value in vars(mod).values() if hasattr(value, "cache_clear")}
+    for cache in caches.values():
+        cache.cache_clear()
 
 
 @pytest.fixture

@@ -148,6 +148,59 @@ def test_empty_matrices_are_first_class():
     assert (f @ Matrix.zeros(0, 2, 2)).rows == 3
 
 
+# -- reduced once: what skips the reduction allocates from reduced entries ----
+
+
+def reduced_once_cases(p):
+    """(name, inputs, output) for every function that wraps its fresh array
+    without reducing it, on sampled matrices built from entries in
+    -3p..3p, so every input went through the public constructor."""
+    rng = np.random.default_rng(100 + p)
+    for _ in range(40):
+        rows, cols, more = (int(v) for v in rng.integers(0, 7, size=3))
+        m = Matrix(rng.integers(-3 * p, 3 * p, size=(rows, cols)), p)
+        right = Matrix(rng.integers(-3 * p, 3 * p, size=(rows, more)), p)
+        below = Matrix(rng.integers(-3 * p, 3 * p, size=(more, cols)), p)
+        yield "rref", (m,), rref(m)[0]
+        yield "kernel_basis", (m,), kernel_basis(m)
+        yield "hstack", (m, right), m.hstack(right)
+        yield "vstack", (m, below), m.vstack(below)
+        rhs = m @ Matrix(rng.integers(0, p, size=(cols, more)), p)
+        yield "solve", (m, rhs), solve(m, rhs)
+        yield "zeros", (), Matrix.zeros(rows, cols, p)
+        yield "identity", (), Matrix.identity(rows, p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_reduced_once_outputs_are_reduced_and_own_their_arrays(p):
+    seen = set()
+    for name, inputs, out in reduced_once_cases(p):
+        seen.add(name)
+        assert out.p == p and out.a.ndim == 2, name
+        assert out.a.dtype == np.int64, name
+        assert ((0 <= out.a) & (out.a < p)).all(), (name, out)
+        assert not any(np.shares_memory(out.a, m.a) for m in inputs), name
+    assert seen == {"rref", "kernel_basis", "hstack", "vstack", "solve", "zeros", "identity"}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_matrix_still_reduces_what_enters(p):
+    rng = np.random.default_rng(p)
+    raw = rng.integers(-5 * p, 5 * p, size=(6, 5))
+    raw[0, 0], raw[0, 1] = -1, p
+    m = Matrix(raw, p)
+    assert m.a.dtype == np.int64 and m.a.tolist() == (raw % p).tolist()
+    assert m.a[0, 0] == p - 1 and m.a[0, 1] == 0
+    assert Matrix(raw.tolist(), p) == m
+    assert not np.shares_memory(m.a, raw)
+    # products, sums, negation, scaling and the transpose reduce too
+    n = Matrix(rng.integers(-5 * p, 5 * p, size=(5, 6)), p)
+    for out, want in ((m @ n, raw @ n.a), (m + m, 2 * raw), (-m, -raw), (m.scale(-1), -raw),
+                      (m.T, raw.T)):
+        assert out.a.tolist() == (want % p).tolist()
+        assert not np.shares_memory(out.a, m.a)
+
+
 @st.composite
 def matrices(draw, pmax=7):
     p = draw(st.sampled_from([2, 3, 5, 7]))

@@ -39,6 +39,7 @@ from tricomplete.rmodule import (
     Ring,
     cover_matrix,
     free_module,
+    hom_basis,
     periodic_tail,
     projective_cover_and_syzygy,
     stable_hom,
@@ -263,6 +264,37 @@ def test_inj_boundedness_of_a_resolved_complex_eliminates_nothing(monkeypatch):
             assert has_bounded_injective_resolution(x) == perfect
             assert len(builds) == before, (ring, x)
     assert builds
+
+
+def test_a_second_derived_hom_builds_no_hom_basis_maps(monkeypatch, rebind):
+    # Hom bases depend only on Jordan types: a fresh complex with the types
+    # of one already read reads the maps that first derived_hom built
+    built = []
+    post_init = RModuleMap.__post_init__
+    monkeypatch.setattr(RModuleMap, "__post_init__", lambda f: built.append(f) or post_init(f))
+    in_bases = []
+
+    def counting_hom_basis(m, nn):
+        before = len(built)
+        basis = hom_basis(m, nn)
+        in_bases.append(len(built) - before)
+        return basis
+
+    rebind(hom_basis, counting_hom_basis)
+    first_builds = 0
+    for ring in SPLICE_RINGS:
+        k = module_complex(RModule(ring, (1,)))
+        for x in splice_samples(ring, seed=ring.p * 11 + ring.n, count=4):
+            for d in (-1, 0, 1, 2):
+                in_bases.clear()
+                first = derived_hom(x, k, d)
+                asked, first_builds = len(in_bases), first_builds + sum(in_bases)
+                fresh = Complex(ring, {i: x.component(i) for i in x.degrees},
+                                {i: x.differential(i) for i in x.degrees})
+                in_bases.clear()
+                assert derived_hom(fresh, k, d) == first
+                assert in_bases == [0] * asked, (ring, x, d)
+    assert first_builds
 
 
 # -- the periodic tail, one stage per syzygy type ------------------------------------

@@ -80,6 +80,17 @@ def test_x_action_is_nilpotent_shift():
     assert (x @ x).is_zero()
 
 
+def test_x_action_is_read_only():
+    # one array per Jordan type serves every caller: a write would corrupt
+    # every later x_action of that type and every map validated against it
+    m = RModule(Ring(2, 2), (2,))
+    with pytest.raises(ValueError):
+        m.x_action().a[0, 1] = 1
+    assert m.x_action().a.tolist() == [[0, 0], [1, 0]]
+    with pytest.raises(ValueError):
+        identity_map(m).matrix.a[0, 1] = 1
+
+
 def test_map_validation_rejects_non_linear():
     m = RModule(R22, (2,))
     bad = Matrix([[0, 1], [0, 0]], 2)  # sends xe to e: not R-linear
@@ -607,6 +618,68 @@ def test_zero_module_is_one_instance_per_ring():
     assert zero_module(R22) is zero_module(R22)
     assert zero_module(R22) != zero_module(R23)
     assert zero_module(Ring(3, 2)).ring == Ring(3, 2) and zero_module(Ring(3, 2)).is_zero()
+
+
+SHARED_RINGS = (Ring(2, 2), Ring(3, 3), Ring(2, 4), Ring(5, 2))
+
+
+def fresh_zero_map(source, target):
+    return RModuleMap(source, target, Matrix(np.zeros((target.dim, source.dim), dtype=np.int64),
+                                             source.ring.p))
+
+
+def fresh_identity_map(m):
+    return RModuleMap(m, m, Matrix(np.eye(m.dim, dtype=np.int64), m.ring.p))
+
+
+def same_map(got: RModuleMap, want: RModuleMap) -> bool:
+    return ((got.source, got.target) == (want.source, want.target)
+            and got.matrix.p == want.matrix.p
+            and got.matrix.a.dtype == want.matrix.a.dtype
+            and got.matrix.a.shape == want.matrix.a.shape
+            and got.matrix.a.tobytes() == want.matrix.a.tobytes())
+
+
+def refuses_writes(f: RModuleMap) -> bool:
+    if f.matrix.a.size:
+        with pytest.raises(ValueError):
+            f.matrix.a[0, 0] = 1
+    return not f.matrix.a.flags.writeable
+
+
+@pytest.mark.parametrize("ring", SHARED_RINGS, ids=str)
+def test_shared_closed_forms_match_a_fresh_build(ring):
+    from tricomplete.rmodule import _hom_basis
+
+    types = jordan_types(ring, 3)
+    for r in range(4):
+        free = free_module(ring, r)
+        assert free == RModule(ring, (ring.n,) * r) and free is free_module(ring, r)
+    for m in types:
+        ident = identity_map(m)
+        assert same_map(ident, fresh_identity_map(m)) and refuses_writes(ident)
+        assert identity_map(m) is ident
+        for nn in types:
+            zero = zero_map(m, nn)
+            assert same_map(zero, fresh_zero_map(m, nn)) and refuses_writes(zero)
+            assert zero_map(m, nn) is zero
+            basis = hom_basis(m, nn)
+            want = _hom_basis.__wrapped__(m, nn)  # the closed form, built afresh
+            assert len(basis) == len(want) == hom_dim_closed_form(m, nn), (m, nn)
+            assert all(same_map(f, g) and refuses_writes(f) for f, g in zip(basis, want)), (m, nn)
+            # a fresh list of the same shared maps on every call
+            again = hom_basis(m, nn)
+            assert again is not basis and all(f is g for f, g in zip(again, basis))
+            basis.clear()
+            assert len(hom_basis(m, nn)) == len(want)
+
+
+def test_shared_closed_forms_still_refuse_a_ring_mismatch():
+    a, b = RModule(R22, (1,)), RModule(R23, (1,))
+    hom_basis(a, a), zero_map(a, a)  # cached on R22
+    for call in (lambda: hom_basis(a, b), lambda: hom_basis(b, a), lambda: zero_map(a, b)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_omega_power_matches_iterated_syzygies():
