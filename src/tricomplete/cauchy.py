@@ -227,10 +227,12 @@ def is_cauchy(tower: Tower, m: GoodMetric, horizon: int, levels: int) -> CauchyC
     some level is refused.  Tail towers get unconditional certificates from
     the closed-form cone supports; prefix-only towers are measured within
     the horizon and the certificate is explicitly inconclusive (never a
-    false positive).
+    false positive).  horizon must be >= 2 and levels >= 0.
     """
     if horizon < 2:
-        raise PreconditionError("horizon must be >= 2")
+        raise PreconditionError("horizon (--horizon) must be >= 2, got %d" % horizon)
+    if levels < 0:
+        raise PreconditionError("levels (--levels) must be >= 0, got %d" % levels)
     require_good(m)
     name = m.display_name()
     if tower.has_tail:

@@ -129,10 +129,7 @@ class _Ctx:
     def need(self, kind: str, name: str):
         if self.workspace is None:
             raise WorkspaceError("command needs a workspace file (-w) defining %r" % name)
-        table = getattr(self.workspace, {"complex": "complexes", "map": "maps", "tower": "towers"}[kind])
-        if name not in table:
-            raise WorkspaceError("unknown %s %r" % (kind, name))
-        return table[name]
+        return self.workspace.get(kind, name)
 
 
 def _certificate_report(cert) -> dict:
@@ -358,24 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("level", type=int)
     sp.add_argument("--metric", required=True)
 
-    sp = add("cauchy-check", help="certify a tower Cauchy")
-    sp.add_argument("tower")
-    sp.add_argument("--metric", required=True)
-    sp.add_argument("--horizon", type=int, default=12)
-    sp.add_argument("--levels", type=int, default=6)
+    def tower_command(name, help):
+        sp = add(name, help=help)
+        sp.add_argument("tower")
+        sp.add_argument("--metric", required=True)
+        sp.add_argument("--horizon", type=int, default=12)
+        sp.add_argument("--levels", type=int, default=6)
+        return sp
 
-    sp = add("colimit", help="degreewise colimit table of a tower")
-    sp.add_argument("tower")
-    sp.add_argument("--metric", required=True)
-    sp.add_argument("--horizon", type=int, default=12)
-    sp.add_argument("--levels", type=int, default=6)
+    tower_command("cauchy-check", "certify a tower Cauchy")
+    sp = tower_command("colimit", "degreewise colimit table of a tower")
     sp.add_argument("--window", default="-2..2")
-
-    sp = add("in-s", help="membership in the triangulated completion")
-    sp.add_argument("tower")
-    sp.add_argument("--metric", required=True)
-    sp.add_argument("--horizon", type=int, default=12)
-    sp.add_argument("--levels", type=int, default=6)
+    sp = tower_command("in-s", "membership in the triangulated completion")
     sp.add_argument("--window", default=None)
     no_effect = "accepted; no effect until compact support is decided with a witness (ROADMAP item 2)"
     sp.add_argument("--functor-samples", type=int, default=2, help=no_effect)
@@ -405,20 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", type=int, default=20)
     sp.add_argument("--bound", type=int, default=200)
 
-    sp = add("axioms-fuzz", help="good-metric axiom check with fuzzing")
-    sp.add_argument("metric")
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--levels", type=int, default=50)
-    sp.add_argument("--ring", default="2,2", help="p,n when no workspace is given")
+    def fuzz_command(name, help, samples, option, default):
+        sp = add(name, help=help)
+        sp.add_argument("metric")
+        sp.add_argument("--seed", type=int, required=True)
+        sp.add_argument("--samples", type=int, default=samples)
+        sp.add_argument(option, type=int, default=default)
+        sp.add_argument("--ring", default="2,2", help="p,n when no workspace is given")
 
-    sp = add("strong-triangle-fuzz",
-             help="strong triangle inequality and cartesian invariance fuzz")
-    sp.add_argument("metric")
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=500)
-    sp.add_argument("--cartesian-samples", type=int, default=200)
-    sp.add_argument("--ring", default="2,2", help="p,n when no workspace is given")
+    fuzz_command("axioms-fuzz", "good-metric axiom check with fuzzing", 200, "--levels", 50)
+    fuzz_command("strong-triangle-fuzz",
+                 "strong triangle inequality and cartesian invariance fuzz",
+                 500, "--cartesian-samples", 200)
 
     return p
 

@@ -386,10 +386,12 @@ def check_good_axioms(m: GoodMetric, ring: Ring, levels: int = 50,
     balls under extensions, holds symbolically for every vanishing-spec
     family by the long exact sequence of the cone (the support of an
     extension lies in the union of the supports); it is additionally fuzzed
-    on random triangles with both ends in a ball.
+    on random triangles with both ends in a ball.  levels must be >= 0.
     """
     from .randomgen import Sampler
 
+    if levels < 0:
+        raise PreconditionError("levels (--levels) must be >= 0, got %d" % levels)
     report = AxiomReport(metric=m.display_name(), levels_checked=levels)
     for n in range(1, levels + 1):
         report.shift_violations.extend(shift_violations(m, n))

@@ -16,7 +16,7 @@ grammar.  Briefly:
     TOWER name
       PREFIX c1 c2 ...
       CONNECT m1 m2 ...
-      TAIL truncation modulename | TAIL constant complexname
+      TAIL truncation modulename | TAIL constant complexname   # at most one
     END
     METRIC name
       DUAL
@@ -72,20 +72,14 @@ def parse_linear(text: str) -> LinearExpr:
         raise WorkspaceError("cannot parse linear expression %r" % text)
 
 
-_PIECE_KINDS = {"ray-above": "above", "ray-below": "below", "interval": "interval"}
+# PIECE keyword -> (GoodMetric piece kind, number of bounds)
+_PIECES = {"ray-above": ("above", 1), "ray-below": ("below", 1), "interval": ("interval", 2)}
 
+# TAIL kind -> (kind of the named object, tail class)
+_TAILS = {"truncation": ("module", TruncationTail), "constant": ("complex", ConstantTail)}
 
-@dataclass
-class MetricSpec:
-    """Declarative custom ball family; its pieces cut out levels n >= 2."""
-
-    name: str
-    dual: bool = False
-    pieces: list[tuple] = field(default_factory=list)  # (kind, LinearExpr[, LinearExpr])
-
-    def build(self) -> GoodMetric:
-        return GoodMetric(self.name, [(_PIECE_KINDS[p[0]],) + p[1:] for p in self.pieces],
-                          dual=self.dual)
+# kind of a named object -> its Workspace table
+_TABLES = {"module": "modules", "complex": "complexes", "map": "maps", "tower": "towers"}
 
 
 @dataclass
@@ -95,19 +89,25 @@ class Workspace:
     complexes: dict[str, Complex] = field(default_factory=dict)
     maps: dict[str, ChainMap] = field(default_factory=dict)
     towers: dict[str, Tower] = field(default_factory=dict)
-    metric_specs: dict[str, MetricSpec] = field(default_factory=dict)
+    metrics: dict[str, GoodMetric] = field(default_factory=dict)
+
+    def get(self, kind: str, name: str, error=WorkspaceError):
+        """The module, complex, map or tower of that name; an unknown name
+        raises error("unknown KIND 'name'")."""
+        table = getattr(self, _TABLES[kind])
+        try:
+            return table[name]
+        except KeyError:
+            raise error("unknown %s %r" % (kind, name)) from None
 
     def metric(self, name: str) -> GoodMetric:
-        """Resolve a metric name: custom names first, then standard_metric."""
+        """Resolve a metric name: custom names first, then standard_metric.
+        A custom name is its stored metric; with ":dual" its dual flag flips."""
         base, _, flag = name.partition(":")
-        if base in self.metric_specs and flag in ("", "dual"):
-            m = self.metric_specs[base].build()
-            return GoodMetric(m.name, m.pieces, dual=m.dual != (flag == "dual"))
+        if base in self.metrics and flag in ("", "dual"):
+            m = self.metrics[base]
+            return GoodMetric(m.name, m.pieces, dual=not m.dual) if flag else m
         return standard_metric(name)
-
-
-def _tokens(line: str) -> list[str]:
-    return line.split("#", 1)[0].split()
 
 
 class _Parser:
@@ -121,10 +121,24 @@ class _Parser:
     def next_tokens(self) -> list[str] | None:
         while self.at < len(self.lines):
             self.at += 1
-            toks = _tokens(self.lines[self.at - 1])
+            toks = self.lines[self.at - 1].split("#", 1)[0].split()
             if toks:
                 return toks
         return None
+
+    def block(self, kind: str, name: str, heads: tuple[str, ...]):
+        """Yield (HEAD, tokens) for each line of a KIND block up to its END;
+        a head outside heads is refused."""
+        while True:
+            toks = self.next_tokens()
+            if toks is None:
+                raise self.error("unterminated %s %r" % (kind, name))
+            head = toks[0].upper()
+            if head == "END":
+                return
+            if head not in heads:
+                raise self.error("unexpected %r inside %s" % (toks[0], kind))
+            yield head, toks
 
     def parse(self) -> Workspace:
         ws: Workspace | None = None
@@ -160,26 +174,12 @@ class _Parser:
                     ws.modules[toks[1]] = RModule(ws.ring, tuple(int(t) for t in toks[2:]))
                 except ValueError as e:
                     raise self.error("module %r: %s" % (toks[1], e))
-            elif head == "COMPLEX":
-                if len(toks) != 2:
-                    raise self.error("COMPLEX expects a name")
+            elif head in _BLOCKS:
+                size, usage, table, build = _BLOCKS[head]
+                if len(toks) != size:
+                    raise self.error(usage)
                 claim(toks[1])
-                ws.complexes[toks[1]] = self._parse_complex(ws, toks[1])
-            elif head == "MAP":
-                if len(toks) != 4:
-                    raise self.error("MAP expects: MAP name source target")
-                claim(toks[1])
-                ws.maps[toks[1]] = self._parse_map(ws, toks[1], toks[2], toks[3])
-            elif head == "TOWER":
-                if len(toks) != 2:
-                    raise self.error("TOWER expects a name")
-                claim(toks[1])
-                ws.towers[toks[1]] = self._parse_tower(ws, toks[1])
-            elif head == "METRIC":
-                if len(toks) != 2:
-                    raise self.error("METRIC expects a name")
-                claim(toks[1])
-                ws.metric_specs[toks[1]] = self._parse_metric(toks[1])
+                getattr(ws, table)[toks[1]] = build(self, ws, *toks[1:])
             else:
                 raise self.error("unknown declaration %r" % toks[0])
         if ws is None:
@@ -201,31 +201,22 @@ class _Parser:
     def _parse_complex(self, ws: Workspace, name: str) -> Complex:
         comps: dict[int, RModule] = {}
         raw_diffs: dict[int, list[str]] = {}
-        while True:
-            toks = self.next_tokens()
-            if toks is None:
-                raise self.error("unterminated COMPLEX %r" % name)
-            head = toks[0].upper()
-            if head == "END":
-                break
+        for head, toks in self.block("COMPLEX", name, ("AT", "DIFF")):
             if head == "AT":
                 if len(toks) != 3:
                     raise self.error("AT expects: AT degree modulename")
                 deg = self._int(toks[1], "degree")
-                if toks[2] not in ws.modules:
-                    raise self.error("unknown module %r" % toks[2])
+                module = ws.get("module", toks[2], self.error)
                 if deg in comps:
                     raise self.error("duplicate component at degree %d" % deg)
-                comps[deg] = ws.modules[toks[2]]
-            elif head == "DIFF":
+                comps[deg] = module
+            else:
                 if len(toks) < 2:
                     raise self.error("DIFF expects: DIFF degree entries...")
                 deg = self._int(toks[1], "degree")
                 if deg in raw_diffs:
                     raise self.error("duplicate differential at degree %d" % deg)
                 raw_diffs[deg] = toks[2:]
-            else:
-                raise self.error("unexpected %r inside COMPLEX" % toks[0])
         diffs: dict[int, RModuleMap] = {}
         for deg, entries in raw_diffs.items():
             src = comps.get(deg, zero_module(ws.ring))
@@ -242,21 +233,10 @@ class _Parser:
             raise self.error("complex %r: %s" % (name, e))
 
     def _parse_map(self, ws: Workspace, name: str, src_name: str, tgt_name: str) -> ChainMap:
-        if src_name not in ws.complexes:
-            raise self.error("unknown complex %r" % src_name)
-        if tgt_name not in ws.complexes:
-            raise self.error("unknown complex %r" % tgt_name)
-        src, tgt = ws.complexes[src_name], ws.complexes[tgt_name]
+        src = ws.get("complex", src_name, self.error)
+        tgt = ws.get("complex", tgt_name, self.error)
         comps: dict[int, RModuleMap] = {}
-        while True:
-            toks = self.next_tokens()
-            if toks is None:
-                raise self.error("unterminated MAP %r" % name)
-            head = toks[0].upper()
-            if head == "END":
-                break
-            if head != "AT":
-                raise self.error("unexpected %r inside MAP" % toks[0])
+        for _, toks in self.block("MAP", name, ("AT",)):
             if len(toks) < 2:
                 raise self.error("AT expects: AT degree entries...")
             deg = self._int(toks[1], "degree")
@@ -278,81 +258,62 @@ class _Parser:
         prefix: list[Complex] = []
         maps: list[ChainMap] = []
         tail = None
-        while True:
-            toks = self.next_tokens()
-            if toks is None:
-                raise self.error("unterminated TOWER %r" % name)
-            head = toks[0].upper()
-            if head == "END":
-                break
+        for head, toks in self.block("TOWER", name, ("PREFIX", "CONNECT", "TAIL")):
             if head == "PREFIX":
-                for t in toks[1:]:
-                    if t not in ws.complexes:
-                        raise self.error("unknown complex %r" % t)
-                    prefix.append(ws.complexes[t])
+                prefix.extend(ws.get("complex", t, self.error) for t in toks[1:])
             elif head == "CONNECT":
-                for t in toks[1:]:
-                    if t not in ws.maps:
-                        raise self.error("unknown map %r" % t)
-                    maps.append(ws.maps[t])
-            elif head == "TAIL":
+                maps.extend(ws.get("map", t, self.error) for t in toks[1:])
+            else:
                 if len(toks) != 3:
                     raise self.error("TAIL expects: TAIL truncation|constant name")
+                if tail is not None:
+                    raise self.error("tower %r takes at most one TAIL" % name)
                 kind = toks[1].lower()
-                if kind == "truncation":
-                    if toks[2] not in ws.modules:
-                        raise self.error("unknown module %r" % toks[2])
-                    tail = TruncationTail(ws.modules[toks[2]])
-                elif kind == "constant":
-                    if toks[2] not in ws.complexes:
-                        raise self.error("unknown complex %r" % toks[2])
-                    tail = ConstantTail(ws.complexes[toks[2]])
-                else:
+                if kind not in _TAILS:
                     raise self.error("unknown tail kind %r" % toks[1])
-            else:
-                raise self.error("unexpected %r inside TOWER" % toks[0])
+                what, tail_class = _TAILS[kind]
+                tail = tail_class(ws.get(what, toks[2], self.error))
         try:
             return Tower(ws.ring, prefix=prefix, prefix_maps=maps, tail=tail)
         except ValueError as e:
             raise self.error("tower %r: %s" % (name, e))
 
-    def _parse_metric(self, name: str) -> MetricSpec:
-        spec = MetricSpec(name=name)
-        while True:
-            toks = self.next_tokens()
-            if toks is None:
-                raise self.error("unterminated METRIC %r" % name)
-            head = toks[0].upper()
-            if head == "END":
-                break
+    def _parse_metric(self, ws: Workspace, name: str) -> GoodMetric:
+        dual = False
+        pieces: list[tuple] = []
+        for head, toks in self.block("METRIC", name, ("DUAL", "PIECE")):
             if head == "DUAL":
-                spec.dual = True
-            elif head == "PIECE":
-                if len(toks) < 3:
-                    raise self.error("PIECE expects a kind and bounds")
-                kind = toks[1].lower()
-                try:
-                    if kind in ("ray-above", "ray-below"):
-                        if len(toks) != 3:
-                            raise self.error("PIECE %s expects one bound" % kind)
-                        spec.pieces.append((kind, parse_linear(toks[2])))
-                    elif kind == "interval":
-                        if len(toks) != 4:
-                            raise self.error("PIECE interval expects two bounds")
-                        spec.pieces.append((kind, parse_linear(toks[2]), parse_linear(toks[3])))
-                    else:
-                        raise self.error("unknown piece kind %r" % toks[1])
-                except WorkspaceError as e:
-                    raise self.error("metric %r: %s" % (name, e))
-            else:
-                raise self.error("unexpected %r inside METRIC" % toks[0])
-        return spec
+                dual = True
+                continue
+            if len(toks) < 3:
+                raise self.error("PIECE expects a kind and bounds")
+            keyword = toks[1].lower()
+            if keyword not in _PIECES:
+                raise self.error("metric %r: unknown piece kind %r" % (name, toks[1]))
+            kind, bounds = _PIECES[keyword]
+            if len(toks) != 2 + bounds:
+                raise self.error("metric %r: PIECE %s expects %s"
+                                 % (name, keyword, "one bound" if bounds == 1 else "two bounds"))
+            try:
+                pieces.append((kind,) + tuple(parse_linear(t) for t in toks[2:]))
+            except WorkspaceError as e:
+                raise self.error("metric %r: %s" % (name, e))
+        return GoodMetric(name, pieces, dual=dual)
 
     def _int(self, tok: str, what: str) -> int:
         try:
             return int(tok)
         except ValueError:
             raise self.error("bad %s %r" % (what, tok))
+
+
+# declaration -> (header length, usage, Workspace table, block builder)
+_BLOCKS = {
+    "COMPLEX": (2, "COMPLEX expects a name", "complexes", _Parser._parse_complex),
+    "MAP": (4, "MAP expects: MAP name source target", "maps", _Parser._parse_map),
+    "TOWER": (2, "TOWER expects a name", "towers", _Parser._parse_tower),
+    "METRIC": (2, "METRIC expects a name", "metrics", _Parser._parse_metric),
+}
 
 
 def parse_workspace_text(text: str) -> Workspace:
@@ -453,16 +414,14 @@ def serialize_workspace(ws: Workspace) -> str:
             out.append("  TAIL constant %s" % cn)
         out.append("END")
         out.append("")
-    for mname in sorted(ws.metric_specs):
-        spec = ws.metric_specs[mname]
+    keywords = {kind: keyword for keyword, (kind, _) in _PIECES.items()}
+    for mname in sorted(ws.metrics):
+        m = ws.metrics[mname]
         out.append("METRIC %s" % mname)
-        if spec.dual:
+        if m.dual:
             out.append("  DUAL")
-        for p in spec.pieces:
-            if p[0] == "interval":
-                out.append("  PIECE interval %s %s" % (p[1], p[2]))
-            else:
-                out.append("  PIECE %s %s" % (p[0], p[1]))
+        for p in m.pieces:
+            out.append("  PIECE %s %s" % (keywords[p[0]], " ".join(str(e) for e in p[1:])))
         out.append("END")
         out.append("")
     return "\n".join(out).rstrip() + "\n"

@@ -99,7 +99,7 @@ def test_parse_workspace_objects():
     assert ws.complexes["xR"].degrees == [-1, 0]
     assert ws.complexes["zero"].is_zero()
     assert "towerK" in ws.towers
-    assert ws.metric_specs["myi"].pieces[0][0] == "ray-above"
+    assert ws.metrics["myi"].pieces[0][0] == "above"
 
 
 def test_d_squared_violation_names_degrees():
@@ -158,7 +158,8 @@ END
 
 
 def test_round_trip_serialization():
-    ws = parse_workspace_text(FIXTURE)
+    ws = parse_workspace_text(FIXTURE + "METRIC mixed\n  DUAL\n  PIECE ray-above -n\n"
+                              "  PIECE ray-below 2*n+1\n  PIECE interval -3*n n-2\nEND\n")
     text = serialize_workspace(ws)
     ws2 = parse_workspace_text(text)
     assert ws2.ring == ws.ring
@@ -171,6 +172,11 @@ def test_round_trip_serialization():
         assert ws2.maps[name].source == ws.maps[name].source
         assert ws2.maps[name] == ws.maps[name]
     assert set(ws2.towers) == set(ws.towers)
+    for name in ("myi", "myii", "mixed", "mixed:dual"):
+        m, m2 = ws.metric(name), ws2.metric(name)
+        assert (m2.name, m2.pieces, m2.dual) == (m.name, m.pieces, m.dual)
+    assert [p[0] for p in ws.metric("mixed").pieces] == ["above", "below", "interval"]
+    assert ws.metric("mixed").dual and not ws.metric("mixed:dual").dual
     # serialization is idempotent
     assert serialize_workspace(ws2) == text
 
@@ -293,15 +299,26 @@ def test_cli_metric_equiv_decides_past_bound_and_levels(tmp_path, capsys):
         assert not data["equivalent"] and data["fail-level"] == 2
 
 
-def test_cli_metric_equiv_refuses_a_bound_below_1_and_negative_levels(capsys):
+def test_cli_metric_equiv_refuses_a_bound_below_1_and_negative_levels(ws_path, capsys):
     # equivalent (i, i) and failing (i, ii) pairs alike: the arguments are
-    # checked before either metric is read
-    for pair in (("i", "i"), ("i", "ii")):
-        for flag, value, message in (("--bound", "0", "search_bound (--bound) must be >= 1, got 0"),
-                                     ("--levels", "-3", "levels (--levels) must be >= 0, got -3")):
-            code, out, err = run(capsys, ["metric-equiv", *pair, flag, value])
-            assert code == 3 and out == ""
-            assert err == "error: %s\n" % message
+    # checked before either metric is read; the certificates and the axiom
+    # fuzz refuse a negative --levels and a --horizon below 2 the same way
+    table = [(["metric-equiv", *pair, flag, value], message)
+             for pair in (("i", "i"), ("i", "ii"))
+             for flag, value, message in (
+                 ("--bound", "0", "search_bound (--bound) must be >= 1, got 0"),
+                 ("--levels", "-3", "levels (--levels) must be >= 0, got -3"))]
+    table += [(["-w", ws_path, command, "towerK", "--metric", "i", flag, value], message)
+              for command in ("cauchy-check", "colimit", "in-s")
+              for flag, value, message in (
+                  ("--levels", "-2", "levels (--levels) must be >= 0, got -2"),
+                  ("--horizon", "1", "horizon (--horizon) must be >= 2, got 1"))]
+    table += [(["axioms-fuzz", "i", "--seed", "1", "--levels", "-1"],
+               "levels (--levels) must be >= 0, got -1")]
+    for argv, message in table:
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == "error: %s\n" % message
 
 
 def test_cli_metric_equiv_refuses_a_metric_that_is_not_good(tmp_path, capsys):
@@ -372,16 +389,54 @@ def test_unknown_metric_names_full_spec():
             resolve("iv:dual")
 
 
+# every parser error, after the five lines RING, MODULE k, COMPLEX a .. END;
+# an unterminated block names the last line of the file
 @pytest.mark.parametrize("body,line,message", [
-    ("MAP m a a\n  AT\nEND\n", 7, "AT expects: AT degree entries"),
+    ("MAP m a a\n  AT\nEND\n", 7, "AT expects: AT degree entries..."),
     ("MAP m a a\n  AT 0 1\n  AT 0 1\nEND\n", 8, "duplicate component at degree 0"),
+    ("RING 2 2\n", 6, "RING may only be declared once"),
+    ("MODULE\n", 6, "MODULE expects a name"),
+    ("COMPLEX a\nEND\n", 6, "duplicate name 'a'"),
+    ("FOO x\n", 6, "unknown declaration 'FOO'"),
+    ("COMPLEX c\n  AT 0 k\n", 7, "unterminated COMPLEX 'c'"),
+    ("MAP m a a\n  AT 0 1\n", 7, "unterminated MAP 'm'"),
+    ("TOWER t\n  PREFIX a\n", 7, "unterminated TOWER 't'"),
+    ("METRIC e\n  DUAL\n", 7, "unterminated METRIC 'e'"),
+    ("COMPLEX c d\nEND\n", 6, "COMPLEX expects a name"),
+    ("MAP m a\nEND\n", 6, "MAP expects: MAP name source target"),
+    ("TOWER\nEND\n", 6, "TOWER expects a name"),
+    ("METRIC e f\nEND\n", 6, "METRIC expects a name"),
+    ("COMPLEX c\n  AT 0\nEND\n", 7, "AT expects: AT degree modulename"),
+    ("COMPLEX c\n  AT x k\nEND\n", 7, "bad degree 'x'"),
+    ("COMPLEX c\n  AT 0 q\nEND\n", 7, "unknown module 'q'"),
+    ("COMPLEX c\n  DIFF\nEND\n", 7, "DIFF expects: DIFF degree entries..."),
+    ("MAP m q a\nEND\n", 6, "unknown complex 'q'"),
+    ("MAP m a q\nEND\n", 6, "unknown complex 'q'"),
+    ("TOWER t\n  PREFIX a q\nEND\n", 7, "unknown complex 'q'"),
+    ("TOWER t\n  CONNECT q\nEND\n", 7, "unknown map 'q'"),
+    ("TOWER t\n  TAIL truncation q\nEND\n", 7, "unknown module 'q'"),
+    ("TOWER t\n  TAIL constant q\nEND\n", 7, "unknown complex 'q'"),
+    ("TOWER t\n  TAIL constant\nEND\n", 7, "TAIL expects: TAIL truncation|constant name"),
+    ("TOWER t\n  TAIL wedge a\nEND\n", 7, "unknown tail kind 'wedge'"),
+    ("TOWER t\n  TAIL truncation k\n  TAIL constant a\nEND\n", 8,
+     "tower 't' takes at most one TAIL"),
+    ("METRIC e\n  PIECE ray-above\nEND\n", 7, "PIECE expects a kind and bounds"),
+    ("METRIC e\n  PIECE wedge n\nEND\n", 7, "metric 'e': unknown piece kind 'wedge'"),
+    ("METRIC e\n  PIECE ray-above n 1\nEND\n", 7, "metric 'e': PIECE ray-above expects one bound"),
+    ("METRIC e\n  PIECE interval n\nEND\n", 7, "metric 'e': PIECE interval expects two bounds"),
+    ("METRIC e\n  PIECE ray-below n*n\nEND\n", 7,
+     "metric 'e': cannot parse linear expression 'n*n'"),
+    ("COMPLEX c\n  CONNECT m\nEND\n", 7, "unexpected 'CONNECT' inside COMPLEX"),
+    ("MAP m a a\n  DIFF 0 1\nEND\n", 7, "unexpected 'DIFF' inside MAP"),
+    ("TOWER t\n  AT 0 k\nEND\n", 7, "unexpected 'AT' inside TOWER"),
+    ("METRIC e\n  at 0\nEND\n", 7, "unexpected 'at' inside METRIC"),
 ])
 def test_cli_malformed_map_exit_3(tmp_path, capsys, body, line, message):
     bad = tmp_path / "bad.txt"
     bad.write_text("RING 2 2\nMODULE k 1\nCOMPLEX a\n  AT 0 k\nEND\n" + body)
     code, _, err = run(capsys, ["-w", str(bad), "is-perfect", "a"])
     assert code == 3
-    assert "line %d: %s" % (line, message) in err
+    assert err == "error: line %d: %s\n" % (line, message)
 
 
 def test_cli_repeated_differential_exit_3(tmp_path, capsys):
