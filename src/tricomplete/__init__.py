@@ -30,6 +30,7 @@ from .complexes import (
     derived_hom,
     direct_sum_complex,
     dualize,
+    homotopy_pushout,
     identity_chain_map,
     is_acyclic,
     is_null_homotopic,

@@ -264,8 +264,13 @@ def is_cauchy(tower: Tower, m: GoodMetric, horizon: int, levels: int) -> CauchyC
         return cert
     # prefix-only: measure within the horizon, never certify beyond it
     h = tower.available_horizon(horizon)
-    measured = {(i, j): length(tower.composite(i, j), m)
-                for i in range(1, h + 1) for j in range(i, h + 1)}
+    measured = {}
+    for i in range(1, h + 1):  # one running composite X_i -> X_j per i
+        acc = identity_chain_map(tower.complex_at(i))
+        for j in range(i, h + 1):
+            if j > i:
+                acc = tower.map_at(j - 1) @ acc
+            measured[i, j] = length(acc, m)
     cert = CauchyCertificate(metric=name, horizon=h, levels=levels,
                              verdict="inconclusive", conclusive=False,
                              note="prefix-only tower: behaviour beyond entry %d is unknown" % h)

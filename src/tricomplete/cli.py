@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window", default="-2..2")
     sp = tower_command("in-s", "membership in the triangulated completion")
     sp.add_argument("--window", default=None)
-    no_effect = "accepted; no effect until compact support is decided with a witness (ROADMAP item 2)"
+    no_effect = "accepted; no effect until compact support is decided with a witness (ROADMAP item 1)"
     sp.add_argument("--functor-samples", type=int, default=2, help=no_effect)
     sp.add_argument("--seed", type=int, default=0, help=no_effect)
 

@@ -82,7 +82,8 @@ class Complex:
     # -- access ---------------------------------------------------------
 
     def component(self, i: int) -> RModule:
-        return self._components.get(i, zero_module(self.ring))
+        m = self._components.get(i)
+        return m if m is not None else zero_module(self.ring)
 
     def differential(self, i: int) -> RModuleMap:
         f = self._diffs.get(i)
@@ -172,13 +173,18 @@ class ChainMap:
         return zero_map(self.source.component(i), self.target.component(i))
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
+        """self o other, composed only at the degrees where both factors
+        are nonzero: everywhere else the composite is 0, which ChainMap
+        leaves out."""
         if other.target != self.source:
             raise PreconditionError("chain maps not composable")
-        degs = set(other._components) | set(self._components)
-        comps = {i: self.component(i) @ other.component(i) for i in degs}
+        comps = {i: self._components[i] @ f for i, f in other._components.items()
+                 if i in self._components}
         return ChainMap(other.source, self.target, comps)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
+        if (other.source, other.target) != (self.source, self.target):
+            raise PreconditionError("chain maps not addable")
         degs = set(other._components) | set(self._components)
         comps = {i: self.component(i) + other.component(i) for i in degs}
         return ChainMap(self.source, self.target, comps)
@@ -268,6 +274,30 @@ def cone(f: ChainMap) -> Triangle:
     return Triangle(x, y, z, f, tx, injs, projs)
 
 
+def homotopy_pushout(f: ChainMap, h: ChainMap) -> tuple[ChainMap, ChainMap]:
+    """The square on B <-f- A -h-> C: u = (-f, h) : A -> B (+) C and the
+    induced g : C -> D into its cone D = cone(u).z.
+
+    u and g are built once each, from the direct-sum structure maps:
+    u^i = iota_C h^i - iota_B f^i, one F_p array per degree where f or h
+    is nonzero, and g^i = iota^i iota_C^i with iota the cone's injection
+    of B (+) C.  Both are validated chain maps; no composite, sum or
+    injection chain map is built on the way.
+    """
+    if f.source != h.source:
+        raise PreconditionError("maps do not share a source")
+    a, ring = f.source, f.source.ring
+    bc, injs, _ = _sum_complex([f.target, h.target], ring)
+    comps = {}
+    for i in f._components.keys() | h._components.keys():
+        arr = _composite(injs[i][1], h._components.get(i)) - _composite(injs[i][0], f._components.get(i))
+        comps[i] = RModuleMap(a.component(i), bc.component(i), Matrix(arr, ring.p))
+    u = ChainMap(a, bc, comps)
+    tri = cone(u)
+    g = ChainMap(h.target, tri.z, {i: tri._injs[i][1] @ injs[i][1] for i in h.target.degrees})
+    return u, g
+
+
 # -- cohomology --------------------------------------------------------------
 
 
@@ -345,14 +375,16 @@ def cone_support(f: ChainMap) -> frozenset[int]:
     f is a validated chain map.  One rank per nonzero array, as for the
     built cone."""
     x, y, p = f.source, f.target, f.source.ring.p
-    dims = {i: x.component(i + 1).dim + y.component(i).dim
-            for i in {i - 1 for i in x.degrees} | set(y.degrees)}
+    xdim = {i: m.dim for i, m in x._components.items()}
+    dims = {i - 1: d for i, d in xdim.items()}
+    for i, m in y._components.items():
+        dims[i] = dims.get(i, 0) + m.dim
     ranks = {}
     for i in dims:
         dx, fi, dy = x._diffs.get(i + 1), f._components.get(i + 1), y._diffs.get(i)
         if dx is None and fi is None and dy is None:
             continue
-        top, left = x.component(i + 2).dim, x.component(i + 1).dim
+        top, left = xdim.get(i + 2, 0), xdim.get(i + 1, 0)
         a = np.zeros((dims[i + 1], dims[i]), dtype=np.int64)
         if dx is not None:
             a[:top, :left] = dx.matrix.a

@@ -30,9 +30,8 @@ from .complexes import (
     Complex,
     PreconditionError,
     cohomology_support,
-    cone,
     cone_support,
-    direct_sum_complex,
+    homotopy_pushout,
     module_complex,
     shift,
 )
@@ -543,15 +542,12 @@ class CartesianInvarianceCheck:
 
 def cartesian_invariance_check(f: ChainMap, h: ChainMap, m: GoodMetric) -> CartesianInvarianceCheck:
     """Homotopy pushout invariance: the induced g : C -> D in the square
-    built on f : A -> B and h : A -> C has the same length as f."""
-    if f.source != h.source:
-        raise PreconditionError("maps do not share a source")
-    a = f.source
-    ring = a.ring
-    _, injs = direct_sum_complex([f.target, h.target], ring)
-    u = (injs[0] @ (-f)) + (injs[1] @ h)
-    tri = cone(u)
-    g = tri.g @ injs[1]  # C -> B(+)C -> cone(u)
+    built on f : A -> B and h : A -> C has the same length as f.
+
+    The square is complexes.homotopy_pushout: u : A -> B (+) C and g are
+    built once each from the direct-sum maps, so a check builds two chain
+    maps and one cone."""
+    _, g = homotopy_pushout(f, h)
     lf = length(f, m)
     lg = length(g, m)
     return CartesianInvarianceCheck(lf == lg, lf, lg)

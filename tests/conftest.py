@@ -3,6 +3,7 @@ example database, and every tricomplete cache starts empty, so every
 process draws the same examples and no test depends on an earlier one."""
 
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -61,3 +62,29 @@ def rebind(monkeypatch):
                         monkeypatch.setattr(mod, attr, replacement)
 
     return rebind
+
+
+@pytest.fixture
+def count_calls(monkeypatch, rebind):
+    """count_calls(*targets) starts counting calls to each function and
+    constructions of each class, and returns the Counter, keyed by
+    __name__.  A function is replaced through rebind; a class has its
+    __init__ wrapped, so every construction counts.  Each call adds its
+    targets to the same Counter; clear it between phases of a test."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def count_calls(*targets):
+        for target in targets:
+            if isinstance(target, type):
+                monkeypatch.setattr(target, "__init__", counted(target.__name__, target.__init__))
+            else:
+                rebind(target, counted(target.__name__, target))
+        return counts
+
+    return count_calls

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -15,8 +16,9 @@ from tricomplete.complexes import (
     identity_chain_map,
     module_complex,
 )
-from tricomplete.metric import metric_i, metric_ii, metric_iii, object_length
+from tricomplete.metric import length, metric_i, metric_ii, metric_iii, object_length
 from tricomplete.cauchy import (
+    CauchyCertificate,
     ColimitTable,
     ConstantTail,
     Tower,
@@ -193,6 +195,46 @@ def test_prefix_tower_inconclusive():
     # (the last entry sees no j > i inside the horizon, so only i < 4)
     for i in range(1, 4):
         assert cert.sup_lengths[i] == Fraction(1, i + 1)
+
+
+def composite_prefix_certificate(tower, m, horizon, levels):
+    """is_cauchy on a prefix-only tower with every X_i -> X_j rebuilt by
+    tower.composite(i, j): the reference for its running composites."""
+    h = tower.available_horizon(horizon)
+    measured = {(i, j): length(tower.composite(i, j), m)
+                for i in range(1, h + 1) for j in range(i, h + 1)}
+    cert = CauchyCertificate(metric=m.display_name(), horizon=h, levels=levels,
+                             verdict="inconclusive", conclusive=False,
+                             note="prefix-only tower: behaviour beyond entry %d is unknown" % h)
+    cert.sup_lengths = {i: max(measured[(i, j)] for j in range(i, h + 1)) for i in range(1, h + 1)}
+    for n in range(1, levels + 1):
+        for M in range(1, h + 1):
+            if all(measured[(i, j)] < Fraction(1, n) for i in range(M, h + 1) for j in range(i, h + 1)):
+                cert.thresholds[n] = M
+                break
+    return cert
+
+
+def test_prefix_certificate_keeps_one_running_composite_per_entry(count_calls):
+    t = truncation_tower(K)
+    s = Sampler(Ring(3, 3), random.Random(43))
+    xs = [s.complex(-2, 2, max_blocks=2) for _ in range(8)]
+    towers = [prefix_tower([t.complex_at(k) for k in range(1, 9)], [t.map_at(k) for k in range(1, 8)]),
+              prefix_tower(xs, [s.chain_map(xs[k], xs[k + 1]) for k in range(7)])]
+    counts = count_calls(ChainMap)
+    thresholds = 0
+    for tower in towers:
+        for m in (metric_i(), metric_ii(), metric_iii()):
+            for horizon in (8, 12):
+                counts.clear()
+                cert = is_cauchy(tower, m, horizon=horizon, levels=4)
+                built = counts["ChainMap"]
+                counts.clear()
+                ref = composite_prefix_certificate(tower, m, horizon, 4)
+                assert dataclasses.asdict(cert) == dataclasses.asdict(ref)
+                assert (built, counts["ChainMap"]) == (8 * 9 // 2, 8 * 9 * 10 // 6)
+                thresholds += len(cert.thresholds)
+    assert thresholds > 0
 
 
 def test_horizon_too_small_is_inconclusive_not_wrong():

@@ -215,6 +215,53 @@ def test_random_null_homotopies_have_witnesses(ring):
     assert multi_degree >= 5
 
 
+# -- chain-map algebra ----------------------------------------------------------
+
+
+def union_product(g, f):
+    """g o f composed at every degree where either factor is nonzero: the
+    reference for ChainMap.__matmul__."""
+    degs = set(f._components) | set(g._components)
+    return ChainMap(f.source, g.target, {i: g.component(i) @ f.component(i) for i in degs})
+
+
+@pytest.mark.parametrize("g_degs, f_degs", [({1}, {0}), ({1}, {0, 1}), ({0, 1}, {0, 1})],
+                         ids=["disjoint", "partial", "equal"])
+def test_composite_composes_only_where_both_factors_are_nonzero(count_calls, g_degs, f_degs):
+    R = free_module(R22, 1)
+    x = Complex(R22, {0: R, 1: R}, {})
+    f = ChainMap(x, x, {i: identity_map(R) for i in f_degs})
+    g = ChainMap(x, x, {i: RModuleMap(R, R, R.x_action()) for i in g_degs})
+    counts = count_calls(RModuleMap)
+    gf = g @ f
+    assert counts["RModuleMap"] == len(g_degs & f_degs)
+    assert gf == union_product(g, f) and set(gf._components) == g_degs & f_degs
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(2, 4), Ring(5, 2)], ids=str)
+def test_composite_equals_the_union_based_product(ring):
+    from tricomplete.randomgen import Sampler
+
+    s = Sampler(ring, random.Random(80 + ring.p + ring.n))
+    zero = zero_complex(ring)
+    for _ in range(12):
+        f, g = s.composable_pair(-2, 2, max_blocks=2)
+        for a, b in ((g, f), (f, identity_chain_map(f.source)), (identity_chain_map(f.target), f),
+                     (ChainMap(f.target, zero, {}), f), (f, ChainMap(zero, f.source, {}))):
+            assert a @ b == union_product(a, b)
+
+
+def test_sum_of_chain_maps_between_different_complexes_refused():
+    # same components, different differentials: the sum used to return a
+    # map x -> x (over F_2 the zero map) instead of refusing
+    R = free_module(R22, 1)
+    x = Complex(R22, {0: R, 1: R}, {})
+    y = scaled_x_on_R(R22, 1)
+    with pytest.raises(PreconditionError, match="chain maps not addable"):
+        identity_chain_map(x) + identity_chain_map(y)
+    assert (identity_chain_map(y) + identity_chain_map(y)).is_zero()
+
+
 # -- long exact sequence of the cone -----------------------------------------
 
 
@@ -264,39 +311,22 @@ def test_cone_triangle_maps_built_on_first_read(ring):
         assert tri.g is tri.g and tri.h is tri.h
 
 
-def test_length_builds_no_chain_map(monkeypatch):
-    from tricomplete import complexes
+def test_length_builds_no_chain_map(count_calls):
     from tricomplete.metric import length, metric_i
 
     maps = sample_chain_maps(R22, seed=15, count=6)
-    built = []
-    init = complexes.ChainMap.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(complexes.ChainMap, "__init__", counting_init)
+    counts = count_calls(ChainMap)
     lengths = [length(f, metric_i()) for f in maps]
-    assert built == []
+    assert counts["ChainMap"] == 0
     assert any(lengths)  # the samples include maps that are not quasi-isos
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_direct_sum_complex_builds_one_chain_map_per_part(monkeypatch, k):
-    from tricomplete import complexes
-
+def test_direct_sum_complex_builds_one_chain_map_per_part(count_calls, k):
     parts = [module_complex(RModule(R22, (2, 1)), -j) for j in range(k)]
-    built = []
-    init = complexes.ChainMap.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(complexes.ChainMap, "__init__", counting_init)
-    total, injs = complexes.direct_sum_complex(parts, R22)
-    assert len(built) == k
+    counts = count_calls(ChainMap)
+    total, injs = direct_sum_complex(parts, R22)
+    assert counts["ChainMap"] == k
     assert [f.source for f in injs] == parts and all(f.target is total for f in injs)
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from tricomplete.complexes import (
     PreconditionError,
     cohomology_support,
     cone,
+    direct_sum_complex,
     dualize,
+    homotopy_pushout,
     identity_chain_map,
     module_complex,
     shift,
@@ -462,6 +465,100 @@ def test_cartesian_invariance_fuzz_small():
             assert rep.ok, (m.name, rep)
 
 
+def composite_square(f, h):
+    """u, cone(u).z and g of the square on f and h, built from chain-map
+    algebra: u = inj_B (-f) + inj_C h and g = (cone(u).g) inj_C.  The
+    reference for homotopy_pushout, which builds u and g directly."""
+    _, injs = direct_sum_complex([f.target, h.target], f.source.ring)
+    u = (injs[0] @ (-f)) + (injs[1] @ h)
+    tri = cone(u)
+    return u, tri.z, tri.g @ injs[1]
+
+
+def complex_bytes(x):
+    return (sorted((i, m.blocks) for i, m in x._components.items()), maps_bytes(x._diffs))
+
+
+def maps_bytes(maps):
+    return sorted((i, f.source.blocks, f.target.blocks, f.matrix.a.dtype.str, f.matrix.a.shape,
+                   f.matrix.a.tobytes()) for i, f in maps.items())
+
+
+def chain_map_bytes(f):
+    """A chain map as bytes: the Jordan types, differentials and
+    components of its source, target and degreewise maps."""
+    return complex_bytes(f.source), complex_bytes(f.target), maps_bytes(f._components)
+
+
+def square_corners(ring, seed, count=10):
+    """Random corners f : A -> B, h : A -> C, then corners with A, B, C
+    and all three zero."""
+    s = Sampler(ring, random.Random(seed))
+    zero = zero_complex(ring)
+    out = [s.corner(-2, 2, max_blocks=2) for _ in range(count)]
+    for _ in range(2):
+        a, b, c = (s.complex(-2, 2, max_blocks=2) for _ in range(3))
+        out += [(ChainMap(zero, b, {}), ChainMap(zero, c, {})),
+                (ChainMap(a, zero, {}), s.chain_map(a, c)),
+                (s.chain_map(a, b), ChainMap(a, zero, {}))]
+    out.append((ChainMap(zero, zero, {}), ChainMap(zero, zero, {})))
+    return out
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(2, 4), Ring(5, 2)], ids=str)
+def test_homotopy_pushout_equals_the_composite_square(ring):
+    # over F_3 and F_5 the sign of -f in u can be seen
+    metrics = (metric_i(), metric_ii(), metric_iii(), metric_i(dual=True))
+    nonzero = 0
+    for f, h in square_corners(ring, seed=60 + ring.p + ring.n):
+        u, g = homotopy_pushout(f, h)
+        u_ref, z_ref, g_ref = composite_square(f, h)
+        assert u == u_ref and g.target == z_ref and g == g_ref
+        assert chain_map_bytes(u) == chain_map_bytes(u_ref)
+        assert complex_bytes(g.target) == complex_bytes(z_ref)
+        assert chain_map_bytes(g) == chain_map_bytes(g_ref)
+        nonzero += not u.is_zero() and not g.is_zero()
+        for m in metrics:
+            lf, lg = length(f, m), length(g_ref, m)
+            rep = cartesian_invariance_check(f, h, m)
+            assert (rep.ok, rep.length_f, rep.length_g) == (lf == lg, lf, lg)
+    assert nonzero >= 5
+
+
+def test_homotopy_pushout_refuses_maps_without_a_common_source():
+    with pytest.raises(PreconditionError, match="share a source"):
+        homotopy_pushout(identity_chain_map(k_at(0)), identity_chain_map(k_at(1)))
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3)], ids=str)
+def test_checks_build_only_the_chain_maps_their_lengths_read(count_calls, ring):
+    # a cartesian check builds u and g, a strong-triangle check g o f, and
+    # both eliminate exactly what the composite-built square did
+    from tricomplete import linalg
+
+    counts = count_calls(ChainMap, linalg.rref)
+
+    def measure(run):
+        counts.clear()
+        run()
+        return Counter(counts)
+
+    eliminations = 0
+    for f, h in square_corners(ring, seed=70 + ring.p):
+        for m in (metric_i(), metric_ii(), metric_iii()):
+            seen = measure(lambda: cartesian_invariance_check(f, h, m))
+            was = measure(lambda: (length(f, m), length(composite_square(f, h)[2], m)))
+            assert seen["ChainMap"] == 2 and was["ChainMap"] == 8
+            assert seen["rref"] == was["rref"]
+            eliminations += seen["rref"]
+    assert eliminations > 0
+    s = Sampler(ring, random.Random(71))
+    for _ in range(6):
+        f, g = s.composable_pair(-2, 2, max_blocks=2)
+        seen = measure(lambda: strong_triangle_check(f, g, metric_i()))
+        assert seen["ChainMap"] == 1 and seen["rref"] > 0
+
+
 # -- lengths read ranks, not cones ------------------------------------------------
 
 
@@ -483,29 +580,19 @@ def extension_fuzz_inputs(m, ring, samples, seed):
     return out
 
 
-def test_lengths_build_no_cone_and_run_the_same_eliminations(monkeypatch, rebind):
+def test_lengths_build_no_cone_and_run_the_same_eliminations(count_calls):
     # length, is_quasi_iso, prefix-only is_cauchy and the extension fuzz
     # build no Complex beyond their inputs and call no cone, yet eliminate
     # exactly what the cone-building path eliminated
-    from tricomplete import complexes, linalg
+    from tricomplete import linalg
     from tricomplete.cauchy import is_cauchy, prefix_tower, truncation_tower
-    from tricomplete.complexes import is_acyclic, is_quasi_iso
+    from tricomplete.complexes import Complex, is_acyclic, is_quasi_iso
 
-    counts = dict.fromkeys(("Complex", "cone", "rref"), 0)
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(complexes.Complex, "__init__", counting("Complex", complexes.Complex.__init__))
-    rebind(complexes.cone, counting("cone", complexes.cone))
-    rebind(linalg.rref, counting("rref", linalg.rref))
+    counts = count_calls(Complex, cone, linalg.rref)
 
     def measure(run):
-        counts.update(Complex=0, cone=0, rref=0)
-        return run(), dict(counts)
+        counts.clear()
+        return run(), Counter(counts)
 
     ring = Ring(3, 3)
     s = Sampler(ring, random.Random(41))
