@@ -10,18 +10,24 @@ on demand:
     2-periodic tail, so any X_k costs no elimination);
   * constant tail at a bounded complex X: X_k = X with identity maps.
 
-For tail towers the cone of X_i -> X_j is the quotient complex, whose
-cohomology support has a closed form, so certificates are unconditional:
+This module is the one place that knows what a tail kind implies.  Each
+tail rule answers for itself: the cohomology support of every cone
+X_i -> X_j (tail_support), the entry from which H^i is stable
+(stable_from), the vanishing outside a window, and the representative of
+its colimit with a default window around it.  For tail towers the cone of
+X_i -> X_j is the quotient complex, so certificates are unconditional:
 the union over all j > i of these supports (a point and a ray escaping to
 -infinity) is measured exactly, once per i, and colimits read H^i off the
-one entry from which the tail is constant around degree i.  Certificates
-are issued only for good metrics.  Prefix-only towers can only ever be
-measured (and their colimits scanned) up to the horizon, and their
-certificates say so rather than guessing.
+one entry from which the tail is constant around degree i, whatever the
+horizon.  Certificates are issued only for good metrics, and every
+threshold M(n) is read from the sup lengths by one rule.  Prefix-only
+towers can only ever be measured (and their colimits scanned) up to the
+horizon, and their certificates say so rather than guessing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,6 +48,7 @@ from .complexes import (
     cohomology_data,
     cohomology_map,
     identity_chain_map,
+    module_complex,
 )
 from .metric import GoodMetric, length, require_good
 
@@ -52,8 +59,11 @@ class TruncationTail:
     F_0 = R^(#blocks of M) and below it the closed-form periodic tail of
     Omega M >-> F_0 (rmodule.periodic_tail): F_t covers Omega^t M, and
     d : F_t -> F_(t-1) is that cover followed by the syzygy_embedding of
-    Omega^t M in F_(t-1).
+    Omega^t M in F_(t-1).  Its colimit is M in degree 0, and the default
+    colimit window is [-2, 2].
     """
+
+    window = (-2, 2)
 
     def __init__(self, module: RModule):
         self.module = module
@@ -96,13 +106,19 @@ class TruncationTail:
     def vanishes_outside(self, lo: int, hi: int) -> bool:
         return lo <= 0 <= hi
 
+    def representative(self) -> Complex:
+        return module_complex(self.module, 0)
+
 
 class ConstantTail:
-    """X_k = X for all k, with identity connecting maps."""
+    """X_k = X for all k, with identity connecting maps.  Its colimit is X,
+    and the default colimit window is X's hull widened by 1 on each side
+    ([-1, 1] when X is zero)."""
 
     def __init__(self, x: Complex):
         self.complex = x
         self.ring = x.ring
+        self.window = (-1, 1) if x.is_zero() else (x.min_degree - 1, x.max_degree + 1)
 
     def complex_at(self, k: int) -> Complex:
         return self.complex
@@ -119,6 +135,9 @@ class ConstantTail:
     def vanishes_outside(self, lo: int, hi: int) -> bool:
         x = self.complex
         return x.is_zero() or (lo <= x.min_degree and x.max_degree <= hi)
+
+    def representative(self) -> Complex:
+        return self.complex
 
 
 class Tower:
@@ -144,11 +163,6 @@ class Tower:
                 if f != tail.map_at(k, self.prefix[k - 1], self.prefix[k]):
                     raise PreconditionError("connecting map %d disagrees with the tail rule" % k)
         self._cplx_cache: dict[int, Complex] = {}
-        self._map_cache: dict[int, ChainMap] = {}
-
-    @property
-    def has_tail(self) -> bool:
-        return self.tail is not None
 
     def available_horizon(self, requested: int) -> int:
         if self.tail is not None:
@@ -173,9 +187,7 @@ class Tower:
             return self.prefix_maps[k - 1]
         if self.tail is None:
             raise PreconditionError("connecting map %d beyond prefix (no tail rule)" % k)
-        if k not in self._map_cache:
-            self._map_cache[k] = self.tail.map_at(k, self.complex_at(k), self.complex_at(k + 1))
-        return self._map_cache[k]
+        return self.tail.map_at(k, self.complex_at(k), self.complex_at(k + 1))
 
     def composite(self, i: int, j: int) -> ChainMap:
         """The composite X_i -> X_j."""
@@ -208,7 +220,6 @@ class CauchyCertificate:
     horizon: int
     levels: int
     verdict: str  # "cauchy" | "not_cauchy" | "inconclusive"
-    conclusive: bool
     thresholds: dict[int, int] = field(default_factory=dict)  # n -> M(n)
     sup_lengths: dict[int, Fraction] = field(default_factory=dict)  # i -> sup over j of length
     violation: tuple | None = None  # (n, i, j, length)
@@ -218,70 +229,67 @@ class CauchyCertificate:
     def is_cauchy(self) -> bool:
         return self.verdict == "cauchy"
 
+    @property
+    def conclusive(self) -> bool:
+        return self.verdict != "inconclusive"
+
 
 def is_cauchy(tower: Tower, m: GoodMetric, horizon: int, levels: int) -> CauchyCertificate:
     """Certify the Cauchy condition per level n: a threshold M(n) beyond
     which all composites are shorter than 1/n.
 
     Only good metrics are certified: a metric whose shift axiom fails at
-    some level is refused.  Tail towers get unconditional certificates from
-    the closed-form cone supports; prefix-only towers are measured within
-    the horizon and the certificate is explicitly inconclusive (never a
-    false positive).  horizon must be >= 2 and levels >= 0.
+    some level is refused.  Each branch gives sup_lengths, the sup over
+    j >= i of length(X_i -> X_j) for i up to the horizon h: a tail tower
+    reads it off the closed-form cone supports, exactly; a prefix-only
+    tower measures one running composite per entry within the available
+    prefix.  M(n) is then the least M with every sup_lengths[i], i >= M,
+    below 1/n.  A tail tower's certificate is unconditional, and
+    inconclusive only when some level n finds no M up to the horizon; a
+    prefix-only tower's is always inconclusive (never a false positive).
+    horizon must be >= 2 and levels >= 0.
     """
     if horizon < 2:
         raise PreconditionError("horizon (--horizon) must be >= 2, got %d" % horizon)
     if levels < 0:
         raise PreconditionError("levels (--levels) must be >= 0, got %d" % levels)
     require_good(m)
-    name = m.display_name()
-    if tower.has_tail:
-        # sup over j >= i of length(X_i -> X_j), exactly: the balls of a
-        # good metric are nested, so the least level over the union of all
-        # cone supports is the least level over each of them
-        sup = {i: m.support_length(*tower.tail.tail_support(i)) for i in range(1, horizon + 1)}
-        cert = CauchyCertificate(metric=name, horizon=horizon, levels=levels,
-                                 verdict="cauchy", conclusive=True, sup_lengths=sup)
-        _, escape = tower.tail.tail_support(horizon)
-        if escape is not None and any(p[0] == "below" for p in m.effective_pieces):
-            # the escaping ray meets every ball's spec, so lengths stay 1
-            # arbitrarily deep.  Witness: the least j > horizon with -j in
-            # spec(2), i.e. its greatest degree <= -horizon-1
-            top = max(min(hi, escape) for lo, hi in m.effective_spec(2).runs() if lo <= escape)
-            cert.verdict = "not_cauchy"
-            cert.violation = (1, horizon, -top, Fraction(1))
-            return cert
-        for n in range(1, levels + 1):
-            # tail_support(i+1) lies in tail_support(i), so sup is
-            # non-increasing and the first M below 1/n is the threshold
-            found = next((M for M in range(1, horizon + 1) if sup[M] < Fraction(1, n)), None)
-            if found is None:
-                cert.verdict = "inconclusive"
-                cert.conclusive = False
-                cert.note = "horizon %d too small to certify level %d" % (horizon, n)
-                return cert
-            cert.thresholds[n] = found
-        return cert
-    # prefix-only: measure within the horizon, never certify beyond it
     h = tower.available_horizon(horizon)
-    measured = {}
-    for i in range(1, h + 1):  # one running composite X_i -> X_j per i
-        acc = identity_chain_map(tower.complex_at(i))
-        for j in range(i, h + 1):
-            if j > i:
+    cert = CauchyCertificate(metric=m.display_name(), horizon=h, levels=levels, verdict="cauchy")
+    if tower.tail is not None:
+        # exact: the balls of a good metric are nested, so the least level
+        # over the union of all cone supports is the least level over each
+        cert.sup_lengths = {i: m.support_length(*tower.tail.tail_support(i)) for i in range(1, h + 1)}
+        _, escape = tower.tail.tail_support(h)
+        runs = m.effective_spec(2).runs()
+        if escape is not None and runs and runs[0][0] == -math.inf:
+            # a below ray meets the escaping ray at every level, so lengths
+            # stay 1 arbitrarily deep.  Witness: the least j > h with -j in
+            # spec(2), i.e. its greatest degree <= -h-1
+            top = max(min(hi, escape) for lo, hi in runs if lo <= escape)
+            cert.verdict = "not_cauchy"
+            cert.violation = (1, h, -top, Fraction(1))
+            return cert
+    else:
+        for i in range(1, h + 1):  # one running composite X_i -> X_j per i
+            acc = identity_chain_map(tower.complex_at(i))
+            cert.sup_lengths[i] = length(acc, m)
+            for j in range(i + 1, h + 1):
                 acc = tower.map_at(j - 1) @ acc
-            measured[i, j] = length(acc, m)
-    cert = CauchyCertificate(metric=name, horizon=h, levels=levels,
-                             verdict="inconclusive", conclusive=False,
-                             note="prefix-only tower: behaviour beyond entry %d is unknown" % h)
-    cert.sup_lengths = {i: max((measured[(i, j)] for j in range(i, h + 1)), default=Fraction(0))
-                        for i in range(1, h + 1)}
+                cert.sup_lengths[i] = max(cert.sup_lengths[i], length(acc, m))
+        cert.verdict = "inconclusive"
+        cert.note = "prefix-only tower: behaviour beyond entry %d is unknown" % h
+    beyond = {h + 1: Fraction(0)}  # beyond[M] = max(sup_lengths[M..h])
+    for i in range(h, 0, -1):
+        beyond[i] = max(beyond[i + 1], cert.sup_lengths[i])
     for n in range(1, levels + 1):
-        eps = Fraction(1, n)
-        for M in range(1, h + 1):
-            if all(measured[(i, j)] < eps for i in range(M, h + 1) for j in range(i, h + 1)):
-                cert.thresholds[n] = M
-                break
+        found = next((M for M in range(1, h + 1) if beyond[M] < Fraction(1, n)), None)
+        if found is None:
+            if tower.tail is not None:
+                cert.verdict = "inconclusive"
+                cert.note = "horizon %d too small to certify level %d" % (h, n)
+            break
+        cert.thresholds[n] = found
     return cert
 
 
@@ -315,8 +323,9 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
     i is (H^i(X_k), k) with H^i of every connecting map from X_k on an
     isomorphism, and i is inconclusive when no such k <= h - 1 is known.
 
-    A tail tower takes k = tail.stable_from(i) and computes H^i once, on
-    X_k.  This is exact for every later map, not just up to the horizon:
+    A tail tower takes k = tail.stable_from(i), however large, and computes
+    H^i once, on X_k, so its table does not depend on the horizon.  This
+    is exact for every later map, not just up to the horizon:
     for k' >= k, X_k' and X_(k'+1) have the same components in degrees
     i-1..i+1 and the same d^(i-1) and d^i (a truncation adds components
     only below -k' <= i-1, a constant tail none), and the connecting map,
@@ -332,11 +341,11 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
         raise PreconditionError("empty window")
     h = tower.available_horizon(horizon)
     table = ColimitTable(ring=tower.ring, window=window, horizon=h)
-    table.outside_window_vanishes = tower.has_tail and tower.tail.vanishes_outside(lo, hi)
+    table.outside_window_vanishes = tower.tail is not None and tower.tail.vanishes_outside(lo, hi)
     for i in range(lo, hi + 1):
-        if tower.has_tail:
+        if tower.tail is not None:
             k_i = tower.tail.stable_from(i)
-            data = cohomology_data(tower.complex_at(k_i), i) if k_i <= h - 1 else None
+            data = cohomology_data(tower.complex_at(k_i), i)
         else:
             datas = {k: cohomology_data(tower.complex_at(k), i) for k in range(1, h + 1) if h > 1}
             k_i = next((k0 for k0 in range(1, h) if all(

@@ -29,16 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .rmodule import RModule, omega_power, stable_hom_dim, zero_module
-from .complexes import (
-    Complex,
-    PreconditionError,
-    cohomology,
-    module_complex,
-    projective_resolution,
-    zero_complex,
-)
+from .complexes import Complex, PreconditionError, cohomology, projective_resolution
 from .metric import GoodMetric
-from .cauchy import CauchyCertificate, ColimitTable, ConstantTail, Tower, TruncationTail, colimit, is_cauchy
+from .cauchy import CauchyCertificate, ColimitTable, Tower, colimit, is_cauchy
 
 
 class Verdict(Enum):
@@ -72,24 +65,16 @@ def complete(tower: Tower, metric: GoodMetric, horizon: int = 12, levels: int = 
              window: tuple[int, int] | None = None) -> CompletionObject:
     """Run the completion pipeline on a tower.
 
-    The window defaults to one comfortably containing the possible support
-    of the built-in tails.
+    A tail tower's representative and default window come from its tail
+    rule; a prefix-only tower has no representative, and its window
+    defaults to [-2, 2].
     """
     cert = is_cauchy(tower, metric, horizon, levels)
+    tail = tower.tail
     if window is None:
-        if isinstance(tower.tail, ConstantTail):
-            x = tower.tail.complex
-            window = (x.min_degree - 1, x.max_degree + 1) if not x.is_zero() else (-1, 1)
-        else:
-            window = (-2, 2)
+        window = (-2, 2) if tail is None else tail.window
     table = colimit(tower, window, horizon, cert)
-    rep = None
-    if isinstance(tower.tail, TruncationTail):
-        m = tower.tail.module
-        rep = module_complex(m, 0) if not m.is_zero() else zero_complex(tower.ring)
-    elif isinstance(tower.tail, ConstantTail):
-        rep = tower.tail.complex
-    return CompletionObject(tower, metric, cert, table, rep)
+    return CompletionObject(tower, metric, cert, table, None if tail is None else tail.representative())
 
 
 def is_compactly_supported(c: CompletionObject) -> Verdict:

@@ -727,19 +727,19 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
 def derived_hom(a: Complex, b: Complex, d: int = 0) -> int:
     """dim over F_p of Hom in the derived category from a to T^d b.
 
-    Computed as H^0 of the Hom complex out of a projective resolution P of
-    a: dim Hom^0 - rk delta^0 - rk delta^(-1).  With T^d b in degrees
-    [lo + 1, hi - 1], for lo = b.min - d - 1 and hi = b.max - d + 1,
-    Hom^(-1), Hom^0, Hom^1 and both deltas see P only in degrees [lo, hi],
-    so only that band of P is built.  The cut min(a.min - 1, lo) is at
-    least one below a's support, so the arrays come from a's cached window
-    or its spliced tail.
+    Computed as H^d of the Hom complex out of a projective resolution P of
+    a into b: dim Hom^d - rk delta^d - rk delta^(d-1).  Hom^k(P, T^d b) is
+    Hom^(k+d)(P, b), with delta changed only by the sign (-1)^d, so this is
+    H^0 of Hom(P, T^d b) and no shifted copy of b is built.  Hom^(d-1),
+    Hom^d, Hom^(d+1) and both deltas see P only in degrees [lo, hi], for
+    lo = b.min - d - 1 and hi = b.max - d + 1, so only that band of P is
+    built.  The cut min(a.min - 1, lo) is at least one below a's support,
+    so the arrays come from a's cached window or its spliced tail.
     """
     if a.is_zero() or b.is_zero():
         return 0
     lo, hi = b.min_degree - d - 1, b.max_degree - d + 1
     pc = projective_resolution(a, min(a.min_degree - 1, lo)).band(lo, hi)
-    tb = shift(b, d)
-    _, d0 = hom_complex(pc, tb, 0)
-    _, dm1 = hom_complex(pc, tb, -1)
-    return d0.cols - rank(d0) - rank(dm1)
+    _, dd = hom_complex(pc, b, d)
+    _, dm1 = hom_complex(pc, b, d - 1)
+    return dd.cols - rank(dd) - rank(dm1)

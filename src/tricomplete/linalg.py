@@ -22,13 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_PRIME_CACHE: dict[int, bool] = {}
-
 
 def is_prime(p: int) -> bool:
-    if p not in _PRIME_CACHE:
-        _PRIME_CACHE[p] = p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
-    return _PRIME_CACHE[p]
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 def inv_mod(a: int, p: int) -> int:

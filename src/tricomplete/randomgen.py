@@ -22,9 +22,8 @@ class Sampler:
         self.ring = ring
         self.rng = rng
 
-    def module(self, max_blocks: int = 2, allow_zero: bool = True) -> RModule:
-        lo = 0 if allow_zero else 1
-        k = self.rng.randint(lo, max_blocks)
+    def module(self, max_blocks: int = 2) -> RModule:
+        k = self.rng.randint(0, max_blocks)
         return RModule(self.ring, tuple(self.rng.randint(1, self.ring.n) for _ in range(k)))
 
     def _kernel_sample(self, x: Complex, y: Complex) -> dict[int, RModuleMap]:

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from tricomplete.complexes import (
     cone,
     identity_chain_map,
     module_complex,
+    zero_complex,
 )
 from tricomplete.metric import length, metric_i, metric_ii, metric_iii, object_length
 from tricomplete.cauchy import (
@@ -29,6 +32,7 @@ from tricomplete.cauchy import (
     prefix_tower,
     truncation_tower,
 )
+from tricomplete.completion import complete
 from tricomplete.randomgen import Sampler
 
 R22 = Ring(2, 2)
@@ -204,7 +208,7 @@ def composite_prefix_certificate(tower, m, horizon, levels):
     measured = {(i, j): length(tower.composite(i, j), m)
                 for i in range(1, h + 1) for j in range(i, h + 1)}
     cert = CauchyCertificate(metric=m.display_name(), horizon=h, levels=levels,
-                             verdict="inconclusive", conclusive=False,
+                             verdict="inconclusive",
                              note="prefix-only tower: behaviour beyond entry %d is unknown" % h)
     cert.sup_lengths = {i: max(measured[(i, j)] for j in range(i, h + 1)) for i in range(1, h + 1)}
     for n in range(1, levels + 1):
@@ -366,18 +370,60 @@ def _colimit_towers(ring, rng):
 
 
 def test_colimit_matches_the_scan_to_the_horizon():
+    # a tail tower's table is exact at any horizon: it equals the scan at a
+    # horizon past every stable index (5 for degree -4), and it differs
+    # from the scan at its own horizon only in degrees the scan cannot
+    # reach there.  A prefix-only tower's table is the scan's.
     rng = random.Random(15)
     tables = 0
     for ring in (R22, Ring(3, 3), Ring(2, 4), Ring(5, 3)):
         for t in _colimit_towers(ring, rng):
+            windows = ((-4, 2), (-1, 1), (1, 3))
+            deep = {window: scan_colimit(t, window, 8) for window in windows}
             for h in (2, 3, 4, 6):
                 cert = is_cauchy(t, metric_i(), h, 2)
-                for window in ((-4, 2), (-1, 1), (1, 3)):
+                for window in windows:
                     new, ref = colimit(t, window, h, cert), scan_colimit(t, window, h)
-                    assert (new.entries, new.inconclusive, new.outside_window_vanishes, new.horizon) \
-                        == (ref.entries, ref.inconclusive, ref.outside_window_vanishes, ref.horizon)
+                    assert new.horizon == ref.horizon == t.available_horizon(h)
+                    if t.tail is None:
+                        assert (new.entries, new.inconclusive, new.outside_window_vanishes) \
+                            == (ref.entries, ref.inconclusive, ref.outside_window_vanishes)
+                    else:
+                        assert (new.entries, new.inconclusive, new.outside_window_vanishes) \
+                            == (deep[window].entries, [], deep[window].outside_window_vanishes)
+                        assert all(new.entries[i] == e for i, e in ref.entries.items())
+                        assert all(t.tail.stable_from(i) > h - 1 for i in ref.inconclusive)
                     tables += 1
     assert tables >= 1308
+
+
+def test_tail_colimits_do_not_depend_on_the_horizon():
+    rng = random.Random(16)
+    for ring in (R22, Ring(3, 3), Ring(2, 4)):
+        for t in _colimit_towers(ring, rng):
+            if t.tail is None:
+                continue
+            for window in ((-6, 2), (-1, 1)):
+                short = colimit(t, window, 2, is_cauchy(t, metric_i(), 2, 2))
+                long = colimit(t, window, 30, is_cauchy(t, metric_i(), 30, 2))
+                assert not short.inconclusive
+                assert (short.entries, short.outside_window_vanishes) \
+                    == (long.entries, long.outside_window_vanishes)
+
+
+def test_bench_workspace_tail_colimit_is_exact_at_a_small_horizon(capsys):
+    # degrees -4..-2 stabilize only from X_3..X_5 on, past horizon 3; the
+    # tail builds those entries on demand
+    from tricomplete.cli import main
+
+    ws = str(Path(__file__).resolve().parents[1] / "bench" / "cli_session" / "workspace.txt")
+    code = main(["-w", ws, "colimit", "towerK", "--metric", "i", "--horizon", "3", "--window=-4..1",
+                 "--format", "structured"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0, report
+    table = report["table"]
+    assert (table["horizon"], table["inconclusive-degrees"], table["support"]) == (3, [], [0])
+    assert [table["entries"][str(i)]["stable-from"] for i in range(-4, 2)] == [5, 4, 3, 2, 1, 1]
 
 
 def test_tail_colimit_computes_each_degree_once(monkeypatch):
@@ -396,3 +442,122 @@ def test_tail_colimit_computes_each_degree_once(monkeypatch):
         table = colimit(t, (-4, 2), 12, is_cauchy(t, metric_i(), 12, 3))
         assert not table.inconclusive
         assert sorted(degrees) == list(range(-4, 3))
+
+
+# -- one threshold rule, and the tail rules' own representative and window -----
+
+
+def reference_is_cauchy(tower, m, horizon, levels):
+    """is_cauchy with a separate rule per branch, the reference for the
+    shared threshold rule: a tail tower scans M per level over its
+    non-increasing sup lengths and finds a below ray by the piece tags; a
+    prefix-only tower rescans its table of measured composites for every
+    (n, M) (composite_prefix_certificate)."""
+    if tower.tail is None:
+        return composite_prefix_certificate(tower, m, horizon, levels)
+    sup = {i: m.support_length(*tower.tail.tail_support(i)) for i in range(1, horizon + 1)}
+    cert = CauchyCertificate(metric=m.display_name(), horizon=horizon, levels=levels,
+                             verdict="cauchy", sup_lengths=sup)
+    _, escape = tower.tail.tail_support(horizon)
+    if escape is not None and any(p[0] == "below" for p in m.effective_pieces):
+        top = max(min(hi, escape) for lo, hi in m.effective_spec(2).runs() if lo <= escape)
+        cert.verdict = "not_cauchy"
+        cert.violation = (1, horizon, -top, Fraction(1))
+        return cert
+    for n in range(1, levels + 1):
+        found = next((M for M in range(1, horizon + 1) if sup[M] < Fraction(1, n)), None)
+        if found is None:
+            cert.verdict = "inconclusive"
+            cert.note = "horizon %d too small to certify level %d" % (horizon, n)
+            return cert
+        cert.thresholds[n] = found
+    return cert
+
+
+def reference_complete(tower, metric, horizon, levels):
+    """complete with the window and representative chosen by the tail's
+    class, the reference for the tail rules' own window and
+    representative: (window, representative, certificate, table)."""
+    cert = reference_is_cauchy(tower, metric, horizon, levels)
+    if isinstance(tower.tail, ConstantTail):
+        x = tower.tail.complex
+        window = (x.min_degree - 1, x.max_degree + 1) if not x.is_zero() else (-1, 1)
+    else:
+        window = (-2, 2)
+    rep = None
+    if isinstance(tower.tail, TruncationTail):
+        mod = tower.tail.module
+        rep = module_complex(mod, 0) if not mod.is_zero() else zero_complex(tower.ring)
+    elif isinstance(tower.tail, ConstantTail):
+        rep = tower.tail.complex
+    return window, rep, cert, colimit(tower, window, horizon, cert)
+
+
+def _certificate_towers(ring, rng):
+    """Truncation towers of every Jordan type with <= 3 blocks (the zero
+    module too), constant towers at the zero complex and at 3 sampled
+    complexes, two of them behind an agreeing prefix, and prefix-only
+    towers of lengths 3 and 4."""
+    n = ring.n
+    types = [b for r in range(4) for b in itertools.combinations_with_replacement(range(n, 0, -1), r)]
+    s = Sampler(ring, rng)
+    towers = [truncation_tower(RModule(ring, b)) for b in types]
+    towers += [constant_tower(zero_complex(ring))]
+    towers += [constant_tower(s.complex(-2, 2, max_blocks=2)) for _ in range(3)]
+    for t, length_ in ((towers[n], 3), (towers[-1], 4)):  # the simple module; a sampled complex
+        entries = [t.complex_at(k) for k in range(1, length_ + 1)]
+        maps = [t.map_at(k) for k in range(1, length_)]
+        towers.append(Tower(ring, prefix=entries, prefix_maps=maps, tail=t.tail))
+    xs = [s.complex(-1, 1, max_blocks=2) for _ in range(3)]
+    towers.append(prefix_tower(xs, [s.chain_map(xs[k], xs[k + 1]) for k in range(2)]))
+    t = truncation_tower(RModule(ring, (1,)))
+    towers.append(prefix_tower([t.complex_at(k) for k in range(1, 5)], [t.map_at(k) for k in (1, 2, 3)]))
+    return towers
+
+
+def _certificate_metrics(rng, draw_good_metric, draws):
+    return [std(dual=d) for std in (metric_i, metric_ii, metric_iii) for d in (False, True)] \
+        + [draw_good_metric(rng) for _ in range(draws)]
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(2, 4)], ids=str)
+def test_certificates_equal_the_per_branch_reference(ring, draw_good_metric):
+    # every horizon 2..12 (a prefix-only tower's stops past its length),
+    # each with a level that rotates with the tower, so every level 0..8
+    # meets every tower kind
+    rng = random.Random(ring.p * 10 + ring.n)
+    metrics = _certificate_metrics(rng, draw_good_metric, 4)
+    verdicts = set()
+    for index, t in enumerate(_certificate_towers(ring, rng)):
+        for m in metrics:
+            for horizon in range(2, 13 if t.tail is not None else 6):
+                levels = (horizon + index) % 9
+                cert = is_cauchy(t, m, horizon, levels)
+                assert dataclasses.asdict(cert) == dataclasses.asdict(
+                    reference_is_cauchy(t, m, horizon, levels)), (t.tail, m.pieces, horizon, levels)
+                assert cert.conclusive == (cert.verdict != "inconclusive")
+                verdicts.add((t.tail is None, cert.verdict, cert.note.split(" ")[0]))
+    assert verdicts == {(False, "cauchy", ""), (False, "not_cauchy", ""),
+                        (False, "inconclusive", "horizon"),
+                        (True, "inconclusive", "prefix-only")}
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(2, 4)], ids=str)
+def test_complete_reads_window_and_representative_off_the_tail_rule(ring, draw_good_metric):
+    rng = random.Random(ring.p * 10 + ring.n + 1)
+    metrics = _certificate_metrics(rng, draw_good_metric, 2)
+    completed = 0
+    for t in _certificate_towers(ring, rng):
+        for m in metrics:
+            for horizon, levels in ((2, 0), (3, 4), (9, 8)):
+                if reference_is_cauchy(t, m, horizon, levels).verdict == "not_cauchy":
+                    with pytest.raises(PreconditionError, match="not Cauchy"):
+                        complete(t, m, horizon, levels)
+                    continue
+                window, rep, cert, table = reference_complete(t, m, horizon, levels)
+                c = complete(t, m, horizon, levels)
+                assert (c.table.window, c.representative) == (window, rep)
+                assert dataclasses.asdict(c.certificate) == dataclasses.asdict(cert)
+                assert dataclasses.asdict(c.table) == dataclasses.asdict(table)
+                completed += 1
+    assert completed > 0

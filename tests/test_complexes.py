@@ -28,6 +28,7 @@ from tricomplete.complexes import (
     direct_sum_complex,
     dual_map,
     dualize,
+    hom_complex,
     identity_chain_map,
     is_acyclic,
     is_null_homotopic,
@@ -671,6 +672,45 @@ def test_derived_hom_matches_periodic_oracle():
             d = rng.randint(0, 4)
             got = derived_hom(module_complex(m), module_complex(nn), d)
             assert got == ext_dim_modules(m, nn, d), (ring, m, nn, d)
+
+
+def shifted_derived_hom(a, b, d):
+    """derived_hom through the shifted complex: H^0 of Hom(P, T^d b) on
+    the same band of P, the reference for reading Hom^d(P, b)."""
+    if a.is_zero() or b.is_zero():
+        return 0
+    lo, hi = b.min_degree - d - 1, b.max_degree - d + 1
+    pc = projective_resolution(a, min(a.min_degree - 1, lo)).band(lo, hi)
+    tb = shift(b, d)
+    _, d0 = hom_complex(pc, tb, 0)
+    _, dm1 = hom_complex(pc, tb, -1)
+    return d0.cols - rank(d0) - rank(dm1)
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(3, 4), Ring(5, 2)], ids=str)
+def test_derived_hom_reads_hom_d_of_b_without_shifting(ring):
+    # Hom^k(P, T^d b) is Hom^(k+d)(P, b) with the same basis and rows, and
+    # delta^k there is (-1)^d delta^(k+d) here
+    from tricomplete.randomgen import Sampler
+
+    rng = random.Random(90 + ring.p + ring.n)
+    s = Sampler(ring, rng)
+    nonzero = 0
+    for _ in range(80):
+        a, b = s.complex(-1, 1, max_blocks=2), s.complex(-1, 1, max_blocks=2)
+        d = rng.randint(-3, 4)
+        got = derived_hom(a, b, d)
+        assert got == shifted_derived_hom(a, b, d), (a, b, d)
+        nonzero += got > 0
+        if not a.is_zero():
+            pc = projective_resolution(a, a.min_degree - 3).complex
+            for k in (-1, 0):
+                (basis, delta), (sbasis, sdelta) = hom_complex(pc, b, k + d), \
+                    hom_complex(pc, shift(b, d), k)
+                assert [i for i, _ in basis] == [i for i, _ in sbasis]
+                assert delta.a.shape == sdelta.a.shape
+                assert not ((delta.a * (-1) ** d - sdelta.a) % ring.p).any()
+    assert nonzero >= 20
 
 
 def test_derived_hom_negative_degrees_vanish_for_modules():
