@@ -25,7 +25,6 @@ from .metric import (
     cartesian_invariance_check,
     check_good_axioms,
     equivalent,
-    first_shift_violation,
     in_ball,
     length,
     standard_metric,
@@ -292,11 +291,15 @@ def cmd_axioms_fuzz(ctx: _Ctx, args) -> int:
 
 
 def cmd_strong_triangle_fuzz(ctx: _Ctx, args) -> int:
+    for what, flag, count in (("samples", "--samples", args.samples),
+                              ("cartesian samples", "--cartesian-samples", args.cartesian_samples)):
+        if count < 0:
+            raise PreconditionError("%s (%s) must be >= 0, got %d" % (what, flag, count))
     m = ctx.metric(args.metric)
     ring = ctx.ring()
     rng = random.Random(args.seed)
     sampler = Sampler(ring, rng)
-    good = first_shift_violation(m) is None
+    good = m.shift_violation is None
 
     def hit(kind: str, k: int, lengths: list) -> dict:
         if good:

@@ -3,10 +3,11 @@
 A ball family assigns to each level n >= 1 the set of degrees where
 cohomology must vanish; membership of a bounded complex in the n-th ball
 is then a finite check on its cohomology support.  Every family is a union
-of pieces (rays and open intervals) whose endpoints are integer-linear in
-n, so ball levels, inclusions and the good-metric axioms are solved as
-linear inequalities in n.  Lengths of morphisms are exact rationals 1/n
-read off the cone's support.
+of closed degree runs [lo(n), hi(n)] (rays have one open end) with ends
+integer-linear in n, so a run holds a degree on one range of levels: ball
+membership and ball levels read these ranges, exactly for every family,
+and inclusions and the good-metric axioms are linear inequalities in n.
+Lengths of morphisms are exact rationals 1/n read off the cone's support.
 
 The three standard families, for a homological functor H:
   i)   vanish in degrees i > -n,
@@ -19,6 +20,7 @@ dual flag realizes opposite-side measurement by degree negation.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -63,22 +65,35 @@ class LinearExpr:
         return "%s%+d" % (an, self.b)
 
 
-def _shift_piece(p: tuple, t: int) -> tuple:
-    return (p[0],) + tuple(e + t for e in p[1:])
+def _closed_run(p: tuple, dual: bool) -> tuple:
+    """The declared piece p as a closed run (lo, hi), None at a ray's open
+    end: ("above", a) is [a+1, ...), ("below", b) is (..., b-1] and
+    ("interval", a, b) is [a+1, b-1]; negated to (-hi, -lo) under dual."""
+    kind, *ends = p
+    lo = None if kind == "below" else ends[0] + 1
+    hi = None if kind == "above" else ends[-1] + (-1)
+    if dual:
+        lo, hi = (None if hi is None else -hi), (None if lo is None else -lo)
+    return lo, hi
 
 
-def _negate_piece(p: tuple) -> tuple:
-    kind = {"above": "below", "below": "above", "interval": "interval"}[p[0]]
-    return (kind,) + tuple(-e for e in reversed(p[1:]))
+def _merged(spans) -> list[tuple]:
+    """The closed integer spans (lo, hi) as sorted, disjoint, non-adjacent runs."""
+    merged: list[tuple] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 @dataclass(frozen=True)
 class VanishingSpec:
-    """Finite union of degree constraints: rays and open intervals.
-
-    pieces are tuples ("above", a) = {i : i > a}, ("below", b) = {i : i < b},
-    ("interval", a, b) = {i : a < i < b}.  Degenerate intervals are dropped.
-    """
+    """Finite union of closed degree runs (lo, hi) = {i : lo <= i <= hi}, in
+    declared order and unmerged; a ray's open end is -inf or +inf.  The
+    constructors take open bounds: ray_above(a) is i > a, ray_below(b) is
+    i < b and interval(a, b) is a < i < b, dropped when empty."""
 
     pieces: tuple[tuple, ...] = ()
 
@@ -88,17 +103,15 @@ class VanishingSpec:
 
     @staticmethod
     def ray_above(a: int) -> "VanishingSpec":
-        return VanishingSpec((("above", a),))
+        return VanishingSpec(((a + 1, math.inf),))
 
     @staticmethod
     def ray_below(b: int) -> "VanishingSpec":
-        return VanishingSpec((("below", b),))
+        return VanishingSpec(((-math.inf, b - 1),))
 
     @staticmethod
     def interval(a: int, b: int) -> "VanishingSpec":
-        if b - a <= 1:
-            return VanishingSpec(())
-        return VanishingSpec((("interval", a, b),))
+        return VanishingSpec(((a + 1, b - 1),) if b - a > 1 else ())
 
     def union(self, other: "VanishingSpec") -> "VanishingSpec":
         return VanishingSpec(self.pieces + other.pieces)
@@ -107,137 +120,116 @@ class VanishingSpec:
         return not self.pieces
 
     def contains(self, i: int) -> bool:
-        for p in self.pieces:
-            if p[0] == "above" and i > p[1]:
-                return True
-            if p[0] == "below" and i < p[1]:
-                return True
-            if p[0] == "interval" and p[1] < i < p[2]:
-                return True
-        return False
+        return any(lo <= i <= hi for lo, hi in self.pieces)
 
     def shifted(self, t: int) -> "VanishingSpec":
-        return VanishingSpec(tuple(_shift_piece(p, t) for p in self.pieces))
+        return VanishingSpec(tuple((lo + t, hi + t) for lo, hi in self.pieces))
 
     def negated(self) -> "VanishingSpec":
-        return VanishingSpec(tuple(_negate_piece(p) for p in self.pieces))
+        return VanishingSpec(tuple((-hi, -lo) for lo, hi in self.pieces))
 
     def runs(self) -> list[tuple]:
         """The degrees as sorted, disjoint, non-adjacent runs [lo, hi] of
         integers; the ends of rays are -inf/+inf."""
-        spans = sorted((p[1] + 1, math.inf) if p[0] == "above"
-                       else (-math.inf, p[1] - 1) if p[0] == "below"
-                       else (p[1] + 1, p[2] - 1) for p in self.pieces)
-        merged: list[list] = []
-        for lo, hi in spans:
-            if merged and lo <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return [tuple(r) for r in merged]
+        return _merged(self.pieces)
 
     def is_subset(self, other: "VanishingSpec") -> bool:
         target = other.runs()
         return all(any(lo >= olo and hi <= ohi for olo, ohi in target)
                    for lo, hi in self.runs())
 
-    def __str__(self):
-        if not self.pieces:
-            return "(none)"
-        bits = []
-        for p in self.pieces:
-            if p[0] == "above":
-                bits.append("i>%d" % p[1])
-            elif p[0] == "below":
-                bits.append("i<%d" % p[1])
-            else:
-                bits.append("%d<i<%d" % (p[1], p[2]))
-        return " or ".join(bits)
 
-
-def _least_level(constraints: list[LinearExpr]) -> int | None:
-    """Least level n >= 2 with c(n) > 0 for every constraint c, or None."""
+def _level_range(constraints: list[tuple[int, int]]) -> tuple | None:
+    """The levels n >= 2 with a*n + b > 0 for every constraint (a, b), as an
+    integer range (first, last) where last may be inf; None when there are
+    none."""
     lo, hi = 2, math.inf
-    for c in constraints:
-        # c.a*n + c.b > 0 over the integers is c.a*n >= 1 - c.b
-        if c.a > 0:
-            lo = max(lo, -((c.b - 1) // c.a))
-        elif c.a < 0:
-            hi = min(hi, (1 - c.b) // c.a)
-        elif c.b <= 0:
+    for a, b in constraints:
+        # a*n + b > 0 over the integers is a*n >= 1 - b
+        if a > 0:
+            lo = max(lo, -((b - 1) // a))
+        elif a < 0:
+            hi = min(hi, (1 - b) // a)
+        elif b <= 0:
             return None
-    return lo if lo <= hi else None
+    return (lo, hi) if lo <= hi else None
 
 
-def _meeting_constraints(p: tuple, d: int, ray: bool) -> list[LinearExpr]:
-    """Conditions on n for the piece p(n) to contain degree d, or (ray) to
-    meet the degrees <= d; each condition reads c(n) > 0."""
-    if p[0] == "below":
-        return [] if ray else [LinearExpr(p[1].a, p[1].b - d)]  # d < b(n)
-    a = p[1]
-    out = [LinearExpr(-a.a, d - a.b)]  # a(n) < d
-    if p[0] == "interval":
-        # d < b(n), or for the ray: the interval is not empty
-        out.append(_interval_nonempty(p) if ray else LinearExpr(p[2].a, p[2].b - d))
+def _meeting_constraints(run: tuple, d: int, below: bool) -> list[tuple[int, int]]:
+    """Conditions on n for the run (lo, hi) at level n to hold degree d, or
+    (below) to hold some degree <= d; each condition (a, b) reads a*n + b > 0."""
+    lo, hi = run
+    out = [] if lo is None else [(-lo.a, d + 1 - lo.b)]  # lo(n) <= d
+    if hi is not None and not below:
+        out.append((hi.a, hi.b + 1 - d))  # d <= hi(n)
+    elif hi is not None and lo is not None:
+        out.append((hi.a - lo.a, hi.b + 1 - lo.b))  # lo(n) <= hi(n)
     return out
-
-
-def _interval_nonempty(p: tuple) -> LinearExpr:
-    """b(n) - a(n) - 1: positive iff the interval piece p(n) holds a degree."""
-    return LinearExpr(p[2].a - p[1].a, p[2].b - p[1].b - 1)
 
 
 class GoodMetric:
     """Ball family: level n maps to the vanishing spec cutting out B_n.
 
-    pieces are ("above", a), ("below", b) and ("interval", a, b) with
-    LinearExpr endpoints, as in VanishingSpec; they cut out B_n for n >= 2,
-    and B_1 is everything.  The dual flag measures on the opposite side:
-    the effective pieces are the negated ones, read against supports as
-    they are.
+    pieces are the declared ("above", a), ("below", b) and ("interval", a, b)
+    with LinearExpr endpoints (the workspace grammar); they cut out B_n for
+    n >= 2, and B_1 is everything.  effective_pieces, the one form the
+    algorithms read, holds them as closed runs (lo, hi), negated under the
+    dual flag, which measures on the opposite side.
     """
 
     def __init__(self, name: str, pieces, dual: bool = False):
         self.name = name
         self.pieces = tuple(pieces)
         self.dual = dual
-        self.effective_pieces = tuple(_negate_piece(p) for p in self.pieces) if dual else self.pieces
+        self.effective_pieces = tuple(_closed_run(p, dual) for p in self.pieces)
+
+    @functools.cached_property
+    def shift_violation(self) -> tuple[int, int, int] | None:
+        """first_shift_violation(self), decided once per metric."""
+        return first_shift_violation(self)
 
     def effective_spec(self, n: int) -> VanishingSpec:
         if n < 1:
             raise PreconditionError("ball level must be >= 1, got %d" % n)
         if n == 1:
             return VanishingSpec.empty()
-        at_n = [(p[0],) + tuple(e(n) for e in p[1:]) for p in self.effective_pieces]
-        return VanishingSpec(tuple(q for q in at_n if q[0] != "interval" or q[2] - q[1] > 1))
+        at_n = ((-math.inf if lo is None else lo(n), math.inf if hi is None else hi(n))
+                for lo, hi in self.effective_pieces)
+        return VanishingSpec(tuple(r for r in at_n if r[0] <= r[1]))
 
     def display_name(self) -> str:
         return self.name + (":dual" if self.dual else "")
 
     # -- ball membership & lengths ----------------------------------------
 
+    def _level_ranges(self, supp: frozenset, below: int | None = None) -> list[tuple]:
+        """Per run and probe, the range of levels n >= 2 where the run holds
+        the support degree (for the below probe, a degree <= below)."""
+        probes = [(d, False) for d in supp] + ([] if below is None else [(below, True)])
+        return [r for run in self.effective_pieces for d, ray in probes
+                if (r := _level_range(_meeting_constraints(run, d, ray))) is not None]
+
     def ball_level(self, supp: frozenset, below: int | None = None) -> int | None:
         """Largest n with the support, and every degree <= below when given,
-        inside B_n; None when inside all balls.
+        inside B_n; None when inside B_n for infinitely many n.
 
-        This is the least level some piece meets, minus 1 (exact for nested,
-        i.e. good, families)."""
-        probes = [(d, False) for d in supp] + ([] if below is None else [(below, True)])
-        hits = [_least_level(_meeting_constraints(p, d, ray))
-                for p in self.effective_pieces for d, ray in probes]
-        first = min((n for n in hits if n is not None), default=None)
-        return None if first is None else first - 1
+        B_n misses them exactly at the levels in the ranges; when those end
+        in an unbounded run from s, B_(s-1) is the deepest ball holding them.
+        Exact for every family; for a nested one every range is a ray."""
+        runs = _merged(self._level_ranges(supp, below))
+        return runs[-1][0] - 1 if runs and runs[-1][1] == math.inf else None
 
     def support_length(self, supp: frozenset, below: int | None = None) -> Fraction:
-        """1/ball_level(supp, below), or 0 when inside every ball."""
+        """1/ball_level(supp, below), or 0 when inside infinitely many balls."""
         level = self.ball_level(supp, below)
         return Fraction(0) if level is None else Fraction(1, level)
 
     def holds_support(self, supp: frozenset, n: int) -> bool:
-        """Whether a complex with this cohomology support lies in B_n: no
-        support degree in spec(n)."""
-        spec = self.effective_spec(n)
-        return not any(spec.contains(i) for i in supp)
+        """Whether a complex with this cohomology support lies in B_n: n is
+        in no level range (so B_1 is everything)."""
+        if n < 1:
+            raise PreconditionError("ball level must be >= 1, got %d" % n)
+        return not any(first <= n <= last for first, last in self._level_ranges(supp))
 
 
 def in_ball(x: Complex, n: int, m: GoodMetric) -> bool:
@@ -274,8 +266,8 @@ def metric_iii(dual: bool = False) -> GoodMetric:
 def shifted_family(m: GoodMetric, t: int) -> GoodMetric:
     """The family {T^t B_n}: the effective endpoints translated by -t."""
     raw = t if m.dual else -t
-    return GoodMetric("T^%d(%s)" % (t, m.name), [_shift_piece(p, raw) for p in m.pieces],
-                      dual=m.dual)
+    return GoodMetric("T^%d(%s)" % (t, m.name),
+                      [(p[0],) + tuple(e + raw for e in p[1:]) for p in m.pieces], dual=m.dual)
 
 
 def standard_metric(spec: str) -> GoodMetric:
@@ -307,25 +299,23 @@ class AxiomReport:
 
 
 def _witness_degree(a: VanishingSpec, b: VanishingSpec) -> int | None:
-    """The first degree of a outside b, walking each piece of a from its
-    finite end: up from a ray's or interval's lower end, down from a ray's
-    upper end."""
+    """The first degree of a outside b, walking each run of a from its
+    finite end: up from its lower end, or down from a below ray's upper
+    end."""
     runs = b.runs()
-    for p in a.pieces:
-        if p[0] == "below":
-            i = p[1] - 1
-            for lo, hi in reversed(runs):
-                if lo <= i <= hi:
-                    i = lo - 1
-            if i > -math.inf:
-                return i
+    for lo, hi in a.pieces:
+        if lo == -math.inf:
+            i = hi
+            for rlo, rhi in reversed(runs):
+                if rlo <= i <= rhi:
+                    i = rlo - 1
         else:
-            i = p[1] + 1
-            for lo, hi in runs:
-                if lo <= i <= hi:
-                    i = hi + 1
-            if i < (math.inf if p[0] == "above" else p[2]):
-                return i
+            i = lo
+            for rlo, rhi in runs:
+                if rlo <= i <= rhi:
+                    i = rhi + 1
+        if lo <= i <= hi and math.isfinite(i):
+            return i
     return None
 
 
@@ -365,7 +355,7 @@ def first_shift_violation(m: GoodMetric, start: int = 1) -> tuple[int, int, int]
 def require_good(m: GoodMetric) -> None:
     """Refuse a metric that is not good, naming the first level where its
     shift axiom fails (certificates and equivalence need good metrics)."""
-    bad = first_shift_violation(m)
+    bad = m.shift_violation
     if bad is not None:
         n, t, deg = bad
         raise PreconditionError(
@@ -385,12 +375,15 @@ def check_good_axioms(m: GoodMetric, ring: Ring, levels: int = 50,
     balls under extensions, holds symbolically for every vanishing-spec
     family by the long exact sequence of the cone (the support of an
     extension lies in the union of the supports); it is additionally fuzzed
-    on random triangles with both ends in a ball.  levels must be >= 0.
+    on random triangles with both ends in a ball.  levels and samples must
+    be >= 0.
     """
     from .randomgen import Sampler
 
     if levels < 0:
         raise PreconditionError("levels (--levels) must be >= 0, got %d" % levels)
+    if samples < 0:
+        raise PreconditionError("samples (--samples) must be >= 0, got %d" % samples)
     report = AxiomReport(metric=m.display_name(), levels_checked=levels)
     for n in range(1, levels + 1):
         report.shift_violations.extend(shift_violations(m, n))
@@ -448,14 +441,16 @@ class EquivalenceReport:
 
 def _first_nonempty_level(m: GoodMetric) -> int | None:
     """The least level n >= 2 with spec(n) nonempty, or None."""
-    hits = [2 if p[0] != "interval" else _least_level([_interval_nonempty(p)])
-            for p in m.effective_pieces]
-    return min((n for n in hits if n is not None), default=None)
+    ranges = [_level_range([] if lo is None or hi is None else
+                           [(hi.a - lo.a, hi.b + 1 - lo.b)])  # lo(n) <= hi(n)
+              for lo, hi in m.effective_pieces]
+    return min((r[0] for r in ranges if r is not None), default=None)
 
 
 def _fail_level(inner: GoodMetric, outer: GoodMetric) -> int | None:
     """The least n with no m putting B(inner)_m inside B(outer)_n, or None."""
-    rays_in, rays_out = ({p[0] for p in m.effective_pieces} - {"interval"} for m in (inner, outer))
+    rays_in, rays_out = ({k for run in m.effective_pieces for k, end in enumerate(run) if end is None}
+                         for m in (inner, outer))  # open ends: 0 below, 1 above
     if not rays_out <= rays_in:
         return 2
     return _first_nonempty_level(outer) if _first_nonempty_level(inner) is None else None

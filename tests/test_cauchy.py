@@ -241,6 +241,18 @@ def test_prefix_certificate_keeps_one_running_composite_per_entry(count_calls):
     assert thresholds > 0
 
 
+def test_goodness_is_decided_once_per_metric(count_calls):
+    # is_cauchy refuses metrics that are not good; the verdict is cached
+    # on the metric, so 50 certificates decide the shift axiom once
+    from tricomplete.metric import first_shift_violation
+
+    counts = count_calls(first_shift_violation)
+    m, t = metric_iii(), truncation_tower(K)
+    certs = [is_cauchy(t, m, horizon, 3) for horizon in range(2, 52)]
+    assert counts["first_shift_violation"] == 1
+    assert {c.verdict for c in certs} == {"inconclusive", "cauchy"}
+
+
 def test_horizon_too_small_is_inconclusive_not_wrong():
     cert = is_cauchy(truncation_tower(K), metric_i(), horizon=3, levels=8)
     assert cert.verdict == "inconclusive"
@@ -450,7 +462,7 @@ def test_tail_colimit_computes_each_degree_once(monkeypatch):
 def reference_is_cauchy(tower, m, horizon, levels):
     """is_cauchy with a separate rule per branch, the reference for the
     shared threshold rule: a tail tower scans M per level over its
-    non-increasing sup lengths and finds a below ray by the piece tags; a
+    non-increasing sup lengths and finds a below ray by its open lower end; a
     prefix-only tower rescans its table of measured composites for every
     (n, M) (composite_prefix_certificate)."""
     if tower.tail is None:
@@ -459,7 +471,7 @@ def reference_is_cauchy(tower, m, horizon, levels):
     cert = CauchyCertificate(metric=m.display_name(), horizon=horizon, levels=levels,
                              verdict="cauchy", sup_lengths=sup)
     _, escape = tower.tail.tail_support(horizon)
-    if escape is not None and any(p[0] == "below" for p in m.effective_pieces):
+    if escape is not None and any(lo is None for lo, _ in m.effective_pieces):
         top = max(min(hi, escape) for lo, hi in m.effective_spec(2).runs() if lo <= escape)
         cert.verdict = "not_cauchy"
         cert.violation = (1, horizon, -top, Fraction(1))

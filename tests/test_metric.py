@@ -1,9 +1,13 @@
+import dataclasses
+import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from tricomplete import metric
 from tricomplete.rmodule import RModule, Ring, direct_sum, free_module
 from tricomplete.complexes import (
     ChainMap,
@@ -33,6 +37,7 @@ from tricomplete.metric import (
     metric_ii,
     metric_iii,
     object_length,
+    shift_violations,
     shifted_family,
     standard_metric,
     strong_triangle_check,
@@ -232,6 +237,206 @@ def test_dual_flag_realizes_opposite_family():
     for n in range(1, 30):
         a, b = m1d.effective_spec(n), m2.effective_spec(n)
         assert a.is_subset(b) and b.is_subset(a)
+
+
+# -- closed runs against the tagged piece form they replaced --------------------
+
+
+def reference_negate_piece(p):
+    kind = {"above": "below", "below": "above", "interval": "interval"}[p[0]]
+    return (kind,) + tuple(-e for e in reversed(p[1:]))
+
+
+@dataclass(frozen=True)
+class ReferenceVanishingSpec:
+    """The tagged vanishing spec: ("above", a) = {i > a}, ("below", b) =
+    {i < b}, ("interval", a, b) = {a < i < b}; the reference for the
+    closed runs of VanishingSpec."""
+
+    pieces: tuple = ()
+
+    def contains(self, i):
+        return any(p[0] == "above" and i > p[1] or p[0] == "below" and i < p[1]
+                   or p[0] == "interval" and p[1] < i < p[2] for p in self.pieces)
+
+    def shifted(self, t):
+        return ReferenceVanishingSpec(tuple((p[0],) + tuple(e + t for e in p[1:])
+                                            for p in self.pieces))
+
+    def runs(self):
+        spans = sorted((p[1] + 1, math.inf) if p[0] == "above"
+                       else (-math.inf, p[1] - 1) if p[0] == "below"
+                       else (p[1] + 1, p[2] - 1) for p in self.pieces)
+        merged = []
+        for lo, hi in spans:
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        return [tuple(r) for r in merged]
+
+    def is_subset(self, other):
+        target = other.runs()
+        return all(any(lo >= olo and hi <= ohi for olo, ohi in target) for lo, hi in self.runs())
+
+
+def reference_effective_pieces(m):
+    return tuple(reference_negate_piece(p) for p in m.pieces) if m.dual else m.pieces
+
+
+def reference_effective_spec(m, n):
+    if n < 1:
+        raise PreconditionError("ball level must be >= 1, got %d" % n)
+    if n == 1:
+        return ReferenceVanishingSpec()
+    at_n = [(p[0],) + tuple(e(n) for e in p[1:]) for p in reference_effective_pieces(m)]
+    return ReferenceVanishingSpec(tuple(q for q in at_n if q[0] != "interval" or q[2] - q[1] > 1))
+
+
+def reference_least_level(constraints):
+    lo, hi = 2, math.inf
+    for c in constraints:
+        if c.a > 0:
+            lo = max(lo, -((c.b - 1) // c.a))
+        elif c.a < 0:
+            hi = min(hi, (1 - c.b) // c.a)
+        elif c.b <= 0:
+            return None
+    return lo if lo <= hi else None
+
+
+def reference_interval_nonempty(p):
+    return LinearExpr(p[2].a - p[1].a, p[2].b - p[1].b - 1)
+
+
+def reference_meeting_constraints(p, d, ray):
+    if p[0] == "below":
+        return [] if ray else [LinearExpr(p[1].a, p[1].b - d)]
+    out = [LinearExpr(-p[1].a, d - p[1].b)]
+    if p[0] == "interval":
+        out.append(reference_interval_nonempty(p) if ray else LinearExpr(p[2].a, p[2].b - d))
+    return out
+
+
+def reference_ball_level(m, supp, below=None):
+    """The least level some tagged piece meets, minus 1: exact for nested
+    families only."""
+    probes = [(d, False) for d in supp] + ([] if below is None else [(below, True)])
+    hits = [reference_least_level(reference_meeting_constraints(p, d, ray))
+            for p in reference_effective_pieces(m) for d, ray in probes]
+    first = min((n for n in hits if n is not None), default=None)
+    return None if first is None else first - 1
+
+
+def reference_witness_degree(a, b):
+    runs = b.runs()
+    for p in a.pieces:
+        if p[0] == "below":
+            i = p[1] - 1
+            for lo, hi in reversed(runs):
+                if lo <= i <= hi:
+                    i = lo - 1
+            if i > -math.inf:
+                return i
+        else:
+            i = p[1] + 1
+            for lo, hi in runs:
+                if lo <= i <= hi:
+                    i = hi + 1
+            if i < (math.inf if p[0] == "above" else p[2]):
+                return i
+    return None
+
+
+def reference_fail_level(inner, outer):
+    def first_nonempty(m):
+        hits = [2 if p[0] != "interval" else reference_least_level([reference_interval_nonempty(p)])
+                for p in reference_effective_pieces(m)]
+        return min((n for n in hits if n is not None), default=None)
+
+    rays_in, rays_out = ({p[0] for p in reference_effective_pieces(m)} - {"interval"}
+                         for m in (inner, outer))
+    if not rays_out <= rays_in:
+        return 2
+    return first_nonempty(outer) if first_nonempty(inner) is None else None
+
+
+def draw_metric(rng):
+    """A family of one to three pieces with endpoints a*n + b, a in -3..3
+    and b in -4..4, dual 30% of the time; good or not."""
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("above", "below", "interval"))
+        pieces.append((kind,) + tuple(LinearExpr(rng.randint(-3, 3), rng.randint(-4, 4))
+                                      for _ in range(2 if kind == "interval" else 1)))
+    return GoodMetric("drawn", pieces, dual=rng.random() < 0.3)
+
+
+def metric_outputs(pool):
+    """Every verdict the pool's specs decide: spec sets and runs, shift
+    violations, axiom reports and equivalence reports (or refusals)."""
+    out = []
+    for m in pool:
+        out.append([(sorted(i for i in range(-40, 41) if m.effective_spec(n).contains(i)),
+                     m.effective_spec(n).runs()) for n in range(1, 9)])
+        out.append([shift_violations(m, n) for n in range(1, 12)])
+        out.append((first_shift_violation(m), m.shift_violation))
+        out.append(dataclasses.asdict(check_good_axioms(m, R22, levels=6, samples=0)))
+    for m1 in pool:
+        for m2 in pool:
+            try:
+                out.append(dataclasses.asdict(equivalent(m1, m2, levels=6, search_bound=40)))
+            except PreconditionError as e:
+                out.append(str(e))
+    return out
+
+
+def test_closed_runs_decide_what_the_tagged_pieces_decided(draw_good_metric, monkeypatch):
+    rng = random.Random(2024)
+    draws = [draw_good_metric(rng) for _ in range(24)] + [draw_metric(rng) for _ in range(16)]
+    draws += [metric_i(), metric_ii(dual=True), metric_iii()] + CUSTOM_GOOD
+
+    def fresh():  # new objects, so no cached goodness crosses over
+        return [GoodMetric(m.name, m.pieces, m.dual) for m in draws]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(GoodMetric, "effective_spec", reference_effective_spec)
+        patched.setattr(metric, "_witness_degree", reference_witness_degree)
+        patched.setattr(metric, "_fail_level", reference_fail_level)
+        want = metric_outputs(fresh())
+    assert metric_outputs(fresh()) == want
+    assert sum(m.shift_violation is None for m in draws) > 24  # good pairs are compared
+
+
+def brute_ball_level(m, supp, below=None, top=60):
+    """Every level 1..top scanned on the tagged spec: which balls hold the
+    support (and the degrees <= below), and the ball level that implies.
+    Past level 20 no constraint of the drawn families changes sign, so a
+    ball at top holds at every deeper level."""
+    inside = {n: not any(reference_effective_spec(m, n).contains(d) for d in supp)
+              and (below is None or all(lo > below for lo, _ in reference_effective_spec(m, n).runs()))
+              for n in range(1, top + 1)}
+    return inside, None if inside[top] else max(n for n in inside if inside[n])
+
+
+def test_ball_levels_equal_a_level_scan_on_every_family(draw_good_metric):
+    rng = random.Random(77)
+    gaps = 0
+    for k in range(600):
+        good = k % 3 == 0
+        m = draw_good_metric(rng) if good else draw_metric(rng)
+        supp = frozenset(rng.sample(range(-8, 9), rng.randint(0, 3)))
+        below = rng.choice([None, rng.randint(-8, 8)])
+        inside, level = brute_ball_level(m, supp, below)
+        assert m.ball_level(supp, below) == level, (m.effective_pieces, supp, below)
+        if below is None:
+            assert all(m.holds_support(supp, n) == inside[n] for n in inside)
+        # nested here: the balls holding the support are B_1..B_level
+        nested = all(inside[n] == (level is None or n <= level) for n in inside)
+        assert nested or not good
+        assert (reference_ball_level(m, supp, below) == level) == nested
+        gaps += not nested
+    assert gaps > 20
 
 
 # -- axioms -----------------------------------------------------------------------

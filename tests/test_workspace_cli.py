@@ -321,6 +321,37 @@ def test_cli_metric_equiv_refuses_a_bound_below_1_and_negative_levels(ws_path, c
         assert err == "error: %s\n" % message
 
 
+def test_cli_fuzz_refuses_negative_sample_counts(capsys):
+    # like a negative --levels: exit 3 naming the flag, in both formats
+    table = [(["strong-triangle-fuzz", "i", "--seed", "1", "--samples", "-3",
+               "--cartesian-samples", "-2"], "samples (--samples) must be >= 0, got -3"),
+             (["strong-triangle-fuzz", "i", "--seed", "1", "--samples", "2",
+               "--cartesian-samples", "-2"],
+              "cartesian samples (--cartesian-samples) must be >= 0, got -2"),
+             (["axioms-fuzz", "i", "--seed", "1", "--samples", "-5"],
+              "samples (--samples) must be >= 0, got -5")]
+    for argv, message in table:
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == "" and err == "error: %s\n" % message, argv
+        code, out, err = run(capsys, ["--format", "structured"] + argv)
+        assert code == 3 and err == "error: %s\n" % message
+        assert json.loads(out) == {"command": argv[0],
+                                   "error": {"kind": "usage", "message": message}}
+
+
+def test_cli_length_reads_every_ball_of_a_family_that_is_not_nested(tmp_path, capsys):
+    # grow cuts out B_n by the degrees above n: k at 3 leaves B_2 only, so
+    # it lies in B_n for every n >= 3 and the length of 0 -> k at 3 is 0
+    path = tmp_path / "ws.txt"
+    path.write_text("RING 2 2\nMODULE K 1\nCOMPLEX zero\nEND\nCOMPLEX k3\n  AT 3 K\nEND\n"
+                    "MAP f zero k3\nEND\nMETRIC grow\n  PIECE ray-above n\nEND\n")
+    for level, inside in ((1, True), (2, False), (3, True), (50, True)):
+        code, out, _ = run(capsys, ["-w", str(path), "ball", "k3", str(level), "--metric", "grow"])
+        assert ("in-ball: %s" % inside) in out.splitlines() and code == (0 if inside else 1)
+    code, out, _ = run(capsys, ["-w", str(path), "length", "f", "--metric", "grow"])
+    assert code == 0 and "length: 0" in out.splitlines()
+
+
 def test_cli_metric_equiv_refuses_a_metric_that_is_not_good(tmp_path, capsys):
     path = tmp_path / "ws.txt"
     path.write_text(FIXTURE + "METRIC flat\n  PIECE ray-above 0\nEND\n"
