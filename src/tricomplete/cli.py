@@ -25,6 +25,7 @@ from .metric import (
     cartesian_invariance_check,
     check_good_axioms,
     equivalent,
+    first_shift_violation,
     in_ball,
     length,
     standard_metric,
@@ -299,7 +300,7 @@ def cmd_strong_triangle_fuzz(ctx: _Ctx, args) -> int:
     ring = ctx.ring()
     rng = random.Random(args.seed)
     sampler = Sampler(ring, rng)
-    good = m.shift_violation is None
+    good = first_shift_violation(m) is None
 
     def hit(kind: str, k: int, lengths: list) -> dict:
         if good:

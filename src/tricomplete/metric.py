@@ -20,7 +20,6 @@ dual flag realizes opposite-side measurement by degree negation.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -91,33 +90,13 @@ def _merged(spans) -> list[tuple]:
 @dataclass(frozen=True)
 class VanishingSpec:
     """Finite union of closed degree runs (lo, hi) = {i : lo <= i <= hi}, in
-    declared order and unmerged; a ray's open end is -inf or +inf.  The
-    constructors take open bounds: ray_above(a) is i > a, ray_below(b) is
-    i < b and interval(a, b) is a < i < b, dropped when empty."""
+    declared order and unmerged; a ray's open end is -inf or +inf."""
 
     pieces: tuple[tuple, ...] = ()
 
     @staticmethod
     def empty() -> "VanishingSpec":
         return VanishingSpec(())
-
-    @staticmethod
-    def ray_above(a: int) -> "VanishingSpec":
-        return VanishingSpec(((a + 1, math.inf),))
-
-    @staticmethod
-    def ray_below(b: int) -> "VanishingSpec":
-        return VanishingSpec(((-math.inf, b - 1),))
-
-    @staticmethod
-    def interval(a: int, b: int) -> "VanishingSpec":
-        return VanishingSpec(((a + 1, b - 1),) if b - a > 1 else ())
-
-    def union(self, other: "VanishingSpec") -> "VanishingSpec":
-        return VanishingSpec(self.pieces + other.pieces)
-
-    def is_empty(self) -> bool:
-        return not self.pieces
 
     def contains(self, i: int) -> bool:
         return any(lo <= i <= hi for lo, hi in self.pieces)
@@ -182,11 +161,6 @@ class GoodMetric:
         self.pieces = tuple(pieces)
         self.dual = dual
         self.effective_pieces = tuple(_closed_run(p, dual) for p in self.pieces)
-
-    @functools.cached_property
-    def shift_violation(self) -> tuple[int, int, int] | None:
-        """first_shift_violation(self), decided once per metric."""
-        return first_shift_violation(self)
 
     def effective_spec(self, n: int) -> VanishingSpec:
         if n < 1:
@@ -355,7 +329,7 @@ def first_shift_violation(m: GoodMetric, start: int = 1) -> tuple[int, int, int]
 def require_good(m: GoodMetric) -> None:
     """Refuse a metric that is not good, naming the first level where its
     shift axiom fails (certificates and equivalence need good metrics)."""
-    bad = m.shift_violation
+    bad = first_shift_violation(m)
     if bad is not None:
         n, t, deg = bad
         raise PreconditionError(

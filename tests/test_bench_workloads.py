@@ -1,11 +1,9 @@
 """The benchmark's correctness gate, run in-process: every pool item of
-every workload renders to its recorded digest and passes the workload's
-own oracle, except the items the workload marks as known defects.  This
-loads bench/workloads.py by path and works from the repository root with
-an 80-column terminal, as a benchmark worker does."""
+every workload goes through the benchmark worker's own verify, against its
+reference digests, and may fail only if the workload marks it as a known
+defect.  This works from the repository root with an 80-column terminal,
+as a benchmark worker does."""
 
-import hashlib
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -14,41 +12,22 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-def reference_digests(name):
-    """Pool index -> recorded SHA-256 of the rendered output; None for a
-    "-" line, whose output is not pinned."""
-    out = {}
-    for line in (BENCH / "reference" / (name + ".sha256")).read_text().splitlines():
-        index, digest = line.split()
-        out[int(index)] = None if digest == "-" else digest
-    return out
-
-
 @pytest.mark.parametrize("name", ["metric-fuzz", "perfection-sweep", "cli-session"])
 def test_every_pool_item_matches_its_reference_and_oracle(name, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage errors to the terminal width
-    workload = load_workloads().WORKLOADS[name]()
-    reference = reference_digests(name)
-    known = workload.known_defects()
-    assert set(reference) == set(range(workload.pool))
-    failures = []
-    for index in range(workload.pool):
-        if index in known:
-            continue
-        inputs = workload.build(index)
-        result = workload.run(inputs)
-        digest = hashlib.sha256(workload.render(index, result).encode()).hexdigest()
-        if reference[index] not in (None, digest):
-            failures.append((index, "output differs from the reference digest"))
-        reason = workload.check(index, inputs, result)
-        if reason:
-            failures.append((index, reason))
-    assert failures == []
+    monkeypatch.syspath_prepend(str(BENCH))
+    import worker
+    import workloads
+
+    workload = workloads.WORKLOADS[name]()
+    ids = list(range(workload.pool))
+    inputs = [workload.build(index) for index in ids]
+    results = []
+    for item in inputs:
+        try:
+            results.append(workload.run(item))
+        except Exception as exc:  # a failed item, as in worker.run_items
+            results.append(workloads.Raised(exc))
+    _, failures = worker.verify(workload, ids, inputs, results, worker.reference_digests(name))
+    assert [f for f in failures if f["item"] not in workload.known_defects()] == []

@@ -241,18 +241,6 @@ def test_prefix_certificate_keeps_one_running_composite_per_entry(count_calls):
     assert thresholds > 0
 
 
-def test_goodness_is_decided_once_per_metric(count_calls):
-    # is_cauchy refuses metrics that are not good; the verdict is cached
-    # on the metric, so 50 certificates decide the shift axiom once
-    from tricomplete.metric import first_shift_violation
-
-    counts = count_calls(first_shift_violation)
-    m, t = metric_iii(), truncation_tower(K)
-    certs = [is_cauchy(t, m, horizon, 3) for horizon in range(2, 52)]
-    assert counts["first_shift_violation"] == 1
-    assert {c.verdict for c in certs} == {"inconclusive", "cauchy"}
-
-
 def test_horizon_too_small_is_inconclusive_not_wrong():
     cert = is_cauchy(truncation_tower(K), metric_i(), horizon=3, levels=8)
     assert cert.verdict == "inconclusive"

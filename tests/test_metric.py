@@ -63,40 +63,43 @@ def k_at(deg, ring=R22):
 # -- vanishing specs ----------------------------------------------------------
 
 
+INF = math.inf
+
+
+def spec(*runs):
+    return VanishingSpec(tuple(runs))
+
+
 def test_spec_membership_and_shift():
-    s = VanishingSpec.ray_above(-3)
+    s = spec((-2, INF))
     assert s.contains(-2) and s.contains(10) and not s.contains(-3)
     assert s.shifted(2).contains(0) and not s.shifted(2).contains(-1)
     assert s.negated().contains(2) and not s.negated().contains(3)
-    i = VanishingSpec.interval(-2, 2)
+    i = spec((-1, 1))
     assert i.contains(0) and i.contains(1) and not i.contains(2)
-    assert VanishingSpec.interval(0, 1).is_empty()
+    assert not any(VanishingSpec.empty().contains(d) for d in range(-5, 6))
 
 
 def test_spec_subset():
-    assert VanishingSpec.ray_above(0).is_subset(VanishingSpec.ray_above(-2))
-    assert not VanishingSpec.ray_above(-2).is_subset(VanishingSpec.ray_above(0))
-    assert VanishingSpec.interval(-2, 2).is_subset(VanishingSpec.interval(-3, 3))
-    assert not VanishingSpec.ray_above(0).is_subset(VanishingSpec.interval(-100, 100))
-    u = VanishingSpec.ray_above(5).union(VanishingSpec.interval(2, 6))
-    assert u.is_subset(VanishingSpec.ray_above(2))
-    assert VanishingSpec.interval(0, 200001).is_subset(VanishingSpec.ray_above(-1))
+    assert spec((1, INF)).is_subset(spec((-1, INF)))
+    assert not spec((-1, INF)).is_subset(spec((1, INF)))
+    assert spec((-1, 1)).is_subset(spec((-2, 2)))
+    assert not spec((1, INF)).is_subset(spec((-99, 99)))
+    assert spec((6, INF), (3, 5)).is_subset(spec((3, INF)))
+    assert spec((1, 200000)).is_subset(spec((0, INF)))
     # adjacent runs of the target merge; a gap between them does not
-    v = VanishingSpec.interval(-5, 0).union(VanishingSpec.ray_above(-1))
-    assert VanishingSpec.ray_above(-5).is_subset(v)
-    assert not VanishingSpec.ray_above(-5).is_subset(
-        VanishingSpec.interval(-5, 0).union(VanishingSpec.ray_above(0)))
+    assert spec((-4, INF)).is_subset(spec((-4, -1), (0, INF)))
+    assert not spec((-4, INF)).is_subset(spec((-4, -1), (1, INF)))
 
 
 def test_witness_degree_exact():
-    assert _witness_degree(VanishingSpec.ray_above(0), VanishingSpec.interval(0, 600)) == 600
-    assert _witness_degree(VanishingSpec.ray_below(0), VanishingSpec.interval(-700, 0)) == -700
-    # the first piece of the source is fully covered: the witness comes
+    assert _witness_degree(spec((1, INF)), spec((1, 599))) == 600
+    assert _witness_degree(spec((-INF, -1)), spec((-699, -1))) == -700
+    # the first run of the source is fully covered: the witness comes
     # from the second
-    src = VanishingSpec.interval(0, 5).union(VanishingSpec.ray_above(8))
-    tgt = VanishingSpec.interval(-1, 20).union(VanishingSpec.interval(20, 30))
-    assert _witness_degree(src, tgt) == 20
-    assert _witness_degree(VanishingSpec.interval(0, 5), tgt) is None
+    tgt = spec((0, 19), (21, 29))
+    assert _witness_degree(spec((1, 4), (9, INF)), tgt) == 20
+    assert _witness_degree(spec((1, 4)), tgt) is None
 
 
 # -- ball membership -----------------------------------------------------------
@@ -380,7 +383,7 @@ def metric_outputs(pool):
         out.append([(sorted(i for i in range(-40, 41) if m.effective_spec(n).contains(i)),
                      m.effective_spec(n).runs()) for n in range(1, 9)])
         out.append([shift_violations(m, n) for n in range(1, 12)])
-        out.append((first_shift_violation(m), m.shift_violation))
+        out.append(first_shift_violation(m))
         out.append(dataclasses.asdict(check_good_axioms(m, R22, levels=6, samples=0)))
     for m1 in pool:
         for m2 in pool:
@@ -405,7 +408,7 @@ def test_closed_runs_decide_what_the_tagged_pieces_decided(draw_good_metric, mon
         patched.setattr(metric, "_fail_level", reference_fail_level)
         want = metric_outputs(fresh())
     assert metric_outputs(fresh()) == want
-    assert sum(m.shift_violation is None for m in draws) > 24  # good pairs are compared
+    assert sum(first_shift_violation(m) is None for m in draws) > 24  # good pairs are compared
 
 
 def brute_ball_level(m, supp, below=None, top=60):
