@@ -60,7 +60,7 @@ class TruncationTail:
     Omega M >-> F_0 (rmodule.periodic_tail): F_t covers Omega^t M, and
     d : F_t -> F_(t-1) is that cover followed by the syzygy_embedding of
     Omega^t M in F_(t-1).  Its colimit is M in degree 0, and the default
-    colimit window is [-2, 2].
+    colimit window is [-2, 2].  Its stages are built trusted.
     """
 
     window = (-2, 2)
@@ -79,11 +79,11 @@ class TruncationTail:
         for t in range(1, k + 1):
             rank_t, d, _ = next(tail)
             comps[-t] = free_module(self.ring, rank_t)
-            diffs[-t] = RModuleMap(comps[-t], comps[-t + 1], d)
-        return Complex(self.ring, comps, diffs)
+            diffs[-t] = RModuleMap._trusted(comps[-t], comps[-t + 1], d)
+        return Complex._trusted(self.ring, comps, diffs)
 
     def map_at(self, k: int, xk: Complex, xk1: Complex) -> ChainMap:
-        return ChainMap(xk, xk1, {i: identity_map(xk.component(i)) for i in xk.degrees})
+        return ChainMap._trusted(xk, xk1, {i: identity_map(xk.component(i)) for i in xk.degrees})
 
     def tail_support(self, i: int) -> tuple[frozenset, int | None]:
         """Union over all j > i of the cohomology supports of cone(X_i -> X_j),

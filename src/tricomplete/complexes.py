@@ -59,25 +59,37 @@ def _composite(g: RModuleMap | None, f: RModuleMap | None):
 
 
 class Complex:
-    """Bounded cochain complex of RModules with R-linear differentials."""
+    """Bounded cochain complex of RModules with R-linear differentials, zero
+    components and differentials dropped.  The constructor runs _check;
+    _trusted, for a complex valid by construction, skips it."""
 
     def __init__(self, ring: Ring, components: dict[int, RModule], diffs: dict[int, RModuleMap]):
+        self._store(ring, components, diffs)
+        self._check(diffs)
+
+    @classmethod
+    def _trusted(cls, ring: Ring, components: dict[int, RModule], diffs: dict[int, RModuleMap]) -> "Complex":
+        return cls.__new__(cls)._store(ring, components, diffs)
+
+    def _store(self, ring, components, diffs) -> "Complex":
         self.ring = ring
         self._components = {i: m for i, m in components.items() if not m.is_zero()}
+        self._diffs = {i: f for i, f in diffs.items() if not f.is_zero()}
+        self._coh_cache: dict[int, "CohomologyData"] = {}
+        self._window: "_Window | None" = None
+        return self
+
+    def _check(self, diffs: dict[int, RModuleMap]):
         for i, m in self._components.items():
-            if m.ring != ring:
-                raise ValidationError("component at degree %d lives over %s, not %s" % (i, m.ring, ring))
-        self._diffs = {}
+            if m.ring != self.ring:
+                raise ValidationError("component at degree %d lives over %s, not %s" % (i, m.ring, self.ring))
         for i, f in diffs.items():
             if f.source != self.component(i) or f.target != self.component(i + 1):
                 raise ValidationError("differential at degree %d does not match components" % i)
-            if not f.is_zero():
-                self._diffs[i] = f
         for i, f in self._diffs.items():
-            if np.any(_composite(self._diffs.get(i + 1), f) % ring.p):
+            g = self._diffs.get(i + 1)
+            if g is not None and np.any((g.matrix.a @ f.matrix.a) % self.ring.p):
                 raise ValidationError("d^2 != 0 between degrees %d and %d" % (i, i + 2))
-        self._coh_cache: dict[int, "CohomologyData"] = {}
-        self._window: "_Window | None" = None
 
     # -- access ---------------------------------------------------------
 
@@ -126,12 +138,12 @@ class Complex:
 
 
 def zero_complex(ring: Ring) -> Complex:
-    return Complex(ring, {}, {})
+    return Complex._trusted(ring, {}, {})
 
 
 def module_complex(m: RModule, degree: int = 0) -> Complex:
     """A module viewed as a complex concentrated in one degree."""
-    return Complex(m.ring, {degree: m}, {})
+    return Complex._trusted(m.ring, {degree: m}, {})
 
 
 def shift(x: Complex, t: int) -> Complex:
@@ -142,28 +154,39 @@ def shift(x: Complex, t: int) -> Complex:
     comps = {i - t: m for i, m in x._components.items()}
     diffs = {}
     for i, f in x._diffs.items():
-        diffs[i - t] = RModuleMap(f.source, f.target, f.matrix.scale(sgn))
-    return Complex(x.ring, comps, diffs)
+        diffs[i - t] = RModuleMap._trusted(f.source, f.target, f.matrix.scale(sgn))
+    return Complex._trusted(x.ring, comps, diffs)
 
 
 class ChainMap:
-    """Degreewise R-linear map commuting with the differentials."""
+    """Degreewise R-linear map commuting with the differentials, zero
+    components dropped.  _trusted, for a chain map by construction, skips _check."""
 
     def __init__(self, source: Complex, target: Complex, components: dict[int, RModuleMap]):
-        if source.ring != target.ring:
+        self._store(source, target, components)
+        self._check(components)
+
+    @classmethod
+    def _trusted(cls, source: Complex, target: Complex, components: dict[int, RModuleMap]) -> "ChainMap":
+        return cls.__new__(cls)._store(source, target, components)
+
+    def _store(self, source, target, components) -> "ChainMap":
+        self.source, self.target = source, target
+        self._components = {i: f for i, f in components.items() if not f.is_zero()}
+        return self
+
+    def _check(self, components: dict[int, RModuleMap]):
+        if self.source.ring != self.target.ring:
             raise ValidationError("chain map between different rings")
-        self.source = source
-        self.target = target
-        self._components = {}
         for i, f in components.items():
-            if f.source != source.component(i) or f.target != target.component(i):
+            if f.source != self.source.component(i) or f.target != self.target.component(i):
                 raise ValidationError("chain map component at degree %d has wrong (co)domain" % i)
-            if not f.is_zero():
-                self._components[i] = f
-        for i in set(source.degrees) | set(self._components):
-            lhs = _composite(self._components.get(i + 1), source._diffs.get(i))
-            rhs = _composite(target._diffs.get(i), self._components.get(i))
-            if np.any((lhs - rhs) % source.ring.p):
+        for i in set(self.source.degrees) | set(self._components):
+            f1, d0 = self._components.get(i + 1), self.source._diffs.get(i)
+            d1, f0 = self.target._diffs.get(i), self._components.get(i)
+            if (f1 is None or d0 is None) and (d1 is None or f0 is None):
+                continue  # both composites are absent, so 0
+            if np.any((_composite(f1, d0) - _composite(d1, f0)) % self.source.ring.p):
                 raise ValidationError("square at degrees (%d, %d) does not commute" % (i, i + 1))
 
     def component(self, i: int) -> RModuleMap:
@@ -180,7 +203,7 @@ class ChainMap:
             raise PreconditionError("chain maps not composable")
         comps = {i: self._components[i] @ f for i, f in other._components.items()
                  if i in self._components}
-        return ChainMap(other.source, self.target, comps)
+        return ChainMap._trusted(other.source, self.target, comps)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         if (other.source, other.target) != (self.source, self.target):
@@ -203,7 +226,7 @@ class ChainMap:
 
 
 def identity_chain_map(x: Complex) -> ChainMap:
-    return ChainMap(x, x, {i: identity_map(x.component(i)) for i in x.degrees})
+    return ChainMap._trusted(x, x, {i: identity_map(x.component(i)) for i in x.degrees})
 
 
 # -- direct sums, cones, triangles ------------------------------------------
@@ -213,8 +236,9 @@ def _sum_complex(parts: list[Complex], ring: Ring, twist: ChainMap | None = None
     """Degreewise direct sum with the block differential diag(d_k), plus
     twist^(i+1) : parts[0]^i -> parts[1]^(i+1) below the diagonal if given.
 
-    Each differential is one F_p array, validated once.  Returns (complex,
-    injs, projs): injs[i][k], projs[i][k] are direct_sum's maps at degree i.
+    Each differential is one F_p array, and d^2 = 0 as twist is a chain map:
+    the sum is built trusted.  Returns (complex, injs, projs): injs[i][k],
+    projs[i][k] are direct_sum's maps at degree i.
     """
     degs = sorted({i for x in parts for i in x.degrees})
     comps, injs, projs = {}, {}, {}
@@ -230,8 +254,8 @@ def _sum_complex(parts: list[Complex], ring: Ring, twist: ChainMap | None = None
         d = sum(injs[i + 1][t].matrix.a @ g.matrix.a @ projs[i][s].matrix.a
                 for s, t, g in blocks if g is not None)
         if np.any(d % ring.p):
-            diffs[i] = RModuleMap(comps[i], comps[i + 1], Matrix(d, ring.p))
-    return Complex(ring, comps, diffs), injs, projs
+            diffs[i] = RModuleMap._trusted(comps[i], comps[i + 1], Matrix(d, ring.p))
+    return Complex._trusted(ring, comps, diffs), injs, projs
 
 
 def direct_sum_complex(parts: list[Complex], ring: Ring) -> tuple[Complex, list[ChainMap]]:
@@ -281,8 +305,8 @@ def homotopy_pushout(f: ChainMap, h: ChainMap) -> tuple[ChainMap, ChainMap]:
     u and g are built once each, from the direct-sum structure maps:
     u^i = iota_C h^i - iota_B f^i, one F_p array per degree where f or h
     is nonzero, and g^i = iota^i iota_C^i with iota the cone's injection
-    of B (+) C.  Both are validated chain maps; no composite, sum or
-    injection chain map is built on the way.
+    of B (+) C.  Both are chain maps by construction and built trusted; no
+    composite, sum or injection chain map is built on the way.
     """
     if f.source != h.source:
         raise PreconditionError("maps do not share a source")
@@ -291,10 +315,10 @@ def homotopy_pushout(f: ChainMap, h: ChainMap) -> tuple[ChainMap, ChainMap]:
     comps = {}
     for i in f._components.keys() | h._components.keys():
         arr = _composite(injs[i][1], h._components.get(i)) - _composite(injs[i][0], f._components.get(i))
-        comps[i] = RModuleMap(a.component(i), bc.component(i), Matrix(arr, ring.p))
-    u = ChainMap(a, bc, comps)
+        comps[i] = RModuleMap._trusted(a.component(i), bc.component(i), Matrix(arr, ring.p))
+    u = ChainMap._trusted(a, bc, comps)
     tri = cone(u)
-    g = ChainMap(h.target, tri.z, {i: tri._injs[i][1] @ injs[i][1] for i in h.target.degrees})
+    g = ChainMap._trusted(h.target, tri.z, {i: tri._injs[i][1] @ injs[i][1] for i in h.target.degrees})
     return u, g
 
 
@@ -372,7 +396,7 @@ def cone_support(f: ChainMap) -> frozenset[int]:
     cone: cone^i = X^(i+1) (+) Y^i, and d^i has the rank of the unsorted
     block array [[d_X^(i+1), 0], [f^(i+1), d_Y^i]], since reordering the
     blocks and negating d_X change no rank.  Its d^2 = 0 needs no check:
-    f is a validated chain map.  One rank per nonzero array, as for the
+    f is a chain map.  One rank per nonzero array, as for the
     built cone."""
     x, y, p = f.source, f.target, f.source.ring.p
     xdim = {i: m.dim for i, m in x._components.items()}
@@ -447,7 +471,7 @@ def hom_combination(basis: list[tuple[int, list[RModuleMap]]], coeffs: np.ndarra
         at += len(bs)
         if c.any():  # hom_basis is a basis, so the sum is nonzero
             matrix = np.tensordot(c, np.stack([b.matrix.a for b in bs]), axes=1)
-            out[i] = RModuleMap(bs[0].source, bs[0].target, Matrix(matrix, bs[0].ring.p))
+            out[i] = RModuleMap._trusted(bs[0].source, bs[0].target, Matrix(matrix, bs[0].ring.p))
     return out
 
 
@@ -525,8 +549,8 @@ class Resolution:
 
     syzygy is ker(d^depth) with free summands stripped; for cuts below the
     lowest degree of the target it is the obstruction to perfection, and
-    reading it builds nothing.  complex and comparison are validated
-    Complex and ChainMap objects, built on first read; band(lo, hi) builds
+    reading it builds nothing.  complex and comparison are built trusted
+    on first read, valid by construction; band(lo, hi) builds
     the brutal truncation to [lo, hi] alone, which is all derived_hom reads.
 
     Every Resolution of a complex is a brutal truncation of one minimal
@@ -547,8 +571,9 @@ class Resolution:
         between them; d^hi and d^(lo-1) are dropped."""
         ring = self.target.ring
         comps = {i: free_module(ring, r) for i, r in self.ranks.items() if r and lo <= i <= hi}
-        return Complex(ring, comps, {i: RModuleMap(comps[i], comps[i + 1], Matrix(d, ring.p))
-                                     for i, d in self.diffs.items() if i in comps and i + 1 in comps})
+        diffs = {i: RModuleMap._trusted(comps[i], comps[i + 1], Matrix(d, ring.p))
+                 for i, d in self.diffs.items() if i in comps and i + 1 in comps}
+        return Complex._trusted(ring, comps, diffs)
 
     @cached_property
     def complex(self) -> Complex:
@@ -557,8 +582,9 @@ class Resolution:
     @cached_property
     def comparison(self) -> ChainMap:
         free, x, p = self.complex, self.target, self.target.ring.p
-        return ChainMap(free, x, {i: RModuleMap(free.component(i), x.component(i), Matrix(e, p))
-                                  for i, e in self.eps.items() if e.any()})
+        comps = {i: RModuleMap._trusted(free.component(i), x.component(i), Matrix(e, p))
+                 for i, e in self.eps.items() if e.any()}
+        return ChainMap._trusted(free, x, comps)
 
 
 def _build_free_approximation(x: Complex, depth: int):

@@ -3,7 +3,7 @@
 Everything is driven by an explicit random.Random instance: same seed,
 same objects, byte-stable reports.  Differentials are sampled from the
 exact solution space of d^2 = 0, one degree at a time, so every generated
-complex is valid by construction rather than by rejection.
+complex is valid by construction rather than by rejection, and built trusted.
 """
 
 from __future__ import annotations
@@ -55,14 +55,14 @@ class Sampler:
             if i + 1 not in comps:
                 continue
             prev = {i - 1: diffs[i - 1]} if i - 1 in diffs else {}
-            two_term = Complex(self.ring, {j: comps[j] for j in (i - 1, i) if j in comps}, prev)
+            two_term = Complex._trusted(self.ring, {j: comps[j] for j in (i - 1, i) if j in comps}, prev)
             d = self._kernel_sample(two_term, module_complex(comps[i + 1], i)).get(i)
             if d is not None:
                 diffs[i] = d
-        return Complex(self.ring, comps, diffs)
+        return Complex._trusted(self.ring, comps, diffs)
 
     def chain_map(self, x: Complex, y: Complex) -> ChainMap:
-        return ChainMap(x, y, self._kernel_sample(x, y))
+        return ChainMap._trusted(x, y, self._kernel_sample(x, y))
 
     def composable_pair(self, lo: int = -2, hi: int = 2,
                         max_blocks: int = 2) -> tuple[ChainMap, ChainMap]:

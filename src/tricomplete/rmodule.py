@@ -107,13 +107,23 @@ def free_module(ring: Ring, rank_: int) -> RModule:
 
 @dataclass(frozen=True)
 class RModuleMap:
-    """R-linear map in canonical bases; validated on construction."""
+    """R-linear map in canonical bases.  The constructor runs _check;
+    _trusted, for a map R-linear by construction, skips it."""
 
     source: RModule
     target: RModule
     matrix: Matrix
 
     def __post_init__(self):
+        self._check()
+
+    @classmethod
+    def _trusted(cls, source: RModule, target: RModule, matrix: Matrix) -> "RModuleMap":
+        f = cls.__new__(cls)
+        vars(f).update(source=source, target=target, matrix=matrix)  # frozen: no __setattr__
+        return f
+
+    def _check(self):
         if self.source.ring != self.target.ring:
             raise ValueError("ring mismatch: %s vs %s" % (self.source.ring, self.target.ring))
         if (self.matrix.rows, self.matrix.cols) != (self.target.dim, self.source.dim):
@@ -132,7 +142,7 @@ class RModuleMap:
     def __matmul__(self, other: "RModuleMap") -> "RModuleMap":
         if other.target != self.source:
             raise ValueError("maps not composable")
-        return RModuleMap(other.source, self.target, self.matrix @ other.matrix)
+        return RModuleMap._trusted(other.source, self.target, self.matrix @ other.matrix)
 
     def __add__(self, other: "RModuleMap") -> "RModuleMap":
         if (other.source, other.target) != (self.source, self.target):
@@ -161,16 +171,18 @@ def _shared(f: RModuleMap) -> RModuleMap:
 
 @lru_cache(maxsize=1024)
 def zero_map(source: RModule, target: RModule) -> RModuleMap:
-    """The zero map source -> target: built and validated once per pair
-    of Jordan types, then shared, its matrix read-only."""
-    return _shared(RModuleMap(source, target, Matrix.zeros(target.dim, source.dim, source.ring.p)))
+    """The zero map source -> target: built once per pair of Jordan types,
+    then shared, its matrix read-only."""
+    if source.ring != target.ring:
+        raise ValueError("ring mismatch: %s vs %s" % (source.ring, target.ring))
+    return _shared(RModuleMap._trusted(source, target, Matrix.zeros(target.dim, source.dim, source.ring.p)))
 
 
 @lru_cache(maxsize=1024)
 def identity_map(m: RModule) -> RModuleMap:
-    """The identity of m: built and validated once per Jordan type, then
-    shared, its matrix read-only."""
-    return _shared(RModuleMap(m, m, Matrix.identity(m.dim, m.ring.p)))
+    """The identity of m: built once per Jordan type, then shared, its
+    matrix read-only."""
+    return _shared(RModuleMap._trusted(m, m, Matrix.identity(m.dim, m.ring.p)))
 
 
 # -- Jordan canonicalization ----------------------------------------------
@@ -268,7 +280,7 @@ def direct_sum(summands: list[RModule], ring: Ring) -> tuple[RModule, list[RModu
     Blocks of the sum are re-sorted, so the structural maps are the
     block-permutation matrices realizing the canonical ordering.  They
     depend only on the summands' Jordan types and the ring, so each is
-    built and validated once per key (_direct_sum); every call returns
+    built once per key (_direct_sum); every call returns
     fresh lists of those shared, frozen maps.
     """
     total, injections, projections = _direct_sum(tuple(summands), ring)
@@ -277,6 +289,8 @@ def direct_sum(summands: list[RModule], ring: Ring) -> tuple[RModule, list[RModu
 
 @lru_cache(maxsize=1024)
 def _direct_sum(summands: tuple[RModule, ...], ring: Ring):
+    if any(m.ring != ring for m in summands):
+        raise ValueError("ring mismatch: summands must lie over %s" % ring)
     p = ring.p
     tagged = []  # (size, summand index, start within summand)
     for si, m in enumerate(summands):
@@ -291,9 +305,9 @@ def _direct_sum(summands: tuple[RModule, ...], ring: Ring):
         for t in range(size):
             inj_arrays[si][at + t, start + t] = 1
         at += size
-    injections = tuple(_shared(RModuleMap(m, total, Matrix(arr, p)))
+    injections = tuple(_shared(RModuleMap._trusted(m, total, Matrix(arr, p)))
                        for m, arr in zip(summands, inj_arrays))
-    projections = tuple(_shared(RModuleMap(total, m, Matrix(arr.T, p)))
+    projections = tuple(_shared(RModuleMap._trusted(total, m, Matrix(arr.T, p)))
                         for m, arr in zip(summands, inj_arrays))
     return total, injections, projections
 
@@ -317,7 +331,7 @@ def hom_basis(m: RModule, nn: RModule) -> list[RModuleMap]:
     the free variable an elimination of X_nn F = F X_m would pick.
 
     The basis depends only on the two Jordan types and the ring, so its
-    maps are built and validated once per pair (_hom_basis); every call
+    maps are built once per pair (_hom_basis); every call
     returns a fresh list of those shared maps, whose matrices refuse
     writes.
     """
@@ -339,7 +353,7 @@ def _hom_basis(m: RModule, nn: RModule) -> tuple[RModuleMap, ...]:
                 f[sb + s + t, sa + t] = 1
                 keyed.append((sa * dn + sb + s if free else (sb + b - 1) * dm + sa + b - s - 1, f))
     keyed.sort(key=lambda kf: kf[0])
-    return tuple(_shared(RModuleMap(m, nn, Matrix(f, m.ring.p))) for _, f in keyed)
+    return tuple(_shared(RModuleMap._trusted(m, nn, Matrix(f, m.ring.p))) for _, f in keyed)
 
 
 # -- kernels, images, cokernels --------------------------------------------

@@ -25,9 +25,9 @@ grammar.  Briefly:
 
 Metric piece bounds are integer-linear expressions in the level n, e.g.
 "-n", "n+1", "2*n-3".  Level 1 is always the whole category regardless of
-the pieces.  Everything is re-validated on load: d^2 = 0, R-linearity of
-every matrix, commutation of chain-map squares; violations are reported
-with the offending object and position.
+the pieces.  This is the trust boundary, so everything is validated on
+load: d^2 = 0, R-linearity of every matrix, commutation of chain-map
+squares; violations are reported with the offending object and position.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ from collections import Counter
 import pytest
 from hypothesis import settings
 
+from tricomplete.complexes import ChainMap, Complex, ValidationError
 from tricomplete.metric import GoodMetric, LinearExpr, first_shift_violation
+from tricomplete.rmodule import RModuleMap
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -25,6 +27,27 @@ def empty_caches():
               for value in vars(mod).values() if hasattr(value, "cache_clear")}
     for cache in caches.values():
         cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def recheck_trusted(monkeypatch):
+    """Rebinds RModuleMap/Complex/ChainMap._trusted so that every trusted
+    construction also runs its class's checks on the data it was given,
+    and the sparse-storage invariant (no stored zero module, no stored map
+    zero mod p): under the tests, a trusted construction skips no check."""
+    # per class: the arguments of its _check, and the modules and maps it stores
+    classes = ((RModuleMap, lambda args: (), lambda f: ((), ())),
+               (Complex, lambda args: args[2:], lambda x: (x._components.values(), x._diffs.values())),
+               (ChainMap, lambda args: args[2:], lambda f: ((), f._components.values())))
+    for cls, given, stored in classes:
+        def rechecked(*args, build=cls._trusted, given=given, stored=stored):
+            obj = build(*args)
+            obj._check(*given(args))
+            modules, maps = stored(obj)
+            if any(m.is_zero() for m in modules) or any(not (f.matrix.a % f.ring.p).any() for f in maps):
+                raise ValidationError("trusted construction stores a zero component")
+            return obj
+        monkeypatch.setattr(cls, "_trusted", staticmethod(rechecked))
 
 
 @pytest.fixture
@@ -69,8 +92,9 @@ def count_calls(monkeypatch, rebind):
     """count_calls(*targets) starts counting calls to each function and
     constructions of each class, and returns the Counter, keyed by
     __name__.  A function is replaced through rebind; a class has its
-    __init__ wrapped, so every construction counts.  Each call adds its
-    targets to the same Counter; clear it between phases of a test."""
+    __init__ and its _trusted, if any, wrapped, so every construction
+    counts, validated or trusted.  Each call adds its targets to the same
+    Counter; clear it between phases of a test."""
     counts = Counter()
 
     def counted(name, fn):
@@ -83,6 +107,9 @@ def count_calls(monkeypatch, rebind):
         for target in targets:
             if isinstance(target, type):
                 monkeypatch.setattr(target, "__init__", counted(target.__name__, target.__init__))
+                if hasattr(target, "_trusted"):
+                    monkeypatch.setattr(target, "_trusted",
+                                        staticmethod(counted(target.__name__, target._trusted)))
             else:
                 rebind(target, counted(target.__name__, target))
         return counts

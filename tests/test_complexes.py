@@ -84,6 +84,26 @@ def test_chain_map_rejects_non_commuting_square():
         ChainMap(x, x, {0: identity_map(R), 1: two})
 
 
+def test_trusted_constructions_are_rechecked_under_the_tests():
+    # conftest re-runs every check on the trusted path, so each fault below
+    # raises here although _trusted itself checks nothing
+    R = free_module(R22, 1)
+    ident, x_act = identity_map(R), RModuleMap(R, R, R.x_action())
+    with pytest.raises(ValueError, match="not R-linear"):
+        RModuleMap._trusted(R, R, Matrix([[1, 1], [0, 0]], 2))
+    with pytest.raises(ValidationError, match="d\\^2 != 0"):
+        Complex._trusted(R22, {0: R, 1: R, 2: R}, {0: ident, 1: ident})
+    x = Complex(R22, {0: R, 1: R}, {0: x_act})
+    with pytest.raises(ValidationError, match="square at degrees"):
+        ChainMap._trusted(x, x, {0: ident})
+    # a matrix wrapped without reduction: 2 is zero mod 2, yet not dropped
+    two = RModuleMap._trusted(K22, K22, Matrix._reduced(np.array([[2]]), 2))
+    with pytest.raises(ValidationError, match="stores a zero component"):
+        ChainMap._trusted(module_complex(K22), module_complex(K22), {0: two})
+    with pytest.raises(ValidationError, match="stores a zero component"):
+        Complex._trusted(R22, {0: K22, 1: K22}, {0: two})
+
+
 def test_chain_map_square_checked_mod_p():
     # f^1 d_X = 4x and d_Y f^0 = x agree only mod 3
     ring = Ring(3, 2)
@@ -128,6 +148,15 @@ def test_cone_of_x_on_modules():
     assert cohomology(z, -1) == K22
     assert cohomology(z, 0) == K22
     assert cohomology_support(z) == frozenset({-1, 0})
+
+
+def test_cone_differential_signs_over_F3():
+    # d = [[-d_X, 0], [f, d_Y]]: over F_3 a flip of either sign changes it
+    ring = Ring(3, 1)
+    k = free_module(ring, 1)
+    assert cone(identity_chain_map(module_complex(k, 0))).z.differential(-1).matrix == Matrix([[1]], 3)
+    x = Complex(ring, {0: k, 1: k}, {0: identity_map(k)})
+    assert cone(ChainMap(x, zero_complex(ring), {})).z.differential(-1).matrix == Matrix([[2]], 3)
 
 
 def test_shift_bookkeeping():

@@ -677,7 +677,8 @@ def test_shared_closed_forms_match_a_fresh_build(ring):
 def test_shared_closed_forms_still_refuse_a_ring_mismatch():
     a, b = RModule(R22, (1,)), RModule(R23, (1,))
     hom_basis(a, a), zero_map(a, a)  # cached on R22
-    for call in (lambda: hom_basis(a, b), lambda: hom_basis(b, a), lambda: zero_map(a, b)):
+    for call in (lambda: hom_basis(a, b), lambda: hom_basis(b, a), lambda: zero_map(a, b),
+                 lambda: direct_sum([a, b], R22)):
         with pytest.raises(ValueError):
             call()
 

@@ -425,6 +425,10 @@ def test_unknown_metric_names_full_spec():
 @pytest.mark.parametrize("body,line,message", [
     ("MAP m a a\n  AT\nEND\n", 7, "AT expects: AT degree entries..."),
     ("MAP m a a\n  AT 0 1\n  AT 0 1\nEND\n", 8, "duplicate component at degree 0"),
+    ("MODULE RR 2\nCOMPLEX b\n  AT 0 RR\nEND\nMAP m b b\n  AT 0 1 1 0 0\nEND\n", 11,
+     "map 'm' component at 0: matrix does not commute with the x-actions (not R-linear)"),
+    ("COMPLEX c\n  AT 0 k\n  AT 1 k\n  DIFF 0 1\nEND\nMAP m c c\n  AT 0 1\nEND\n", 13,
+     "map 'm': square at degrees (0, 1) does not commute"),
     ("RING 2 2\n", 6, "RING may only be declared once"),
     ("MODULE\n", 6, "MODULE expects a name"),
     ("COMPLEX a\nEND\n", 6, "duplicate name 'a'"),
