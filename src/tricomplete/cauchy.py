@@ -10,19 +10,20 @@ on demand:
     2-periodic tail, so any X_k costs no elimination);
   * constant tail at a bounded complex X: X_k = X with identity maps.
 
-This module is the one place that knows what a tail kind implies.  Each
-tail rule answers for itself: the cohomology support of every cone
-X_i -> X_j (tail_support), the entry from which H^i is stable
-(stable_from), the vanishing outside a window, and the representative of
-its colimit with a default window around it.  For tail towers the cone of
-X_i -> X_j is the quotient complex, so certificates are unconditional:
-the union over all j > i of these supports (a point and a ray escaping to
--infinity) is measured exactly, once per i, and colimits read H^i off the
-one entry from which the tail is constant around degree i, whatever the
-horizon.  Certificates are issued only for good metrics, and every
-threshold M(n) is read from the sup lengths by one rule.  Prefix-only
-towers can only ever be measured (and their colimits scanned) up to the
-horizon, and their certificates say so rather than guessing.
+The tail kinds live here, and this module is the one place that knows
+what a tail kind implies (the workspace table _TAILS only maps a TAIL
+keyword to its class).  Each tail rule answers for itself: the cohomology
+support of every cone X_i -> X_j (tail_support), the entry from which H^i
+is stable (stable_from), and the representative of its colimit with a
+default window around it.  For tail towers the cone of X_i -> X_j is the
+quotient complex, so certificates are unconditional: the union over all
+j > i of these supports (a point and a ray escaping to -infinity) is
+measured exactly, once per i, and colimits read H^i off the one entry
+from which the tail is constant around degree i, whatever the horizon.
+Certificates are issued only for good metrics, and every threshold M(n)
+is read from the sup lengths by one rule.  Prefix-only towers can only
+ever be measured (and their colimits scanned) up to the horizon, and
+their certificates say so rather than guessing.
 """
 
 from __future__ import annotations
@@ -103,9 +104,6 @@ class TruncationTail:
         """From X_k with k >= this on, degrees i-1..i+1 are all in X_k."""
         return max(1, 1 - i)
 
-    def vanishes_outside(self, lo: int, hi: int) -> bool:
-        return lo <= 0 <= hi
-
     def representative(self) -> Complex:
         return module_complex(self.module, 0)
 
@@ -132,10 +130,6 @@ class ConstantTail:
     def stable_from(self, i: int) -> int:
         return 1
 
-    def vanishes_outside(self, lo: int, hi: int) -> bool:
-        x = self.complex
-        return x.is_zero() or (lo <= x.min_degree and x.max_degree <= hi)
-
     def representative(self) -> Complex:
         return self.complex
 
@@ -150,6 +144,8 @@ class Tower:
         self.prefix = list(prefix or [])
         self.prefix_maps = list(prefix_maps or [])
         self.tail = tail
+        if not self.prefix and tail is None:
+            raise PreconditionError("a tower needs a prefix entry or a tail rule")
         if len(self.prefix_maps) != max(len(self.prefix) - 1, 0):
             raise PreconditionError("need exactly one connecting map between consecutive prefix entries")
         for k, f in enumerate(self.prefix_maps):
@@ -330,8 +326,10 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
     i-1..i+1 and the same d^(i-1) and d^i (a truncation adds components
     only below -k' <= i-1, a constant tail none), and the connecting map,
     which Tower checks against the rule, is the identity there, so H^i of
-    it is the identity on the same data.  A prefix-only tower is scanned:
-    the least k whose maps up to the horizon are isomorphisms on H^i.
+    it is the identity on the same data.  The tail tower's colimit
+    vanishes outside the window if its representative is zero or has
+    its hull inside.  A prefix-only tower is scanned: the least k whose
+    maps up to the horizon are isomorphisms on H^i.
     """
     if certificate.verdict == "not_cauchy":
         raise PreconditionError("tower is not Cauchy for %s: no colimit in the completion"
@@ -341,7 +339,9 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
         raise PreconditionError("empty window")
     h = tower.available_horizon(horizon)
     table = ColimitTable(ring=tower.ring, window=window, horizon=h)
-    table.outside_window_vanishes = tower.tail is not None and tower.tail.vanishes_outside(lo, hi)
+    if tower.tail is not None:
+        rep = tower.tail.representative()
+        table.outside_window_vanishes = rep.is_zero() or lo <= rep.min_degree <= rep.max_degree <= hi
     for i in range(lo, hi + 1):
         if tower.tail is not None:
             k_i = tower.tail.stable_from(i)

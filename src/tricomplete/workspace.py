@@ -28,6 +28,8 @@ Metric piece bounds are integer-linear expressions in the level n, e.g.
 the pieces.  This is the trust boundary, so everything is validated on
 load: d^2 = 0, R-linearity of every matrix, commutation of chain-map
 squares; violations are reported with the offending object and position.
+serialize_workspace writes a parsed workspace back, each reference under
+the name it was read with.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ def parse_linear(text: str) -> LinearExpr:
 # PIECE keyword -> (GoodMetric piece kind, number of bounds)
 _PIECES = {"ray-above": ("above", 1), "ray-below": ("below", 1), "interval": ("interval", 2)}
 
-# TAIL kind -> (kind of the named object, tail class)
+# TAIL keyword -> (kind of the named object, tail class): the one place that
+# maps a keyword to its class; the tail stores the object under the kind's name
 _TAILS = {"truncation": ("module", TruncationTail), "constant": ("complex", ConstantTail)}
 
 # kind of a named object -> its Workspace table
@@ -333,95 +336,47 @@ def _entries(m: Matrix) -> str:
 
 
 def serialize_workspace(ws: Workspace) -> str:
-    """Canonical text form; parsing it back yields equal objects."""
+    """Canonical text form: parse -> serialize -> parse gives equal objects,
+    and serializing those again gives the same text.
+
+    The parser is the only producer of a Workspace, and it stores the
+    objects it resolves, so each reference (a component, a map end, a
+    tower entry, a tail's module or complex) is written with the name it
+    was parsed with; an object outside the workspace raises WorkspaceError.
+    """
+    names = {id(obj): name for table in (ws.modules, ws.complexes, ws.maps)
+             for name, obj in table.items()}
+
+    def refs(owner: str, *objs) -> str:
+        try:
+            return " ".join(names[id(obj)] for obj in objs)
+        except KeyError:
+            raise WorkspaceError("%s refers to an object outside the workspace" % owner) from None
+
+    tails = {tail_class: (keyword, what) for keyword, (what, tail_class) in _TAILS.items()}
+    pieces = {kind: keyword for keyword, (kind, _) in _PIECES.items()}
     out = ["RING %d %d" % (ws.ring.p, ws.ring.n), ""]
-    module_names: dict[tuple, str] = {}
-    for name in sorted(ws.modules):
-        module_names.setdefault(ws.modules[name].blocks, name)
-        out.append("MODULE %s %s" % (name, " ".join(str(j) for j in ws.modules[name].blocks)))
+    out += ["MODULE %s %s" % (name, " ".join(str(j) for j in m.blocks))
+            for name, m in sorted(ws.modules.items())] + [""]
 
-    extra = 0
+    def block(head: str, body: list[str]):
+        out.extend([head] + ["  " + line for line in body] + ["END", ""])
 
-    def module_name(m: RModule) -> str:
-        nonlocal extra
-        if m.blocks in module_names:
-            return module_names[m.blocks]
-        extra += 1
-        name = "_m%d" % extra
-        module_names[m.blocks] = name
-        out.append("MODULE %s %s" % (name, " ".join(str(j) for j in m.blocks)))
-        return name
-
-    # ensure every module appearing in a complex is declared
-    for cname in sorted(ws.complexes):
-        for i in ws.complexes[cname].degrees:
-            module_name(ws.complexes[cname].component(i))
-    for tname in sorted(ws.towers):
-        tail = ws.towers[tname].tail
-        if isinstance(tail, TruncationTail):
-            module_name(tail.module)
-    out.append("")
-    for cname in sorted(ws.complexes):
-        x = ws.complexes[cname]
-        out.append("COMPLEX %s" % cname)
-        for i in x.degrees:
-            out.append("  AT %d %s" % (i, module_name(x.component(i))))
-        for i in x.degrees:
-            d = x.differential(i)
-            if not d.is_zero():
-                out.append("  DIFF %d %s" % (i, _entries(d.matrix)))
-        out.append("END")
-        out.append("")
-
-    def complex_name(x: Complex) -> str | None:
-        for cname in sorted(ws.complexes):
-            if ws.complexes[cname] == x:
-                return cname
-        return None
-
-    for mname in sorted(ws.maps):
-        f = ws.maps[mname]
-        src, tgt = complex_name(f.source), complex_name(f.target)
-        if src is None or tgt is None:
-            raise WorkspaceError("map %r references a complex not in the workspace" % mname)
-        out.append("MAP %s %s %s" % (mname, src, tgt))
-        for i in sorted(f._components):
-            out.append("  AT %d %s" % (i, _entries(f.component(i).matrix)))
-        out.append("END")
-        out.append("")
-    for tname in sorted(ws.towers):
-        t = ws.towers[tname]
-        out.append("TOWER %s" % tname)
-        if t.prefix:
-            names = [complex_name(x) for x in t.prefix]
-            if any(n is None for n in names):
-                raise WorkspaceError("tower %r prefix entry not in the workspace" % tname)
-            out.append("  PREFIX %s" % " ".join(names))
-        if t.prefix_maps:
-            mnames = []
-            for f in t.prefix_maps:
-                found = next((mn for mn in sorted(ws.maps) if ws.maps[mn] == f), None)
-                if found is None:
-                    raise WorkspaceError("tower %r connecting map not in the workspace" % tname)
-                mnames.append(found)
-            out.append("  CONNECT %s" % " ".join(mnames))
-        if isinstance(t.tail, TruncationTail):
-            out.append("  TAIL truncation %s" % module_name(t.tail.module))
-        elif isinstance(t.tail, ConstantTail):
-            cn = complex_name(t.tail.complex)
-            if cn is None:
-                raise WorkspaceError("tower %r tail complex not in the workspace" % tname)
-            out.append("  TAIL constant %s" % cn)
-        out.append("END")
-        out.append("")
-    keywords = {kind: keyword for keyword, (kind, _) in _PIECES.items()}
-    for mname in sorted(ws.metrics):
-        m = ws.metrics[mname]
-        out.append("METRIC %s" % mname)
-        if m.dual:
-            out.append("  DUAL")
-        for p in m.pieces:
-            out.append("  PIECE %s %s" % (keywords[p[0]], " ".join(str(e) for e in p[1:])))
-        out.append("END")
-        out.append("")
+    for c, x in sorted(ws.complexes.items()):
+        body = ["AT %d %s" % (i, refs("complex %r" % c, x.component(i))) for i in x.degrees]
+        body += ["DIFF %d %s" % (i, _entries(d.matrix)) for i, d in sorted(x._diffs.items())]
+        block("COMPLEX " + c, body)
+    for m, f in sorted(ws.maps.items()):
+        block("MAP %s %s" % (m, refs("map %r" % m, f.source, f.target)),
+              ["AT %d %s" % (i, _entries(g.matrix)) for i, g in sorted(f._components.items())])
+    for t, tower in sorted(ws.towers.items()):
+        body = [head + refs("tower %r" % t, *objs) for head, objs in
+                (("PREFIX ", tower.prefix), ("CONNECT ", tower.prefix_maps)) if objs]
+        if tower.tail is not None:
+            keyword, what = tails[type(tower.tail)]
+            body.append("TAIL %s %s" % (keyword, refs("tower %r" % t, getattr(tower.tail, what))))
+        block("TOWER " + t, body)
+    for e, m in sorted(ws.metrics.items()):
+        body = ["PIECE %s %s" % (pieces[p[0]], " ".join(str(b) for b in p[1:])) for p in m.pieces]
+        block("METRIC " + e, (["DUAL"] if m.dual else []) + body)
     return "\n".join(out).rstrip() + "\n"

@@ -49,7 +49,7 @@ def scan_colimit(tower, window, horizon):
     h = tower.available_horizon(horizon)
     table = ColimitTable(ring=tower.ring, window=window, horizon=h)
     if isinstance(tower.tail, TruncationTail):
-        table.outside_window_vanishes = lo <= 0 <= hi
+        table.outside_window_vanishes = tower.tail.module.is_zero() or lo <= 0 <= hi
     elif isinstance(tower.tail, ConstantTail):
         x = tower.tail.complex
         table.outside_window_vanishes = x.is_zero() or (lo <= x.min_degree and x.max_degree <= hi)

@@ -1,10 +1,12 @@
-"""The README's examples, run as written: the library block, and the CLI
-examples against the complete example workspace."""
+"""The README's examples, run as written: the library block, the CLI
+examples against the complete example workspace, and that workspace
+written back by serialize_workspace."""
 
 import re
 import shlex
 from pathlib import Path
 
+from test_workspace_cli import assert_round_trip
 from tricomplete.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -34,3 +36,8 @@ def test_cli_examples_against_the_complete_example(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert codes == [0, 0, 0, 1]
     assert "length: 1/5" in outs[0].splitlines()
+
+
+def test_complete_example_round_trips_through_the_writer():
+    # so the documented format and the writer cannot drift apart
+    assert_round_trip(_block("A complete example:"))

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from tricomplete.cli import main
+from tricomplete.complexes import ChainMap, Complex
 from tricomplete.metric import standard_metric
 from tricomplete.workspace import (
     WorkspaceError,
@@ -157,28 +159,135 @@ END
         parse_workspace_text(bad)
 
 
-def test_round_trip_serialization():
-    ws = parse_workspace_text(FIXTURE + "METRIC mixed\n  DUAL\n  PIECE ray-above -n\n"
-                              "  PIECE ray-below 2*n+1\n  PIECE interval -3*n n-2\nEND\n")
-    text = serialize_workspace(ws)
-    ws2 = parse_workspace_text(text)
+def assert_round_trip(text: str) -> str:
+    """parse -> serialize -> parse gives equal objects, and serializing
+    those again gives the same text; returns that text."""
+    ws = parse_workspace_text(text)
+    written = serialize_workspace(ws)
+    ws2 = parse_workspace_text(written)
+
+    def towers(w):
+        return {name: (t.prefix, t.prefix_maps, t.tail and (type(t.tail), vars(t.tail)))
+                for name, t in w.towers.items()}
+
     assert ws2.ring == ws.ring
-    assert set(ws2.modules) >= set(ws.modules)
-    for name in ws.modules:
-        assert ws2.modules[name] == ws.modules[name]
-    for name in ws.complexes:
-        assert ws2.complexes[name] == ws.complexes[name]
-    for name in ws.maps:
-        assert ws2.maps[name].source == ws.maps[name].source
-        assert ws2.maps[name] == ws.maps[name]
-    assert set(ws2.towers) == set(ws.towers)
-    for name in ("myi", "myii", "mixed", "mixed:dual"):
-        m, m2 = ws.metric(name), ws2.metric(name)
-        assert (m2.name, m2.pieces, m2.dual) == (m.name, m.pieces, m.dual)
+    assert (ws2.modules, ws2.complexes, ws2.maps) == (ws.modules, ws.complexes, ws.maps)
+    assert towers(ws2) == towers(ws)
+    assert {n: (m.name, m.pieces, m.dual) for n, m in ws2.metrics.items()} \
+        == {n: (m.name, m.pieces, m.dual) for n, m in ws.metrics.items()}
+    assert serialize_workspace(ws2) == written
+    return written
+
+
+BENCH_WORKSPACE = Path(__file__).resolve().parent.parent / "bench" / "cli_session" / "workspace.txt"
+
+ONE_JORDAN_TYPE = """RING 2 2
+MODULE A 1
+MODULE B 1
+COMPLEX c
+  AT 0 B
+  AT 1 A
+END
+TOWER t
+  TAIL truncation B
+END
+"""
+
+ZERO_MODULE = """RING 3 2
+MODULE Z
+COMPLEX zero
+END
+COMPLEX z1
+  AT 1 Z
+END
+TOWER tz
+  TAIL truncation Z
+END
+TOWER cz
+  TAIL constant z1
+END
+"""
+
+PREFIX_AND_TAIL = """RING 2 2
+MODULE K 1
+MODULE RR 2
+COMPLEX x1
+  AT -1 RR
+  AT 0 RR
+  DIFF -1 0 0 1 0
+END
+COMPLEX x2
+  AT -2 RR
+  AT -1 RR
+  AT 0 RR
+  DIFF -2 0 0 1 0
+  DIFF -1 0 0 1 0
+END
+MAP i12 x1 x2
+  AT -1 1 0 0 1
+  AT 0 1 0 0 1
+END
+COMPLEX k0
+  AT 0 K
+END
+MAP idk k0 k0
+  AT 0 1
+END
+TOWER trunc
+  PREFIX x1 x2
+  CONNECT i12
+  TAIL truncation K
+END
+TOWER const
+  PREFIX k0 k0
+  CONNECT idk
+  TAIL constant k0
+END
+"""
+
+DUAL_METRIC = """RING 5 3
+METRIC mixed
+  DUAL
+  PIECE ray-above -n
+  PIECE ray-below 2*n+1
+  PIECE interval -3*n n-2
+END
+METRIC plain
+  PIECE interval n 7
+END
+"""
+
+
+def test_round_trip_serialization():
+    ws = parse_workspace_text(assert_round_trip(FIXTURE + DUAL_METRIC.split("\n", 1)[1]))
     assert [p[0] for p in ws.metric("mixed").pieces] == ["above", "below", "interval"]
     assert ws.metric("mixed").dual and not ws.metric("mixed:dual").dual
-    # serialization is idempotent
-    assert serialize_workspace(ws2) == text
+
+
+@pytest.mark.parametrize("text,lines", [
+    (BENCH_WORKSPACE.read_text(), ["RING 3 3", "MAP f zero km5", "  TAIL constant xcx",
+                                   "  PREFIX k0 f0 k0", "  CONNECT incl proj"]),
+    (ONE_JORDAN_TYPE, ["  AT 0 B", "  AT 1 A", "  TAIL truncation B"]),
+    (ZERO_MODULE, ["MODULE Z", "COMPLEX z1", "  TAIL truncation Z", "  TAIL constant z1"]),
+    (PREFIX_AND_TAIL, ["  PREFIX x1 x2", "  CONNECT i12", "  TAIL truncation K",
+                       "  PREFIX k0 k0", "  CONNECT idk", "  TAIL constant k0"]),
+    (DUAL_METRIC, ["  DUAL", "  PIECE ray-above -n", "  PIECE ray-below 2*n+1",
+                   "  PIECE interval -3*n n-2", "  PIECE interval n 7"]),
+], ids=["bench-workspace", "one-jordan-type", "zero-module", "prefix-and-tail", "dual-metric"])
+def test_round_trip_writes_each_reference_with_its_name(text, lines):
+    written = assert_round_trip(text)
+    assert set(lines) <= {line.rstrip() for line in written.splitlines()}
+    assert written.count("  DUAL") == text.count("  DUAL")
+
+
+def test_serialize_refuses_an_object_outside_the_workspace():
+    ws = parse_workspace_text(FIXTURE)
+    elsewhere = Complex(ws.ring, {3: ws.modules["K"]}, {})
+    assert elsewhere not in ws.complexes.values()
+    ws.maps["g"] = ChainMap(elsewhere, elsewhere, {})
+    with pytest.raises(WorkspaceError) as exc:
+        serialize_workspace(ws)
+    assert str(exc.value) == "map 'g' refers to an object outside the workspace"
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -236,6 +345,17 @@ def test_cli_in_s(ws_path, capsys):
     assert "yes" in out
     code, _, _ = run(capsys, ["-w", ws_path, "in-s", "towerConst", "--metric", "i"])
     assert code == 0
+
+
+def test_cli_zero_tail_tower_is_conclusive_in_any_window(tmp_path, capsys):
+    # every entry of the truncation tower of the zero module is 0, so its
+    # colimit vanishes outside every window, not only those holding degree 0
+    path = tmp_path / "ws.txt"
+    path.write_text(FIXTURE + "TOWER tz\n  TAIL truncation Z\nEND\n")
+    code, out, _ = run(capsys, ["-w", str(path), "colimit", "tz", "--metric", "i", "--window=3..4"])
+    assert code == 0 and "conclusive: True" in out
+    code, out, _ = run(capsys, ["-w", str(path), "in-s", "tz", "--metric", "i", "--window=3..4"])
+    assert code == 0 and "in-s: yes" in out
 
 
 def test_cli_perfect_and_inj_bounded(ws_path, capsys):
@@ -453,6 +573,7 @@ def test_unknown_metric_names_full_spec():
     ("TOWER t\n  TAIL constant q\nEND\n", 7, "unknown complex 'q'"),
     ("TOWER t\n  TAIL constant\nEND\n", 7, "TAIL expects: TAIL truncation|constant name"),
     ("TOWER t\n  TAIL wedge a\nEND\n", 7, "unknown tail kind 'wedge'"),
+    ("TOWER t\nEND\n", 7, "tower 't': a tower needs a prefix entry or a tail rule"),
     ("TOWER t\n  TAIL truncation k\n  TAIL constant a\nEND\n", 8,
      "tower 't' takes at most one TAIL"),
     ("METRIC e\n  PIECE ray-above\nEND\n", 7, "PIECE expects a kind and bounds"),
