@@ -5,17 +5,19 @@ finite prefix plus an optional structured tail rule that generates entries
 on demand:
 
   * truncation tail of a module M: X_k is the brutal truncation to degrees
-    >= -k of the minimal free resolution of M, with subcomplex inclusions
-    as connecting maps (below the cover the resolution is the closed-form
-    2-periodic tail, so any X_k costs no elimination);
-  * constant tail at a bounded complex X: X_k = X with identity maps.
+    >= -k of the minimal free resolution of M (below the cover the
+    resolution is the closed-form 2-periodic tail, so any X_k costs no
+    elimination);
+  * constant tail at a bounded complex X: X_k = X.
 
-The tail kinds live here, and this module is the one place that knows
-what a tail kind implies (the workspace table _TAILS only maps a TAIL
-keyword to its class).  Each tail rule answers for itself: the cohomology
-support of every cone X_i -> X_j (tail_support), the entry from which H^i
-is stable (stable_from), and the representative of its colimit with a
-default window around it.  For tail towers the cone of X_i -> X_j is the
+Every tail's X_k is a subcomplex of X_(k+1), so Tower builds every
+connecting map past the prefix by one rule, the inclusion: the identity
+on each component of X_k.  The tail kinds live here, and this module is
+the one place that knows what a tail kind implies (the workspace table
+_TAILS only maps a TAIL keyword to its class).  Each tail rule answers
+the rest for itself: the cohomology support of every cone X_i -> X_j
+(tail_support), the entry from which H^i is stable (stable_from), and
+the representative of its colimit with a default window around it.  For tail towers the cone of X_i -> X_j is the
 quotient complex, so certificates are unconditional: the union over all
 j > i of these supports (a point and a ray escaping to -infinity) is
 measured exactly, once per i, and colimits read H^i off the one entry
@@ -48,6 +50,7 @@ from .complexes import (
     PreconditionError,
     cohomology_data,
     cohomology_map,
+    cohomology_support,
     identity_chain_map,
     module_complex,
 )
@@ -70,9 +73,6 @@ class TruncationTail:
         self.module = module
         self.ring = module.ring
 
-    def free(self, t: int) -> RModule:
-        return free_module(self.ring, len(omega_power(self.module, t).blocks))
-
     def complex_at(self, k: int) -> Complex:
         comps = {0: free_module(self.ring, len(self.module.blocks))}
         diffs = {}
@@ -82,9 +82,6 @@ class TruncationTail:
             comps[-t] = free_module(self.ring, rank_t)
             diffs[-t] = RModuleMap._trusted(comps[-t], comps[-t + 1], d)
         return Complex._trusted(self.ring, comps, diffs)
-
-    def map_at(self, k: int, xk: Complex, xk1: Complex) -> ChainMap:
-        return ChainMap._trusted(xk, xk1, {i: identity_map(xk.component(i)) for i in xk.degrees})
 
     def tail_support(self, i: int) -> tuple[frozenset, int | None]:
         """Union over all j > i of the cohomology supports of cone(X_i -> X_j),
@@ -96,7 +93,7 @@ class TruncationTail:
         of a module that is neither free nor zero never vanish, so -j runs
         over every degree <= -i-1.
         """
-        supp = frozenset() if self.free(i + 1).is_zero() else frozenset({-i - 1})
+        supp = frozenset() if omega_power(self.module, i + 1).is_zero() else frozenset({-i - 1})
         escapes = not self.module.is_free() and not self.module.is_zero()
         return supp, (-i - 1 if escapes else None)
 
@@ -109,9 +106,8 @@ class TruncationTail:
 
 
 class ConstantTail:
-    """X_k = X for all k, with identity connecting maps.  Its colimit is X,
-    and the default colimit window is X's hull widened by 1 on each side
-    ([-1, 1] when X is zero)."""
+    """X_k = X for all k.  Its colimit is X, and the default colimit window
+    is X's hull widened by 1 on each side ([-1, 1] when X is zero)."""
 
     def __init__(self, x: Complex):
         self.complex = x
@@ -121,9 +117,6 @@ class ConstantTail:
     def complex_at(self, k: int) -> Complex:
         return self.complex
 
-    def map_at(self, k: int, xk: Complex, xk1: Complex) -> ChainMap:
-        return identity_chain_map(self.complex)
-
     def tail_support(self, i: int) -> tuple[frozenset, int | None]:
         return frozenset(), None
 
@@ -132,6 +125,13 @@ class ConstantTail:
 
     def representative(self) -> Complex:
         return self.complex
+
+
+def _inclusion(xk: Complex, xk1: Complex) -> ChainMap:
+    """A tail's connecting map X_k -> X_(k+1): the identity on every
+    component of X_k, a subcomplex of X_(k+1) (X_(k+1) = X_k for a
+    constant tail)."""
+    return ChainMap._trusted(xk, xk1, {i: identity_map(xk.component(i)) for i in xk.degrees})
 
 
 class Tower:
@@ -156,9 +156,8 @@ class Tower:
                 if x != tail.complex_at(k):
                     raise PreconditionError("prefix entry %d disagrees with the tail rule" % k)
             for k, f in enumerate(self.prefix_maps, start=1):
-                if f != tail.map_at(k, self.prefix[k - 1], self.prefix[k]):
+                if f != _inclusion(self.prefix[k - 1], self.prefix[k]):
                     raise PreconditionError("connecting map %d disagrees with the tail rule" % k)
-        self._cplx_cache: dict[int, Complex] = {}
 
     def available_horizon(self, requested: int) -> int:
         if self.tail is not None:
@@ -173,24 +172,15 @@ class Tower:
         if self.tail is None:
             raise PreconditionError("tower entry %d beyond prefix of length %d (no tail rule)"
                                     % (k, len(self.prefix)))
-        if k not in self._cplx_cache:
-            self._cplx_cache[k] = self.tail.complex_at(k)
-        return self._cplx_cache[k]
+        return self.tail.complex_at(k)
 
     def map_at(self, k: int) -> ChainMap:
-        """Connecting map X_k -> X_(k+1)."""
+        """Connecting map X_k -> X_(k+1): past the prefix, the inclusion."""
         if k < len(self.prefix):
             return self.prefix_maps[k - 1]
         if self.tail is None:
             raise PreconditionError("connecting map %d beyond prefix (no tail rule)" % k)
-        return self.tail.map_at(k, self.complex_at(k), self.complex_at(k + 1))
-
-    def composite(self, i: int, j: int) -> ChainMap:
-        """The composite X_i -> X_j."""
-        acc = identity_chain_map(self.complex_at(i))
-        for k in range(i, j):
-            acc = self.map_at(k) @ acc
-        return acc
+        return _inclusion(self.complex_at(k), self.complex_at(k + 1))
 
 
 def truncation_tower(m: RModule) -> Tower:
@@ -327,9 +317,9 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
     only below -k' <= i-1, a constant tail none), and the connecting map,
     which Tower checks against the rule, is the identity there, so H^i of
     it is the identity on the same data.  The tail tower's colimit
-    vanishes outside the window if its representative is zero or has
-    its hull inside.  A prefix-only tower is scanned: the least k whose
-    maps up to the horizon are isomorphisms on H^i.
+    vanishes outside the window iff its representative's cohomology
+    support lies inside it.  A prefix-only tower is scanned: the least k
+    whose maps up to the horizon are isomorphisms on H^i.
     """
     if certificate.verdict == "not_cauchy":
         raise PreconditionError("tower is not Cauchy for %s: no colimit in the completion"
@@ -340,8 +330,8 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
     h = tower.available_horizon(horizon)
     table = ColimitTable(ring=tower.ring, window=window, horizon=h)
     if tower.tail is not None:
-        rep = tower.tail.representative()
-        table.outside_window_vanishes = rep.is_zero() or lo <= rep.min_degree <= rep.max_degree <= hi
+        table.outside_window_vanishes = all(
+            lo <= i <= hi for i in cohomology_support(tower.tail.representative()))
     for i in range(lo, hi + 1):
         if tower.tail is not None:
             k_i = tower.tail.stable_from(i)

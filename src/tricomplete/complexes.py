@@ -118,12 +118,6 @@ class Complex:
     def max_degree(self) -> int | None:
         return max(self._components) if self._components else None
 
-    @property
-    def amplitude(self) -> int:
-        if self.is_zero():
-            return 0
-        return self.max_degree - self.min_degree
-
     def __eq__(self, other):
         if not isinstance(other, Complex):
             return NotImplemented
@@ -205,17 +199,6 @@ class ChainMap:
                  if i in self._components}
         return ChainMap._trusted(other.source, self.target, comps)
 
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        if (other.source, other.target) != (self.source, self.target):
-            raise PreconditionError("chain maps not addable")
-        degs = set(other._components) | set(self._components)
-        comps = {i: self.component(i) + other.component(i) for i in degs}
-        return ChainMap(self.source, self.target, comps)
-
-    def __neg__(self) -> "ChainMap":
-        return ChainMap(self.source, self.target,
-                        {i: -f for i, f in self._components.items()})
-
     def is_zero(self) -> bool:
         return not self._components
 
@@ -256,12 +239,6 @@ def _sum_complex(parts: list[Complex], ring: Ring, twist: ChainMap | None = None
         if np.any(d % ring.p):
             diffs[i] = RModuleMap._trusted(comps[i], comps[i + 1], Matrix(d, ring.p))
     return Complex._trusted(ring, comps, diffs), injs, projs
-
-
-def direct_sum_complex(parts: list[Complex], ring: Ring) -> tuple[Complex, list[ChainMap]]:
-    """Degreewise direct sum with its injection chain maps."""
-    total, injs, _ = _sum_complex(parts, ring)
-    return total, [ChainMap(x, total, {i: injs[i][k] for i in x.degrees}) for k, x in enumerate(parts)]
 
 
 @dataclass
@@ -494,8 +471,8 @@ def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, RModuleMap] | None]:
 def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
     """F_p basis of the space of chain maps X -> Y: the kernel of delta^0.
 
-    Only tests call it; it stays public because bench/tracer.py wraps it
-    by name."""
+    Only tests call it.  It stays here while bench/tracer.py wraps it by
+    name, until the tracer traces hom_complex instead (ROADMAP item 4)."""
     basis, delta = hom_complex(x, y, 0)
     null = kernel_basis(delta)
     return [ChainMap(x, y, hom_combination(basis, null.a[:, j])) for j in range(null.cols)]

@@ -33,10 +33,8 @@ from .complexes import (
     cohomology_support,
     cone_support,
     homotopy_pushout,
-    module_complex,
     shift,
 )
-from .rmodule import RModule
 
 
 @dataclass(frozen=True)
@@ -103,9 +101,6 @@ class VanishingSpec:
 
     def shifted(self, t: int) -> "VanishingSpec":
         return VanishingSpec(tuple((lo + t, hi + t) for lo, hi in self.pieces))
-
-    def negated(self) -> "VanishingSpec":
-        return VanishingSpec(tuple((-hi, -lo) for lo, hi in self.pieces))
 
     def runs(self) -> list[tuple]:
         """The degrees as sorted, disjoint, non-adjacent runs [lo, hi] of
@@ -235,13 +230,6 @@ def metric_ii(dual: bool = False) -> GoodMetric:
 
 def metric_iii(dual: bool = False) -> GoodMetric:
     return GoodMetric("iii", [("interval", LinearExpr(-1, 0), LinearExpr(1, 0))], dual=dual)
-
-
-def shifted_family(m: GoodMetric, t: int) -> GoodMetric:
-    """The family {T^t B_n}: the effective endpoints translated by -t."""
-    raw = t if m.dual else -t
-    return GoodMetric("T^%d(%s)" % (t, m.name),
-                      [(p[0],) + tuple(e + raw for e in p[1:]) for p in m.pieces], dual=m.dual)
 
 
 def standard_metric(spec: str) -> GoodMetric:
@@ -405,12 +393,6 @@ class EquivalenceReport:
     witness: dict[int, int] = field(default_factory=dict)  # n -> m
     fail_level: int | None = None
     separating: list = field(default_factory=list)  # (direction, m, degree)
-
-    def separating_complexes(self, ring: Ring) -> list[tuple[int, Complex]]:
-        """Materialize the separating family: simple stalks k at the
-        recorded degrees (arbitrarily short in one metric, long in the other)."""
-        k = RModule(ring, (1,))
-        return [(mm, module_complex(k, deg)) for _, mm, deg in self.separating]
 
 
 def _first_nonempty_level(m: GoodMetric) -> int | None:

@@ -144,14 +144,6 @@ class RModuleMap:
             raise ValueError("maps not composable")
         return RModuleMap._trusted(other.source, self.target, self.matrix @ other.matrix)
 
-    def __add__(self, other: "RModuleMap") -> "RModuleMap":
-        if (other.source, other.target) != (self.source, self.target):
-            raise ValueError("maps not addable")
-        return RModuleMap(self.source, self.target, self.matrix + other.matrix)
-
-    def __neg__(self) -> "RModuleMap":
-        return RModuleMap(self.source, self.target, -self.matrix)
-
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 

@@ -356,7 +356,7 @@ def serialize_workspace(ws: Workspace) -> str:
     tails = {tail_class: (keyword, what) for keyword, (what, tail_class) in _TAILS.items()}
     pieces = {kind: keyword for keyword, (kind, _) in _PIECES.items()}
     out = ["RING %d %d" % (ws.ring.p, ws.ring.n), ""]
-    out += ["MODULE %s %s" % (name, " ".join(str(j) for j in m.blocks))
+    out += [" ".join(["MODULE", name] + [str(j) for j in m.blocks])
             for name, m in sorted(ws.modules.items())] + [""]
 
     def block(head: str, body: list[str]):

@@ -7,7 +7,6 @@ from tricomplete.complexes import (
     PreconditionError,
     cone,
     derived_hom,
-    direct_sum_complex,
     dualize,
     identity_chain_map,
     module_complex,
@@ -28,6 +27,8 @@ from tricomplete.completion import (
     syzygy_class,
 )
 from tricomplete.randomgen import Sampler
+
+from reference import direct_sum_complex
 
 R22 = Ring(2, 2)
 R23 = Ring(2, 3)

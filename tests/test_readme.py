@@ -1,12 +1,16 @@
 """The README's examples, run as written: the library block, the CLI
 examples against the complete example workspace, and that workspace
-written back by serialize_workspace."""
+written back by serialize_workspace; and the public surface the Library
+section describes."""
 
 import re
 import shlex
+import types
 from pathlib import Path
 
+import tricomplete
 from test_workspace_cli import assert_round_trip
+from tricomplete import cauchy, complexes, metric, rmodule
 from tricomplete.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -41,3 +45,28 @@ def test_cli_examples_against_the_complete_example(tmp_path, capsys):
 def test_complete_example_round_trips_through_the_writer():
     # so the documented format and the writer cannot drift apart
     assert_round_trip(_block("A complete example:"))
+
+
+def test_public_surface_is_the_literal_all():
+    # __all__ names what the CLI, the bench and README's features use,
+    # and nothing else: no submodule, and none of the operations that only
+    # the tests perform (tests/reference.py holds those)
+    public = tricomplete.__all__
+    assert len(set(public)) == len(public)
+    assert not [name for name in public if isinstance(getattr(tricomplete, name), types.ModuleType)]
+    star = {}
+    exec("from tricomplete import *", star)
+    assert set(star) - {"__builtins__"} == set(public)
+    library = re.search(r"from tricomplete import \((.*?)\)", _block("## Library", "python"), re.S)
+    assert {name.strip() for name in library.group(1).split(",")} <= set(public)
+    gone = [(tricomplete, "direct_sum_complex"), (tricomplete, "shifted_family"),
+            (complexes, "direct_sum_complex"), (metric, "shifted_family"),
+            (complexes.ChainMap, "__add__"), (complexes.ChainMap, "__neg__"),
+            (rmodule.RModuleMap, "__add__"), (rmodule.RModuleMap, "__neg__"),
+            (complexes.Complex, "amplitude"), (cauchy.Tower, "composite"),
+            (metric.EquivalenceReport, "separating_complexes"), (metric.VanishingSpec, "negated"),
+            (cauchy.TruncationTail, "map_at"), (cauchy.ConstantTail, "map_at"),
+            (cauchy.TruncationTail, "free")]
+    assert [(owner.__name__, name) for owner, name in gone if hasattr(owner, name)] == []
+    tower = cauchy.truncation_tower(rmodule.RModule(rmodule.Ring(2, 2), (1,)))
+    assert tower.complex_at(3) is not tower.complex_at(3)  # no stage cache

@@ -28,6 +28,8 @@ from tricomplete.rmodule import (
     zero_module,
 )
 
+from reference import add
+
 R22 = Ring(2, 2)
 R23 = Ring(2, 3)
 
@@ -439,7 +441,7 @@ def test_subquotient_dimensions(data):
                                 min_size=len(basis), max_size=len(basis)))
     f = zero_map(m, nn)
     for c, b in zip(coeffs, basis):
-        f = f + RModuleMap(m, nn, b.matrix.scale(c))
+        f = add(f, RModuleMap(m, nn, b.matrix.scale(c)))
     ker, ki = subquotient(f, "kernel")
     img, ii = subquotient(f, "image")
     cok, cp = subquotient(f, "cokernel")

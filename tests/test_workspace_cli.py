@@ -276,7 +276,8 @@ def test_round_trip_serialization():
 ], ids=["bench-workspace", "one-jordan-type", "zero-module", "prefix-and-tail", "dual-metric"])
 def test_round_trip_writes_each_reference_with_its_name(text, lines):
     written = assert_round_trip(text)
-    assert set(lines) <= {line.rstrip() for line in written.splitlines()}
+    assert set(lines) <= set(written.splitlines())
+    assert not [line for line in written.splitlines() if line != line.rstrip()]
     assert written.count("  DUAL") == text.count("  DUAL")
 
 
@@ -348,14 +349,17 @@ def test_cli_in_s(ws_path, capsys):
 
 
 def test_cli_zero_tail_tower_is_conclusive_in_any_window(tmp_path, capsys):
-    # every entry of the truncation tower of the zero module is 0, so its
-    # colimit vanishes outside every window, not only those holding degree 0
+    # a tail tower whose colimit is 0 vanishes outside every window, not
+    # only those holding its representative's hull: the truncation tower of
+    # the zero module, and the constant tower of the bench fixture's
+    # contractible R --1--> R in degrees 0..1
     path = tmp_path / "ws.txt"
-    path.write_text(FIXTURE + "TOWER tz\n  TAIL truncation Z\nEND\n")
-    code, out, _ = run(capsys, ["-w", str(path), "colimit", "tz", "--metric", "i", "--window=3..4"])
-    assert code == 0 and "conclusive: True" in out
-    code, out, _ = run(capsys, ["-w", str(path), "in-s", "tz", "--metric", "i", "--window=3..4"])
-    assert code == 0 and "in-s: yes" in out
+    for text, tail in ((FIXTURE, "truncation Z"), (BENCH_WORKSPACE.read_text(), "constant contr")):
+        path.write_text(text + "TOWER tz\n  TAIL %s\nEND\n" % tail)
+        code, out, _ = run(capsys, ["-w", str(path), "colimit", "tz", "--metric", "i", "--window=3..4"])
+        assert code == 0 and "conclusive: True" in out, tail
+        code, out, _ = run(capsys, ["-w", str(path), "in-s", "tz", "--metric", "i", "--window=3..4"])
+        assert code == 0 and "in-s: yes" in out, tail
 
 
 def test_cli_perfect_and_inj_bounded(ws_path, capsys):
