@@ -3,9 +3,9 @@
 Complexes are stored sparsely: only nonzero components and nonzero
 differentials.  Morphisms of the derived category are realized as strict
 chain maps out of a projective resolution; the resolution machinery at the
-bottom of this file (build, minimize, cut, once per complex, then splice
-the periodic tail) is the engine behind perfection tests, syzygy classes
-and derived Hom.  Lengths and quasi-iso tests need only where the cone's
+bottom of this file (build the minimal window down to the cut, once per
+complex, then splice the periodic tail) is the engine behind perfection
+tests, syzygy classes and derived Hom.  Lengths and quasi-iso tests need only where the cone's
 cohomology vanishes: cone_support reads it off the cone's block ranks
 without building the cone.
 
@@ -565,9 +565,23 @@ class Resolution:
 
 
 def _build_free_approximation(x: Complex, depth: int):
-    """Top-down construction of a degreewise-surjective quasi-isomorphism
-    from a complex of frees, one free cover of a pullback at a time.  Not
-    yet minimal.
+    """Top-down construction of the minimal free resolution of x above
+    depth, one free cover of a pullback at a time.
+
+    At degree i, F^i covers the pullback W_i = { (u, v) in ker d^(i+1) x
+    X^i : eps(u) = d_X(v) } modulo xW_i + B_i, where B_i = 0 (+) d_X(X^(i-1)),
+    and (d^i, eps^i) is that cover E.  Why this is exact:
+      * cover: by Nakayama the image of E plus B_i is W_i, so the cone of
+        the comparison stays exact and the comparison is a
+        quasi-isomorphism above the cut.  It is not degreewise surjective.
+      * minimal: say a generator (u, v) of W_(i-1) had a unit coefficient
+        c_k at a generator e_k of F^i.  Then E(u) = (0, d_X v) lies in B_i.
+        But E(u) = sum_k c_k h_k mod xW_i, against the choice of the heads
+        h_k.  So no d^i has a unit entry, and nothing is ever split.
+      * cut: at the window's cut c = min-1, X^c = 0 and B_c = 0, so W_c
+        lies in F^(c+1) and ker d^c lies in xF^c: a kernel element with a
+        unit coefficient at a generator would make the heads dependent
+        modulo xW_c.  A submodule of xF^c has no block of size n.
 
     Returns (ranks, diffs, eps): F^i = R^ranks[i], diffs[i] the F_p matrix
     of d^i : F^i -> F^(i+1) and eps[i] that of the comparison F^i -> X^i,
@@ -581,7 +595,6 @@ def _build_free_approximation(x: Complex, depth: int):
     for i in range(top, depth - 1, -1):
         da = ranks[i + 1] * n
         comp = x.component(i)
-        # W = { (u, v) in ker(d^(i+1)) x X^i : eps(u) = d(v) }
         K = kernel_basis(Matrix(diffs[i + 1], p))
         sysmat = (Matrix(eps[i + 1], p) @ K).hstack(-x.differential(i).matrix)
         null = kernel_basis(sysmat)
@@ -590,7 +603,9 @@ def _build_free_approximation(x: Complex, depth: int):
         act = np.zeros((da + comp.dim, da + comp.dim), dtype=np.int64)
         act[:da, :da] = free_module(ring, ranks[i + 1]).x_action().a
         act[da:, da:] = comp.x_action().a
-        F, E = free_cover(Matrix(act, p), u_part.vstack(v_part), ring)
+        dx = x.differential(i - 1).matrix
+        boundaries = Matrix.zeros(da, dx.cols, p).vstack(dx)
+        F, E = free_cover(Matrix(act, p), u_part.vstack(v_part), boundaries, ring)
         ranks[i] = len(F.blocks)
         diffs[i] = E.a[:da, :]
         eps[i] = E.a[da:, :]
@@ -599,52 +614,13 @@ def _build_free_approximation(x: Complex, depth: int):
     return ranks, diffs, eps
 
 
-def _minimize_free_complex(ranks: dict[int, int], diffs: dict[int, np.ndarray],
-                           eps: dict[int, np.ndarray], ring: Ring):
-    """Split off contractible R -> R summands at unit entries of the
-    differentials, adjusting neighbours and the comparison map.
-
-    Degrees go up from the lowest; within d^i the split is at the first
-    block (r, c), in row-major order, whose n x n block u has a unit
-    constant term.  Clearing row r and column c of d^i by base changes and
-    dropping the pair is one Schur complement:
-      d^i   <- d^i[~r, ~c] - d^i[~r, c] u^-1 d^i[r, ~c],
-      eps^i <- eps^i[:, ~c] - eps^i[:, c] u^-1 d^i[r, ~c].
-    The base change of F^i changes only row c of d^(i-1); afterwards row r
-    of d^i is u e_c, so d^i d^(i-1) = 0 makes row c zero and d^(i-1) just
-    loses the rows of c.  Dually d^(i+1) and eps^(i+1) just lose the
-    columns of r.  Deleting zero rows creates no unit, so the degrees below
-    i stay minimal.
-    """
-    n, p = ring.n, ring.p
-    for i in sorted(diffs):
-        while True:
-            d = diffs[i]
-            units = np.argwhere(d[::n, ::n] % p)
-            if units.size == 0:
-                break
-            r, c = (int(v) for v in units[0])
-            r_blk, c_blk = np.arange(r * n, (r + 1) * n), np.arange(c * n, (c + 1) * n)
-            keep_r = np.delete(np.arange(d.shape[0]), r_blk)
-            keep_c = np.delete(np.arange(d.shape[1]), c_blk)
-            t = solve(Matrix(d[np.ix_(r_blk, c_blk)], p), Matrix(d[np.ix_(r_blk, keep_c)], p)).a
-            diffs[i] = (d[np.ix_(keep_r, keep_c)] - d[np.ix_(keep_r, c_blk)] @ t) % p
-            eps[i] = (eps[i][:, keep_c] - eps[i][:, c_blk] @ t) % p
-            if i - 1 in diffs:
-                diffs[i - 1] = np.delete(diffs[i - 1], c_blk, axis=0)
-            diffs[i + 1] = np.delete(diffs[i + 1], r_blk, axis=1)
-            eps[i + 1] = np.delete(eps[i + 1], r_blk, axis=1)
-            ranks[i] -= 1
-            ranks[i + 1] -= 1
-    return ranks, diffs, eps
-
-
 @dataclass
 class _Window:
-    """The minimal resolution of a complex in degrees [min-1, max], as F_p
-    arrays (see _build_free_approximation), with its cut kernel Omega in
-    canonical form and the embedding Omega >-> F^(min-1).  Every
-    Resolution of the complex shares the arrays, so they are read-only."""
+    """The minimal resolution of a complex in degrees [min-1, max], as the
+    F_p arrays that _build_free_approximation builds minimal, with its cut
+    kernel Omega in canonical form and the embedding Omega >-> F^(min-1).
+    Every Resolution of the complex shares the arrays, so they are
+    read-only."""
 
     ranks: dict[int, int]
     diffs: dict[int, np.ndarray]
@@ -654,27 +630,19 @@ class _Window:
 
 
 def _resolve_window(x: Complex) -> _Window:
-    """Build, minimize and cache the window of x; later calls are lookups.
+    """Build and cache the window of x; later calls are lookups.
 
-    The cut kernel has no free summand.  At the cut c = min-1 the component
-    X^c is 0, so the unminimized F^c is the minimal free cover of the
-    pullback W, and d^c is that cover followed by W >-> F^(c+1).  Its
-    kernel lies in x F^c: a kernel element with a unit coefficient at some
-    generator would make the generators dependent modulo xW.  Minimizing
-    splits off pairs R -> R, and at the cut only pairs in degrees (c, c+1),
-    on which d^c is injective; so the minimized kernel is isomorphic to
-    the cover's, and a submodule of x F^c has no block of size n.  A
-    deeper resolution maps F^(c-1) onto that kernel inside x F^c, so
-    d^(c-1) has no unit entry: no deeper minimization could split a
-    summand off F^c, and the tail spliced below keeps the resolution
-    minimal.  The check below only guards this argument; it never strips
-    a summand.
+    The cut kernel has no free summand: it lies in x F^(min-1) (see
+    _build_free_approximation).  A deeper resolution maps F^(min-2) onto
+    it, so d^(min-2) has no unit entry, and the tail spliced below keeps
+    the resolution minimal.  The check below only guards this argument;
+    it never strips a summand.
     """
     if x._window is not None:
         return x._window
     ring = x.ring
     cut = x.min_degree - 1
-    ranks, diffs, eps = _minimize_free_complex(*_build_free_approximation(x, cut), ring)
+    ranks, diffs, eps = _build_free_approximation(x, cut)
     syz, emb = zero_module(ring), Matrix.zeros(0, 0, ring.p)
     if ranks.get(cut, 0):  # ker d^cut in canonical form, embedded in F^cut
         kernel = kernel_basis(Matrix(diffs[cut], ring.p))

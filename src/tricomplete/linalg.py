@@ -3,7 +3,7 @@
 Matrices are thin wrappers around numpy int64 arrays with entries reduced
 mod p; numpy is the interface, for products, stacking and slicing.
 Entries are reduced once, where data enters: the public Matrix(a, p) and
-every product, sum, negation, scale and transpose reduce, since their
+every product, negation, scale and transpose reduce, since their
 entries may leave [0, p).  The functions here that allocate a fresh array
 from entries already in [0, p) (rref, kernel_basis, solve, hstack, vstack,
 zeros, identity) wrap it as it is, through Matrix._reduced.
@@ -87,10 +87,6 @@ class Matrix:
             raise ValueError("shape mismatch in product: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         return Matrix(self.a @ other.a, self.p)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_field(other)
-        return Matrix(self.a + other.a, self.p)
 
     def __neg__(self) -> "Matrix":
         return Matrix(-self.a, self.p)

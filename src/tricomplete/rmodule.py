@@ -372,16 +372,19 @@ def subquotient(f: RModuleMap, which: str) -> tuple[RModule, RModuleMap]:
     raise ValueError("which must be kernel|image|cokernel, got %r" % which)
 
 
-def free_cover(action: Matrix, basis: Matrix, ring: Ring) -> tuple[RModule, Matrix]:
-    """Minimal free cover of the x-stable span W of independent columns.
+def free_cover(action: Matrix, basis: Matrix, span: Matrix, ring: Ring) -> tuple[RModule, Matrix]:
+    """Minimal free cover of the x-stable span W of the columns of basis,
+    modulo an x-stable U inside W spanned by the columns of span.
 
     action is the x-action on the ambient coordinates.  The generators
-    w_k are the columns of basis that are independent modulo xW, the span
-    of action @ basis: by Nakayama they lift a basis of the top W/xW.
+    w_k are the columns of basis that are independent modulo xW + U, the
+    span of the columns of action @ basis and of span: they lift a basis
+    of the top of W/U.
     Returns (F, E) with F = R^(#generators) and E[:, k*n + t] = action^t w_k,
-    so action @ E = E @ F.x_action() and the columns of E span W.
+    so action @ E = E @ F.x_action() and, by Nakayama, the columns of E
+    and of span together span W.  An empty span covers W itself.
     """
-    heads = new_columns(action @ basis, basis)
+    heads = new_columns((action @ basis).hstack(span), basis)
     E = _chains(action, basis.a[:, heads], ring.n)
     return free_module(ring, len(heads)), Matrix(E, ring.p)
 
@@ -395,7 +398,8 @@ def projective_cover_and_syzygy(m: RModule) -> tuple[RModule, RModuleMap, RModul
     kernel inclusion.  The syzygy of block j is block n - j, so it never
     contains a free summand.
     """
-    F, E = free_cover(m.x_action(), Matrix.identity(m.dim, m.ring.p), m.ring)
+    p = m.ring.p
+    F, E = free_cover(m.x_action(), Matrix.identity(m.dim, p), Matrix.zeros(m.dim, 0, p), m.ring)
     cover = RModuleMap(F, m, E)
     syz, incl = subquotient(cover, "kernel")
     return F, cover, syz, incl

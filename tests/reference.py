@@ -1,25 +1,36 @@
-"""Operations that only the tests perform: sums and negatives of maps,
-direct sums of complexes with their injection and projection chain maps,
-composites along a tower, amplitudes, shifted ball families, and the
-separating stalks of an equivalence report.  The library, its CLI and its
-benchmark never perform them; the tests build inputs and references with
-them."""
+"""Operations that only the tests perform: sums and negatives of maps
+and matrices, direct sums of complexes with their injection and
+projection chain maps, composites along a tower, amplitudes, shifted ball
+families, the separating stalks of an equivalence report, a resolution
+built by an independent elimination, and an exhaustive set of small
+complexes.  The library, its CLI and its benchmark never perform them;
+the tests build inputs and references with them."""
 
-from tricomplete.complexes import ChainMap, PreconditionError, _sum_complex, identity_chain_map, module_complex
+from itertools import combinations_with_replacement, product
+
+import numpy as np
+
+from tricomplete.complexes import ChainMap, Complex, PreconditionError, _sum_complex, identity_chain_map, module_complex
+from tricomplete.linalg import Matrix, kernel_basis, solve
 from tricomplete.metric import GoodMetric
-from tricomplete.rmodule import RModule, RModuleMap, direct_sum
+from tricomplete.rmodule import RModule, RModuleMap, direct_sum, free_cover, free_module, hom_basis
 
 
 def add(f, g):
-    """f + g, for two chain maps or two R-module maps with the same ends."""
+    """f + g, for two chain maps, two R-module maps with the same ends, or
+    two matrices of one shape over one field."""
     if isinstance(f, ChainMap):
         if (g.source, g.target) != (f.source, f.target):
             raise PreconditionError("chain maps not addable")
         degs = set(g._components) | set(f._components)
         return ChainMap(f.source, f.target, {i: add(f.component(i), g.component(i)) for i in degs})
+    if isinstance(f, Matrix):
+        if f.p != g.p or f.a.shape != g.a.shape:
+            raise ValueError("matrices not addable")
+        return Matrix(f.a + g.a, f.p)
     if (g.source, g.target) != (f.source, f.target):
         raise ValueError("maps not addable")
-    return RModuleMap(f.source, f.target, f.matrix + g.matrix)
+    return RModuleMap(f.source, f.target, add(f.matrix, g.matrix))
 
 
 def neg(f):
@@ -68,3 +79,103 @@ def separating_complexes(report, ring):
     recorded degrees (arbitrarily short in one metric, long in the other)."""
     k = RModule(ring, (1,))
     return [(mm, module_complex(k, deg)) for _, mm, deg in report.separating]
+
+
+# -- a resolution built by another algorithm ------------------------------------
+
+
+def full_pullback_cover(x, depth):
+    """The free approximation of x above depth that the library built
+    before it built its window minimal.  Returns (ranks, diffs, eps) as
+    _build_free_approximation does.
+
+    Top down, F^i covers all of W_i = { (u, v) in ker d^(i+1) x X^i :
+    eps(u) = d_X(v) } modulo xW_i, so the comparison is degreewise
+    surjective.  The generators that cover the boundaries (0, d_X v') pair
+    off as contractible summands R -> R at unit entries of the
+    differentials, which split_unit_entries removes."""
+    ring = x.ring
+    p, n = ring.p, ring.n
+    top = x.max_degree
+    empty = np.zeros((0, 0), dtype=np.int64)
+    ranks, diffs, eps = {top + 1: 0}, {top + 1: empty}, {top + 1: empty}
+    for i in range(top, depth - 1, -1):
+        da = ranks[i + 1] * n
+        comp = x.component(i)
+        K = kernel_basis(Matrix(diffs[i + 1], p))
+        null = kernel_basis((Matrix(eps[i + 1], p) @ K).hstack(-x.differential(i).matrix))
+        u_part = K @ Matrix(null.a[:K.cols, :], p)
+        v_part = Matrix(null.a[K.cols:, :], p)
+        act = np.zeros((da + comp.dim, da + comp.dim), dtype=np.int64)
+        act[:da, :da] = free_module(ring, ranks[i + 1]).x_action().a
+        act[da:, da:] = comp.x_action().a
+        whole = u_part.vstack(v_part)
+        F, E = free_cover(Matrix(act, p), whole, Matrix.zeros(whole.rows, 0, p), ring)
+        ranks[i] = len(F.blocks)
+        diffs[i] = E.a[:da, :]
+        eps[i] = E.a[da:, :]
+        if not ranks[i] and i <= x.min_degree:
+            break
+    return ranks, diffs, eps
+
+
+def split_unit_entries(ranks, diffs, eps, ring):
+    """Split off contractible R -> R summands at unit entries of the
+    differentials, adjusting neighbours and the comparison map.
+
+    Degrees go up from the lowest; within d^i the split is at the first
+    block (r, c), in row-major order, whose n x n block u has a unit
+    constant term.  Clearing row r and column c of d^i by base changes and
+    dropping the pair is one Schur complement:
+      d^i   <- d^i[~r, ~c] - d^i[~r, c] u^-1 d^i[r, ~c],
+      eps^i <- eps^i[:, ~c] - eps^i[:, c] u^-1 d^i[r, ~c].
+    The base change of F^i changes only row c of d^(i-1); afterwards row r
+    of d^i is u e_c, so d^i d^(i-1) = 0 makes row c zero and d^(i-1) just
+    loses the rows of c.  Dually d^(i+1) and eps^(i+1) just lose the
+    columns of r.  Deleting zero rows creates no unit, so the degrees below
+    i stay minimal.
+    """
+    n, p = ring.n, ring.p
+    for i in sorted(diffs):
+        while True:
+            d = diffs[i]
+            units = np.argwhere(d[::n, ::n] % p)
+            if units.size == 0:
+                break
+            r, c = (int(v) for v in units[0])
+            r_blk, c_blk = np.arange(r * n, (r + 1) * n), np.arange(c * n, (c + 1) * n)
+            keep_r = np.delete(np.arange(d.shape[0]), r_blk)
+            keep_c = np.delete(np.arange(d.shape[1]), c_blk)
+            t = solve(Matrix(d[np.ix_(r_blk, c_blk)], p), Matrix(d[np.ix_(r_blk, keep_c)], p)).a
+            diffs[i] = (d[np.ix_(keep_r, keep_c)] - d[np.ix_(keep_r, c_blk)] @ t) % p
+            eps[i] = (eps[i][:, keep_c] - eps[i][:, c_blk] @ t) % p
+            if i - 1 in diffs:
+                diffs[i - 1] = np.delete(diffs[i - 1], c_blk, axis=0)
+            diffs[i + 1] = np.delete(diffs[i + 1], r_blk, axis=1)
+            eps[i + 1] = np.delete(eps[i + 1], r_blk, axis=1)
+            ranks[i] -= 1
+            ranks[i + 1] -= 1
+    return ranks, diffs, eps
+
+
+# -- an exhaustive small world ----------------------------------------------------
+
+
+def small_modules(ring, max_dim):
+    """Every R-module of dimension <= max_dim, by Jordan type, 0 included."""
+    return [RModule(ring, blocks) for k in range(max_dim + 1)
+            for blocks in combinations_with_replacement(range(1, ring.n + 1), k)
+            if sum(blocks) <= max_dim]
+
+
+def two_term_complexes(ring, max_dim=2):
+    """Every complex X^0 -> X^1 whose components have dimension <= max_dim,
+    as component types times differentials, not up to isomorphism: each
+    differential is one F_p-combination of the hom_basis maps.  Over
+    F_2[x]/(x^2) and F_3[x]/(x^2) with max_dim 2 there are 49 and 142."""
+    mods = small_modules(ring, max_dim)
+    for a, b in product(mods, mods):
+        basis = [f.matrix.a for f in hom_basis(a, b)]
+        for coeffs in product(range(ring.p), repeat=len(basis)):
+            d = sum((c * f for c, f in zip(coeffs, basis)), np.zeros((b.dim, a.dim), dtype=np.int64))
+            yield Complex(ring, {0: a, 1: b}, {0: RModuleMap(a, b, Matrix(d, ring.p))})

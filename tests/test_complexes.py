@@ -199,9 +199,9 @@ def test_identity_on_cone_of_identity_null_homotopic():
         ds = z.differential(i - 1).matrix @ s[i].matrix if i in s else None
         acc = Matrix.zeros(z.component(i).dim, z.component(i).dim, 2)
         if i in s:
-            acc = acc + (z.differential(i - 1).matrix @ s[i].matrix)
+            acc = add(acc, z.differential(i - 1).matrix @ s[i].matrix)
         if i + 1 in s:
-            acc = acc + (s[i + 1].matrix @ z.differential(i).matrix)
+            acc = add(acc, s[i + 1].matrix @ z.differential(i).matrix)
         assert acc == Matrix.identity(z.component(i).dim, 2)
 
 

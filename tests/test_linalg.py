@@ -193,10 +193,9 @@ def test_matrix_still_reduces_what_enters(p):
     assert m.a[0, 0] == p - 1 and m.a[0, 1] == 0
     assert Matrix(raw.tolist(), p) == m
     assert not np.shares_memory(m.a, raw)
-    # products, sums, negation, scaling and the transpose reduce too
+    # products, negation, scaling and the transpose reduce too
     n = Matrix(rng.integers(-5 * p, 5 * p, size=(5, 6)), p)
-    for out, want in ((m @ n, raw @ n.a), (m + m, 2 * raw), (-m, -raw), (m.scale(-1), -raw),
-                      (m.T, raw.T)):
+    for out, want in ((m @ n, raw @ n.a), (-m, -raw), (m.scale(-1), -raw), (m.T, raw.T)):
         assert out.a.tolist() == (want % p).tolist()
         assert not np.shares_memory(out.a, m.a)
 

@@ -21,8 +21,8 @@ from tricomplete.completion import (
 from tricomplete.complexes import (
     Complex,
     _build_free_approximation,
-    _minimize_free_complex,
     cone,
+    cone_support,
     derived_hom,
     hom_complex,
     identity_chain_map,
@@ -50,7 +50,7 @@ from tricomplete.rmodule import (
     zero_module,
 )
 
-from reference import amplitude, direct_sum_complex
+from reference import amplitude, direct_sum_complex, full_pullback_cover, split_unit_entries, two_term_complexes
 
 SPLICE_RINGS = (Ring(2, 2), Ring(3, 3), Ring(3, 4), Ring(5, 3))
 FORMULA_RINGS = (Ring(2, 2), Ring(3, 3), Ring(2, 4), Ring(3, 4), Ring(5, 3), Ring(2, 5))
@@ -123,9 +123,10 @@ def kernel_module(ranks: dict[int, int], diffs: dict[int, np.ndarray], i: int, r
 
 
 def direct_resolution(x: Complex, depth: int):
-    """Build and minimize down to depth in one elimination pass, as every
-    cut was resolved before the window was cached."""
-    ranks, diffs, _ = _minimize_free_complex(*_build_free_approximation(x, depth), x.ring)
+    """Build and minimize down to depth in one elimination pass, by the
+    reference's full-pullback cover, as every cut was resolved before the
+    window was cached."""
+    ranks, diffs, _ = split_unit_entries(*full_pullback_cover(x, depth), x.ring)
     ranks = {i: r for i, r in ranks.items() if r}
     syz = kernel_module(ranks, diffs, depth, x.ring)[0].strip_free()
     comps = {i: free_module(x.ring, r) for i, r in ranks.items()}
@@ -179,6 +180,50 @@ def test_spliced_resolution_matches_direct_build(ring):
         for d in range(k.min_degree - x.min_degree - 4, k.min_degree - x.min_degree - 1):
             assert derived_hom(x, k, d) == hom_h0(direct_resolution(x, x.min_degree - 1)[0], k, d)
     assert nonperfect >= 2
+
+
+def check_window(x: Complex) -> int:
+    """The window built at the cut has no unit entry, the ranks and the cut
+    syzygy of the full-pullback cover minimized, and a comparison that is
+    a quasi-isomorphism above the cut.  Returns the number of generators
+    the full-pullback cover builds beyond the window's."""
+    ring, cut = x.ring, x.min_degree - 1
+    ranks, diffs, _ = _build_free_approximation(x, cut)
+    for i, d in diffs.items():
+        assert not (d[::ring.n, ::ring.n] % ring.p).any(), (x, i)
+    cover = full_pullback_cover(x, cut)
+    surplus = sum(cover[0].values()) - sum(ranks.values())
+    ref_ranks, ref_diffs, _ = split_unit_entries(*cover, ring)
+    assert {i: r for i, r in ranks.items() if r} == {i: r for i, r in ref_ranks.items() if r}, x
+    syz = kernel_module(ranks, diffs, cut, ring)[0]
+    assert syz == kernel_module(ref_ranks, ref_diffs, cut, ring)[0], x
+    # H^(cut-1) of the cone is H^cut of the band, ker d^cut
+    res = projective_resolution(x, cut)
+    assert cone_support(res.comparison) == (frozenset() if syz.is_zero() else {cut - 1}), x
+    return surplus
+
+
+@pytest.mark.parametrize("ring", SPLICE_RINGS, ids=str)
+def test_window_is_built_minimal(ring):
+    # the contractible summands of every other sample are what a cover of
+    # the whole pullback builds and then has to split off
+    surplus = [check_window(x) for x in splice_samples(ring, seed=ring.p * 23 + ring.n, count=8)]
+    assert min(surplus) >= 0 and sum(surplus[1::2]) > 0, surplus
+
+
+@pytest.mark.parametrize("ring", (Ring(2, 2), Ring(3, 2)), ids=str)
+def test_every_two_term_complex_has_a_minimal_window(ring):
+    k = module_complex(RModule(ring, (1,)), 0)
+    seen = 0
+    for x in two_term_complexes(ring):
+        if x.is_zero():
+            continue
+        check_window(x)
+        free = direct_resolution(x, -4)[0]  # deep enough for T^2 k's band
+        for d in range(-1, 3):
+            assert derived_hom(x, k, d) == hom_h0(free, k, d), (x, d)
+        seen += 1
+    assert seen == {2: 48, 3: 141}[ring.p]
 
 
 def test_spliced_resolution_is_minimal_and_exact_below_the_cut():

@@ -456,25 +456,37 @@ def test_subquotient_dimensions(data):
 
 
 def test_free_cover_of_kernels_and_whole_modules():
-    # E is an R-map F -> ambient onto W, and F has one generator per block of W
+    # E is an R-map F -> ambient onto W modulo U, and F has one generator
+    # per block of W/U.  U is empty, or the image of a random endomorphism
+    # h of W in canonical form, carried into the ambient space
+    nonzero = 0
     for ring in (R23, Ring(3, 4), Ring(5, 2)):
         rng = random.Random(ring.p * 10 + ring.n)
 
         def module():
             return RModule(ring, tuple(rng.randint(1, ring.n) for _ in range(rng.randint(0, 3))))
 
-        for _ in range(15):
-            m, nn = module(), module()
+        def combination(m, nn):
             f = Matrix.zeros(nn.dim, m.dim, ring.p)
             for b in hom_basis(m, nn):
-                f = f + b.matrix.scale(rng.randrange(ring.p))
+                f = add(f, b.matrix.scale(rng.randrange(ring.p)))
+            return f
+
+        for _ in range(15):
+            m, nn = module(), module()
+            f = combination(m, nn)
             action = m.x_action()
             for basis in (kernel_basis(f), Matrix.identity(m.dim, ring.p)):
-                F, E = free_cover(action, basis, ring)
-                assert F.is_free()
-                assert action @ E == E @ F.x_action()
-                assert rank(E) == rank(basis) == rank(E.hstack(basis))
-                assert len(F.blocks) == len(subspace_canonicalize(action, basis, ring)[0].blocks)
+                W, emb = subspace_canonicalize(action, basis, ring)
+                for h in (Matrix.zeros(W.dim, 0, ring.p), combination(W, W)):
+                    span = emb @ h
+                    F, E = free_cover(action, basis, span, ring)
+                    assert F.is_free()
+                    assert action @ E == E @ F.x_action()
+                    assert rank(E.hstack(span)) == rank(basis) == rank(E.hstack(span).hstack(basis))
+                    assert len(F.blocks) == len(quotient_canonicalize(W.x_action(), h, ring)[0].blocks)
+                    nonzero += not span.is_zero()
+    assert nonzero >= 20
 
 
 def test_cover_of_free_module_has_zero_syzygy():
