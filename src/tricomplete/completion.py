@@ -8,12 +8,13 @@ perfection test reduces to one deep syzygy: a bounded complex is perfect
 iff the cut syzygy of its minimal free resolution vanishes, since a
 nonzero non-free syzygy regenerates itself 2-periodically and the
 resolution never terminates.  Each complex is resolved once: the window
-[min-1, max] is eliminated and cached on the complex, and every deeper
-cut splices on the closed-form periodic tail, so is_perfect, syzygy_class
-and derived_hom share one elimination pass per complex.  is_perfect,
-the injective test (the same condition, since R is self-injective) and
-syzygy_class read only the cut syzygy of projective_resolution; they
-build no free Complex, comparison ChainMap or RModuleMap.
+[min-1, max] is eliminated and cached on the complex with its cut
+syzygy's Jordan type, and a deeper cut reads the closed-form periodic
+tail only where a band reaches it, so is_perfect, syzygy_class and
+derived_hom share one elimination pass per complex.  is_perfect, the
+injective test (the same condition, since R is self-injective) and
+syzygy_class read only that Jordan type; they build no Jordan basis,
+free Complex, comparison ChainMap or RModuleMap.
 
 The singularity quotient is modelled through the stable module category
 (R is self-injective): a complex maps to its deep syzygy with a shift

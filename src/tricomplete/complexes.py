@@ -3,11 +3,11 @@
 Complexes are stored sparsely: only nonzero components and nonzero
 differentials.  Morphisms of the derived category are realized as strict
 chain maps out of a projective resolution; the resolution machinery at the
-bottom of this file (build the minimal window down to the cut, once per
-complex, then splice the periodic tail) is the engine behind perfection
-tests, syzygy classes and derived Hom.  Lengths and quasi-iso tests need only where the cone's
-cohomology vanishes: cone_support reads it off the cone's block ranks
-without building the cone.
+bottom of this file (build the minimal window down to the cut once per
+complex, then read the periodic tail below it where a band reaches) is the
+engine behind perfection tests, syzygy classes and derived Hom.  Lengths
+and quasi-iso tests need only where the cone's cohomology vanishes:
+cone_support reads it off the cone's block ranks without building it.
 
 Sign conventions, fixed once:
   * shift:   (T^t X)^i = X^(i+t), differential scaled by (-1)^t;
@@ -32,14 +32,17 @@ from .rmodule import (
     RModule,
     RModuleMap,
     Ring,
+    _tail_stage,
+    cover_matrix,
     direct_sum,
     free_cover,
     free_module,
     hom_basis,
     identity_map,
-    periodic_tail,
+    omega_power,
     quotient_canonicalize,
     subspace_canonicalize,
+    subspace_type,
     zero_map,
     zero_module,
 )
@@ -519,48 +522,42 @@ def dualize(x: Complex) -> Complex:
 
 @dataclass
 class Resolution:
-    """Free complex quasi-isomorphic to the target above the cut degree,
-    held as F_p arrays: F^i = R^ranks[i] for depth <= i <= max, diffs[i]
-    the matrix of d^i : F^i -> F^(i+1) and eps[i] that of the comparison
-    F^i -> X^i, which induces isomorphisms on H^i for i > depth.
-
-    syzygy is ker(d^depth) with free summands stripped; for cuts below the
-    lowest degree of the target it is the obstruction to perfection, and
-    reading it builds nothing.  complex and comparison are built trusted
-    on first read, valid by construction; band(lo, hi) builds
-    the brutal truncation to [lo, hi] alone, which is all derived_hom reads.
-
-    Every Resolution of a complex is a brutal truncation of one minimal
-    resolution: the window [min-1, max], eliminated once and cached on the
-    complex, and below it the closed-form 2-periodic tail of the cut
-    syzygy (see projective_resolution).
+    """Free complex quasi-isomorphic to the target above the cut degree:
+    F^i, d^i : F^i -> F^(i+1) for depth <= i <= max and the comparison
+    F -> X, an isomorphism on H^i for i > depth, all read off the target's
+    window, a brutal truncation of which it is.  syzygy is ker(d^depth),
+    free summands stripped: for cuts below the target the obstruction to
+    perfection, read without building anything.  complex and comparison
+    are built trusted on first read, valid by construction; band(lo, hi)
+    reads the arrays of [lo, hi] alone, which is all derived_hom reads.
     """
 
     target: Complex
     depth: int
-    ranks: dict[int, int] = field(repr=False, compare=False)
-    diffs: dict[int, np.ndarray] = field(repr=False, compare=False)
-    eps: dict[int, np.ndarray] = field(repr=False, compare=False)
-    syzygy: RModule
+    window: "_Window" = field(repr=False, compare=False)
+
+    @property
+    def syzygy(self) -> RModule:
+        return self.window.syzygies[(self.window.cut - self.depth) % 2]
 
     def band(self, lo: int, hi: int) -> Complex:
         """The free complex in degrees [lo, hi], with the differentials
         between them; d^hi and d^(lo-1) are dropped."""
-        ring = self.target.ring
-        comps = {i: free_module(ring, r) for i, r in self.ranks.items() if r and lo <= i <= hi}
-        diffs = {i: RModuleMap._trusted(comps[i], comps[i + 1], Matrix(d, ring.p))
-                 for i, d in self.diffs.items() if i in comps and i + 1 in comps}
+        ring, w = self.target.ring, self.window
+        comps = {i: free_module(ring, r) for i in range(max(lo, self.depth), hi + 1) if (r := w.rank(i))}
+        diffs = {i: RModuleMap._trusted(comps[i], comps[i + 1], Matrix(w.differential(i), ring.p))
+                 for i in comps if i + 1 in comps}
         return Complex._trusted(ring, comps, diffs)
 
     @cached_property
     def complex(self) -> Complex:
-        return self.band(self.depth, max(self.ranks, default=self.depth))
+        return self.band(self.depth, max(self.window.ranks, default=self.depth))
 
     @cached_property
     def comparison(self) -> ChainMap:
         free, x, p = self.complex, self.target, self.target.ring.p
         comps = {i: RModuleMap._trusted(free.component(i), x.component(i), Matrix(e, p))
-                 for i, e in self.eps.items() if e.any()}
+                 for i, e in self.window.eps.items() if e.any()}
         return ChainMap._trusted(free, x, comps)
 
 
@@ -569,8 +566,9 @@ def _build_free_approximation(x: Complex, depth: int):
     depth, one free cover of a pullback at a time.
 
     At degree i, F^i covers the pullback W_i = { (u, v) in ker d^(i+1) x
-    X^i : eps(u) = d_X(v) } modulo xW_i + B_i, where B_i = 0 (+) d_X(X^(i-1)),
-    and (d^i, eps^i) is that cover E.  Why this is exact:
+    X^i : eps(u) = d_X(v) }, one kernel_basis of [[d^(i+1), 0], [eps^(i+1),
+    -d_X^i]], modulo xW_i + B_i, where B_i = 0 (+) d_X(X^(i-1)), and
+    (d^i, eps^i) is that cover E.  Why this is exact:
       * cover: by Nakayama the image of E plus B_i is W_i, so the cone of
         the comparison stays exact and the comparison is a
         quasi-isomorphism above the cut.  It is not degreewise surjective.
@@ -593,19 +591,17 @@ def _build_free_approximation(x: Complex, depth: int):
     empty = np.zeros((0, 0), dtype=np.int64)
     ranks, diffs, eps = {top + 1: 0}, {top + 1: empty}, {top + 1: empty}
     for i in range(top, depth - 1, -1):
-        da = ranks[i + 1] * n
         comp = x.component(i)
-        K = kernel_basis(Matrix(diffs[i + 1], p))
-        sysmat = (Matrix(eps[i + 1], p) @ K).hstack(-x.differential(i).matrix)
-        null = kernel_basis(sysmat)
-        u_part = K @ Matrix(null.a[:K.cols, :], p)
-        v_part = Matrix(null.a[K.cols:, :], p)
-        act = np.zeros((da + comp.dim, da + comp.dim), dtype=np.int64)
-        act[:da, :da] = free_module(ring, ranks[i + 1]).x_action().a
-        act[da:, da:] = comp.x_action().a
+        (rows, da), below = diffs[i + 1].shape, eps[i + 1].shape[0]
+        system = np.zeros((rows + below, da + comp.dim), dtype=np.int64)
+        system[:rows, :da] = diffs[i + 1]
+        system[rows:, :da] = eps[i + 1]
+        system[rows:, da:] = -x.differential(i).matrix.a
+        pullback = kernel_basis(Matrix(system, p))
+        action = RModule(ring, (n,) * ranks[i + 1] + comp.blocks).x_action()  # free blocks sort first
         dx = x.differential(i - 1).matrix
         boundaries = Matrix.zeros(da, dx.cols, p).vstack(dx)
-        F, E = free_cover(Matrix(act, p), u_part.vstack(v_part), boundaries, ring)
+        F, E = free_cover(action, pullback, boundaries, ring)
         ranks[i] = len(F.blocks)
         diffs[i] = E.a[:da, :]
         eps[i] = E.a[da:, :]
@@ -616,42 +612,70 @@ def _build_free_approximation(x: Complex, depth: int):
 
 @dataclass
 class _Window:
-    """The minimal resolution of a complex in degrees [min-1, max], as the
-    F_p arrays that _build_free_approximation builds minimal, with its cut
-    kernel Omega in canonical form and the embedding Omega >-> F^(min-1).
-    Every Resolution of the complex shares the arrays, so they are
-    read-only."""
+    """The minimal resolution of a complex in degrees [cut, max], cut =
+    min-1: the F_p arrays _build_free_approximation builds, shared by every
+    Resolution of the complex and so read-only, the cut kernel
+    (kernel_basis of d^cut) and its Jordan type Omega, the cut syzygy.
 
+    Below the cut nothing is stored: F^(cut-1-t) covers Omega^t Omega,
+    d^(cut-1) is the cover of Omega followed by its embedding in F^cut, and
+    each deeper d^i the _tail_stage of the syzygy it covers, shared per
+    Jordan type and read at any degree by 2-periodicity.
+    """
+
+    cut: int
     ranks: dict[int, int]
     diffs: dict[int, np.ndarray]
     eps: dict[int, np.ndarray]
+    kernel: Matrix
     syzygy: RModule
-    embedding: Matrix
+
+    @cached_property
+    def embedding(self) -> Matrix:
+        """Omega >-> F^cut in canonical form, built by the first band reaching cut-1 and cut."""
+        ring = self.syzygy.ring
+        return subspace_canonicalize(free_module(ring, self.ranks[self.cut]).x_action(), self.kernel, ring)[1]
+
+    @cached_property
+    def syzygies(self) -> tuple[RModule, RModule]:
+        """Omega^t Omega for even and odd t: with no free summand, Omega^2 Omega = Omega."""
+        return self.syzygy, omega_power(self.syzygy, 1)
+
+    def rank(self, i: int) -> int:
+        if i >= self.cut:
+            return self.ranks.get(i, 0)
+        return len(self.syzygies[(self.cut - 1 - i) % 2].blocks)
+
+    def differential(self, i: int) -> np.ndarray:
+        """d^i, for F^i and F^(i+1) both nonzero."""
+        if i >= self.cut:
+            return self.diffs[i]
+        if i == self.cut - 1:
+            return (self.embedding @ cover_matrix(self.syzygy)).a
+        return _tail_stage(self.syzygies[(self.cut - 2 - i) % 2])[1].a
 
 
 def _resolve_window(x: Complex) -> _Window:
     """Build and cache the window of x; later calls are lookups.
 
-    The cut kernel has no free summand: it lies in x F^(min-1) (see
-    _build_free_approximation).  A deeper resolution maps F^(min-2) onto
-    it, so d^(min-2) has no unit entry, and the tail spliced below keeps
-    the resolution minimal.  The check below only guards this argument;
-    it never strips a summand.
+    The cut syzygy is read as a Jordan type (subspace_type); its embedding
+    waits for a reader.  It has no free summand: it lies in x F^(min-1)
+    (see _build_free_approximation), so the tail below has no unit entry
+    either.  The check below only guards this argument; it never strips.
     """
     if x._window is not None:
         return x._window
     ring = x.ring
     cut = x.min_degree - 1
     ranks, diffs, eps = _build_free_approximation(x, cut)
-    syz, emb = zero_module(ring), Matrix.zeros(0, 0, ring.p)
-    if ranks.get(cut, 0):  # ker d^cut in canonical form, embedded in F^cut
-        kernel = kernel_basis(Matrix(diffs[cut], ring.p))
-        syz, emb = subspace_canonicalize(free_module(ring, ranks[cut]).x_action(), kernel, ring)
+    rank_cut = ranks.get(cut, 0)
+    kernel = kernel_basis(Matrix(diffs[cut], ring.p)) if rank_cut else Matrix.zeros(0, 0, ring.p)
+    syz = subspace_type(free_module(ring, rank_cut).x_action(), kernel, ring)
     if syz != syz.strip_free():
         raise PreconditionError("cut kernel %s of the minimal window has a free summand" % syz)
     for arr in (*diffs.values(), *eps.values()):
         arr.flags.writeable = False
-    x._window = _Window(ranks, diffs, eps, syz, emb)
+    x._window = _Window(cut, ranks, diffs, eps, kernel, syz)
     return x._window
 
 
@@ -659,37 +683,22 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
     """Minimal complex of frees in degrees >= depth, quasi-isomorphic to x
     above the cut, with the cut syzygy.
 
-    Returns the arrays and the syzygy only; the Complex and ChainMap are
-    built when .complex, .comparison or band() is read.  The depth must
-    be at most min-1, one below the lowest degree.  The window [min-1,
-    max] is resolved once per complex (_resolve_window) and a cut at
-    min-1 reads it.  Below min-1 every cut splices on the minimal
-    resolution of the cut syzygy Omega with no elimination, since X^i = 0
-    there: d^(min-2) is the canonical cover of Omega followed by its
-    embedding in F^(min-1), and every deeper differential is the cover of
-    the next syzygy followed by its syzygy_embedding, x^j or x^(n-j) block
-    by block (Eisenbud's matrix factorizations; rmodule.periodic_tail).
-    Those deeper arrays depend only on the syzygy's Jordan type, so they
-    are shared and read-only, like the window's.
+    The depth must be at most min-1, one below the lowest degree.  The
+    window [min-1, max] is resolved once per complex (_resolve_window);
+    below it the resolution is that of the cut syzygy Omega, with no
+    elimination since X^i = 0 there: the cover of Omega into F^(min-1),
+    then syzygy_embedding's x^j or x^(n-j) block by block (Eisenbud's
+    matrix factorizations).  Nothing is built here and a band reads its
+    own degrees only, so a deep cut costs nothing until it is read.
     """
     ring = x.ring
     if x.is_zero():
-        return Resolution(x, depth, {}, {}, {}, zero_module(ring))
+        return Resolution(x, depth, _Window(depth, {}, {}, {}, Matrix.zeros(0, 0, ring.p), zero_module(ring)))
     cut = x.min_degree - 1
     if depth > cut:
         raise PreconditionError("resolution depth %d must be <= %d, one below the lowest degree"
                                 % (depth, cut))
-    window = _resolve_window(x)
-    ranks = {i: r for i, r in window.ranks.items() if i >= depth}
-    diffs = {i: d for i, d in window.diffs.items() if i >= depth}
-    eps = {i: e for i, e in window.eps.items() if i >= depth}
-    syz = window.syzygy
-    if not syz.is_zero():
-        tail = periodic_tail(syz, window.embedding)
-        for i in range(cut - 1, depth - 1, -1):  # F^i covers ker d^(i+1)
-            ranks[i], d, syz = next(tail)
-            diffs[i] = d.a
-    return Resolution(x, depth, ranks, diffs, eps, syz)
+    return Resolution(x, depth, _resolve_window(x))
 
 
 # -- derived Hom --------------------------------------------------------------

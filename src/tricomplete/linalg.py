@@ -13,8 +13,9 @@ choice of independent columns (new_columns) reads its pivots.  It runs on
 Python int rows: the matrices eliminated here are small (a median of
 4 x 4 on the resolution path), so a numpy update of the whole array per
 pivot costs more than reducing, in plain ints, only the rows with a
-nonzero entry in the pivot column.  Asymptotics never matter, exactness
-does.  Empty (0 x n and n x 0) matrices are first-class citizens because
+nonzero entry in the pivot column; kernel_basis writes its basis from
+those rows too, entry by entry in Python ints.  Asymptotics never matter,
+exactness does.  Empty (0 x n and n x 0) matrices are first-class citizens because
 zero modules show up constantly.
 """
 
@@ -179,18 +180,17 @@ def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the null space {x : m x = 0}.
 
     Returns a cols(m) x (cols(m) - rank) matrix; the standard free-variable
-    parametrization read off the RREF.
+    parametrization read off the RREF's rows as Python ints.
     """
-    p = m.p
-    R, r, pivots = rref(m)
-    n = m.cols
+    p, n = m.p, m.cols
+    R, _, pivots = rref(m)
     free = [j for j in range(n) if j not in pivots]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
+    basis = [[0] * len(free) for _ in range(n)]
     for k, j in enumerate(free):
-        basis[j, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-R.a[i, j]) % p
-    return Matrix._reduced(basis, p)
+        basis[j][k] = 1
+    for row, pc in zip(R.a.tolist(), pivots):
+        basis[pc] = [-row[j] % p for j in free]
+    return Matrix._reduced(np.array(basis, dtype=np.int64).reshape(n, len(free)), p)
 
 
 def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
@@ -203,11 +203,9 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
         raise ValueError("rhs has %d rows, expected %d" % (rhs.rows, m.rows))
     if rhs.p != m.p:
         raise ValueError("mixed moduli")
-    aug = m.hstack(rhs)
-    R, r, pivots = rref(aug)
+    R, _, pivots = rref(m.hstack(rhs))
     if any(pc >= m.cols for pc in pivots):
         return None
     x = np.zeros((m.cols, rhs.cols), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc, :] = R.a[i, m.cols:]
+    x[pivots, :] = R.a[:len(pivots), m.cols:]
     return Matrix._reduced(x, m.p)

@@ -236,6 +236,22 @@ def subspace_canonicalize(action: Matrix, basis: Matrix, ring: Ring) -> tuple[RM
     return RModule(ring, blocks), basis @ J
 
 
+def subspace_type(action: Matrix, basis: Matrix, ring: Ring) -> RModule:
+    """What subspace_canonicalize returns for the span W of the independent
+    columns B of basis under the action A, less the Jordan basis.  x^t W is
+    spanned by the columns of A^s B for s >= t, so the pivots of
+    one elimination of [A^(n-1) B | ... | A B] in its first n - t groups
+    count dim x^t W, and dim x^t W - dim x^(t+1) W blocks have size > t."""
+    d, n, k = action.rows, ring.n, basis.cols
+    if k == 0:
+        return zero_module(ring)
+    powers = _chains(action, basis.a, n).reshape(d, k, n)[:, :, :0:-1].transpose(0, 2, 1)
+    picked = new_columns(Matrix.zeros(d, 0, ring.p), Matrix(powers.reshape(d, (n - 1) * k), ring.p))
+    dims = [k] + [sum(c < (n - t) * k for c in picked) for t in range(1, n)] + [0]
+    taller = [dims[t] - dims[t + 1] for t in range(n)]  # blocks of size > t
+    return RModule(ring, tuple(sum(c >= j for c in taller) for j in range(1, taller[0] + 1)))
+
+
 def quotient_canonicalize(action: Matrix, sub_basis: Matrix, ring: Ring) -> tuple[RModule, Matrix, Matrix]:
     """Canonicalize the quotient of a coordinate space by a stable span.
 

@@ -2,18 +2,36 @@
 and matrices, direct sums of complexes with their injection and
 projection chain maps, composites along a tower, amplitudes, shifted ball
 families, the separating stalks of an equivalence report, a resolution
-built by an independent elimination, and an exhaustive set of small
-complexes.  The library, its CLI and its benchmark never perform them;
+built by an independent elimination, the eagerly spliced resolution that
+bands are read against, and an exhaustive set of small complexes.  The library, its CLI and its benchmark never perform them;
 the tests build inputs and references with them."""
 
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from tricomplete.complexes import ChainMap, Complex, PreconditionError, _sum_complex, identity_chain_map, module_complex
+from tricomplete.complexes import (
+    ChainMap,
+    Complex,
+    PreconditionError,
+    _build_free_approximation,
+    _sum_complex,
+    identity_chain_map,
+    module_complex,
+)
 from tricomplete.linalg import Matrix, kernel_basis, solve
 from tricomplete.metric import GoodMetric
-from tricomplete.rmodule import RModule, RModuleMap, direct_sum, free_cover, free_module, hom_basis
+from tricomplete.rmodule import (
+    RModule,
+    RModuleMap,
+    direct_sum,
+    free_cover,
+    free_module,
+    hom_basis,
+    periodic_tail,
+    subspace_canonicalize,
+    zero_module,
+)
 
 
 def add(f, g):
@@ -156,6 +174,34 @@ def split_unit_entries(ranks, diffs, eps, ring):
             ranks[i] -= 1
             ranks[i + 1] -= 1
     return ranks, diffs, eps
+
+
+def eager_splice(x, depth):
+    """The resolution of x down to depth as the library held it before its
+    bands read the window lazily: the window's arrays, the cut kernel in
+    canonical form with its embedding, and every tail array from cut-1 down
+    to depth spliced through periodic_tail.  Returns (ranks, diffs, eps,
+    syzygy), the syzygy ker d^depth with free summands stripped."""
+    ring, cut = x.ring, x.min_degree - 1
+    ranks, diffs, eps = _build_free_approximation(x, cut)
+    syz, emb = zero_module(ring), Matrix.zeros(0, 0, ring.p)
+    if ranks.get(cut, 0):
+        kernel = kernel_basis(Matrix(diffs[cut], ring.p))
+        syz, emb = subspace_canonicalize(free_module(ring, ranks[cut]).x_action(), kernel, ring)
+    if not syz.is_zero():
+        tail = periodic_tail(syz, emb)
+        for i in range(cut - 1, depth - 1, -1):
+            ranks[i], d, syz = next(tail)
+            diffs[i] = d.a
+    return ranks, diffs, eps, syz
+
+
+def eager_band(ring, ranks, diffs, lo, hi):
+    """The brutal truncation to [lo, hi] of an eager_splice, validated."""
+    comps = {i: free_module(ring, r) for i, r in ranks.items() if r and lo <= i <= hi}
+    maps = {i: RModuleMap(comps[i], comps[i + 1], Matrix(d, ring.p))
+            for i, d in diffs.items() if i in comps and i + 1 in comps}
+    return Complex(ring, comps, maps)
 
 
 # -- an exhaustive small world ----------------------------------------------------

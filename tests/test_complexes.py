@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -585,19 +586,20 @@ def test_resolution_complex_and_comparison_built_on_first_read():
 
 def test_resolution_built_from_arrays_is_validated():
     x = module_complex(RModule(R23, (2, 1)), 0)
-    bad_d = projective_resolution(x, -3)
-    bad_d.diffs[-2] = np.eye(6, dtype=np.int64)  # R-linear, but d^-1 d^-2 = d^-1 != 0
+    res = projective_resolution(x, -3)
+    window = res.window
+    # on a copied window, d^-1 = 1 is R-linear, but d^-1 d^-2 = d^-2 != 0
+    bad_d = replace(res, window=replace(window, diffs={**window.diffs, -1: np.eye(6, dtype=np.int64)}))
     with pytest.raises(ValidationError):
         bad_d.complex
-    bad_eps = projective_resolution(x, -3)
     # swapping the two generators of F^0 = R^2 is R-linear but moves im d^-1
-    bad_eps.eps[0] = np.roll(bad_eps.eps[0], R23.n, axis=1)
+    bad_eps = replace(res, window=replace(window, eps={**window.eps, 0: np.roll(window.eps[0], R23.n, axis=1)}))
     with pytest.raises(ValidationError):
         bad_eps.comparison
     assert projective_resolution(x, -3).comparison.target is x
     # the window's arrays are shared by every resolution of x
     with pytest.raises(ValueError):
-        projective_resolution(x, -1).diffs[-1][0, 0] = 1
+        projective_resolution(x, -1).window.diffs[-1][0, 0] = 1
 
 
 def test_resolution_depth_precondition():

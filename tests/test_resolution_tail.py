@@ -30,7 +30,7 @@ from tricomplete.complexes import (
     projective_resolution,
     shift,
 )
-from tricomplete.linalg import Matrix, kernel_basis, rank
+from tricomplete.linalg import Matrix, kernel_basis, new_columns, rank
 from tricomplete.randomgen import Sampler
 from tricomplete.rmodule import (
     RModule,
@@ -45,12 +45,21 @@ from tricomplete.rmodule import (
     stable_hom,
     stable_hom_dim,
     subspace_canonicalize,
+    subspace_type,
     syzygy_embedding,
     syzygy_type,
     zero_module,
 )
 
-from reference import amplitude, direct_sum_complex, full_pullback_cover, split_unit_entries, two_term_complexes
+from reference import (
+    amplitude,
+    direct_sum_complex,
+    eager_band,
+    eager_splice,
+    full_pullback_cover,
+    split_unit_entries,
+    two_term_complexes,
+)
 
 SPLICE_RINGS = (Ring(2, 2), Ring(3, 3), Ring(3, 4), Ring(5, 3))
 FORMULA_RINGS = (Ring(2, 2), Ring(3, 3), Ring(2, 4), Ring(3, 4), Ring(5, 3), Ring(2, 5))
@@ -241,9 +250,10 @@ def test_spliced_resolution_is_minimal_and_exact_below_the_cut():
 def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
     ring = Ring(3, 4)
     x = splice_samples(ring, seed=5, count=2)[1]
-    calls = {"build": 0, "kernel": 0, "rref": 0, "jordan": 0}
-    # the window's cut kernel is the one subspace_canonicalize in complexes
-    build, kernel = complexes._build_free_approximation, complexes.subspace_canonicalize
+    cut = x.min_degree - 1
+    calls = {"build": 0, "embed": 0, "rref": 0, "jordan": 0}
+    # the cut kernel's embedding is the one subspace_canonicalize in complexes
+    build, embed = complexes._build_free_approximation, complexes.subspace_canonicalize
     rref, jordan = linalg.rref, rmodule.jordan_basis
 
     def counting(name, fn):
@@ -253,23 +263,28 @@ def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(complexes, "_build_free_approximation", counting("build", build))
-    monkeypatch.setattr(complexes, "subspace_canonicalize", counting("kernel", kernel))
+    monkeypatch.setattr(complexes, "subspace_canonicalize", counting("embed", embed))
     first = syzygy_class(x)
-    assert calls["build"] == 1 and calls["kernel"] == 1 and not first.is_zero()
+    assert calls["build"] == 1 and calls["embed"] == 0 and not first.is_zero()
     # every derived_hom out of x reads the window or its tail, however high
-    # T^d b sits; only the Hom complex is eliminated
+    # T^d k sits; only the Hom complex is eliminated.  Its band [-d-1, -d+1]
+    # holds both cut-1 and cut only for d = -cut, -cut+1: no other probe
+    # reads d^(cut-1), so none builds the embedding
     k = module_complex(RModule(ring, (1,)), 0)
-    for d in range(-x.min_degree - 6, -x.min_degree + 2):
+    for d in [*range(-x.max_degree - 2, -cut), *range(-cut + 2, -cut + 8)]:
         derived_hom(x, k, d)
-    assert calls["build"] == 1 and calls["kernel"] == 1
+    assert calls["build"] == 1 and calls["embed"] == 0
+    for d in (-cut, -cut + 1, -cut):
+        derived_hom(x, k, d)
+    assert calls["build"] == 1 and calls["embed"] == 1
     monkeypatch.setattr(linalg, "rref", counting("rref", rref))
     monkeypatch.setattr(rmodule, "rref", counting("rref", rref))
     monkeypatch.setattr(rmodule, "jordan_basis", counting("jordan", jordan))
     assert syzygy_class(x) == first
     assert is_perfect(x) == first.is_zero()
     for depth in range(x.min_degree - 1, x.min_degree - 6, -1):
-        projective_resolution(x, depth)
-    assert calls == {"build": 1, "kernel": 1, "rref": 0, "jordan": 0}
+        projective_resolution(x, depth).band(depth, x.max_degree)
+    assert calls == {"build": 1, "embed": 1, "rref": 0, "jordan": 0}
 
 
 def test_syzygy_read_of_a_resolved_complex_builds_nothing(count_calls):
@@ -362,6 +377,7 @@ def test_periodic_tail_matches_a_fresh_recurrence(ring):
 
 def test_tail_stages_are_built_once_per_syzygy_type(monkeypatch):
     calls = []
+    monkeypatch.setattr(complexes, "cover_matrix", lambda m: calls.append(m) or cover_matrix(m))
     monkeypatch.setattr(rmodule, "cover_matrix", lambda m: calls.append(m) or cover_matrix(m))
     for ring in SPLICE_RINGS:
         x = next(x for x in splice_samples(ring, seed=ring.p * 17 + ring.n, count=6)
@@ -375,22 +391,24 @@ def test_tail_stages_are_built_once_per_syzygy_type(monkeypatch):
         rmodule._tail_stage.cache_clear()
         calls.clear()
         first = projective_resolution(x, x.min_degree - 9)
+        assert calls == []  # a resolution reads its arrays when a band does
+        bands = [first.band(first.depth, x.min_degree - 1)]
         assert len(calls) == 1 + len(stages)  # the cover of syz, then one per stage type
         calls.clear()
         second = projective_resolution(y, y.min_degree - 9)
+        bands.append(second.band(second.depth, y.min_degree - 1))
         assert calls == [syz]  # only the first stage, under y's own embedding
         assert rmodule._tail_stage.cache_info().misses == len(stages)
-        for res in (first, second):
+        for res, band in zip((first, second), bands):
             cut = res.target.min_degree - 1
             assert res.syzygy == syz  # Omega^8 of the cut syzygy
             for i in range(res.depth, cut - 1):  # memoized stages: shared, read-only
                 with pytest.raises(ValueError):
-                    res.diffs[i][0, 0] = res.diffs[i][0, 0]
+                    res.window.differential(i)[0, 0] = res.window.differential(i)[0, 0]
             # the band still builds and validates a Complex from them
-            band = res.band(res.depth, cut)
             assert band.degrees == list(range(res.depth, cut + 1))
         for i in range(second.depth, y.min_degree - 2):
-            assert second.diffs[i] is first.diffs[i]
+            assert second.window.differential(i) is first.window.differential(i)
 
 
 def test_ext_probe_into_k_reads_the_ranks_of_the_minimal_resolution():
@@ -449,15 +467,100 @@ def test_derived_hom_on_its_band_matches_a_deep_direct_build(ring):
 def test_window_cut_kernel_with_free_summand_is_refused(monkeypatch):
     ring = Ring(2, 2)
     x = module_complex(RModule(ring, (1,)), 0)
-    real = complexes.subspace_canonicalize
+    real = complexes.subspace_type
 
     def with_free(action, basis, ring_):
-        mod, emb = real(action, basis, ring_)
-        return RModule(ring_, mod.blocks + (ring_.n,)), emb
+        return RModule(ring_, real(action, basis, ring_).blocks + (ring_.n,))
 
-    monkeypatch.setattr(complexes, "subspace_canonicalize", with_free)
+    monkeypatch.setattr(complexes, "subspace_type", with_free)
     with pytest.raises(complexes.PreconditionError):
         projective_resolution(x, -1)
+
+
+# -- the cut syzygy's Jordan type, and bands read lazily ------------------------------
+
+
+@pytest.mark.parametrize("ring", sorted(set(SPLICE_RINGS + FORMULA_RINGS), key=str), ids=str)
+def test_subspace_type_matches_canonicalization(ring):
+    # kernels and images of random R-linear maps, 0 and the whole space
+    rng = random.Random(ring.p * 29 + ring.n)
+    types = [RModule(ring, blocks) for blocks in jordan_types(ring, 3)]
+    seen = set()
+    for _ in range(40):
+        m, nn = rng.choice(types), rng.choice(types)
+        basis = hom_basis(m, nn)
+        f = Matrix(sum((rng.randrange(ring.p) * g.matrix.a for g in basis),
+                       np.zeros((nn.dim, m.dim), dtype=np.int64)), ring.p)
+        image = Matrix(f.a[:, new_columns(Matrix.zeros(nn.dim, 0, ring.p), f)], ring.p)
+        for action, span in ((m.x_action(), kernel_basis(f)), (nn.x_action(), image),
+                             (m.x_action(), Matrix.zeros(m.dim, 0, ring.p)),
+                             (m.x_action(), Matrix.identity(m.dim, ring.p))):
+            want = subspace_canonicalize(action, span, ring)[0]
+            assert subspace_type(action, span, ring) == want, (m, nn, span)
+            seen.add(want.blocks)
+    assert len(seen) >= 10 and any(len(set(blocks)) > 1 for blocks in seen), seen
+
+
+@pytest.mark.parametrize("ring", (Ring(2, 2), Ring(3, 2)), ids=str)
+def test_cut_type_of_every_two_term_window_matches_canonicalization(ring):
+    nonzero = 0
+    for x in two_term_complexes(ring):
+        if x.is_zero():
+            continue
+        window = complexes._resolve_window(x)
+        want = kernel_module(window.ranks, window.diffs, window.cut, ring)[0]
+        assert window.syzygy == want, x
+        nonzero += not want.is_zero()
+    assert nonzero
+
+
+@pytest.mark.parametrize("ring", SPLICE_RINGS, ids=str)
+def test_every_band_matches_the_eager_splice(ring):
+    # byte for byte, down to min-9, at and across the cut and the window
+    nonperfect = 0
+    for x in splice_samples(ring, seed=ring.p * 37 + ring.n, count=4):
+        nonperfect += not is_perfect(x)
+        depth = x.min_degree - 10
+        ranks, diffs, eps, _ = eager_splice(x, depth)
+        for cut in range(x.min_degree - 1, depth - 1, -1):
+            res = projective_resolution(x, cut)
+            assert res.syzygy == eager_splice(x, cut)[3], (x, cut)
+        res = projective_resolution(x, depth)
+        for lo in range(depth, x.max_degree + 2):
+            for hi in range(lo - 1, x.max_degree + 2):
+                got, want = res.band(lo, hi), eager_band(ring, ranks, diffs, lo, hi)
+                assert got == want, (x, lo, hi)
+                for i, f in want._diffs.items():
+                    assert got._diffs[i].matrix.a.tobytes() == f.matrix.a.tobytes(), (x, lo, hi, i)
+        assert res.complex == eager_band(ring, ranks, diffs, depth, x.max_degree)
+        assert all(np.array_equal(res.comparison.component(i).matrix.a, e) for i, e in eps.items() if e.size)
+    assert nonperfect >= 2
+
+
+def test_a_deep_cut_costs_nothing_until_it_is_read():
+    types = 0
+    for ring in SPLICE_RINGS:
+        # k has Omega k = [n-1] and Omega^2 k = k: two stage types for n > 2
+        sample = next(x for x in splice_samples(ring, seed=ring.p * 41 + ring.n, count=6)
+                      if not is_perfect(x))
+        for x in (sample, module_complex(RModule(ring, (1,)), 0)):
+            cut, syz = x.min_degree - 1, syzygy_class(x).module
+            rmodule._tail_stage.cache_clear()
+            for depth in (cut - 10**6, cut - 10**6 - 1):
+                assert projective_resolution(x, depth).syzygy == omega_power(syz, cut - depth)
+            info = rmodule._tail_stage.cache_info()
+            assert info.hits + info.misses == 0 and "embedding" not in vars(x._window)
+            # a band reads only its own degrees, each from one of two stage types
+            deep = projective_resolution(x, cut - 10**6).band(cut - 10**6, cut - 10**6 + 4)
+            info = rmodule._tail_stage.cache_info()
+            assert info.hits + info.misses == 4 and info.misses <= 2
+            assert "embedding" not in vars(x._window)
+            types += info.misses
+            # and by 2-periodicity it is the band as deep as the eager splice goes
+            ranks, diffs, _, _ = eager_splice(x, cut - 8)
+            near = eager_band(ring, ranks, diffs, cut - 8, cut - 4)
+            assert deep == shift(near, 10**6 - 8), (ring, x)
+    assert types > 2 * len(SPLICE_RINGS)
 
 
 # -- stable Hom by formula -----------------------------------------------------------
