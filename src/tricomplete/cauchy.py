@@ -6,7 +6,8 @@ on demand:
 
   * truncation tail of a module M: X_k is the brutal truncation to degrees
     >= -k of the minimal free resolution of M (below the cover the
-    resolution is the closed-form 2-periodic tail, so any X_k costs no
+    resolution is the closed-form 2-periodic tail, read from the stages
+    rmodule._tail_stage shares with resolution bands, so any X_k costs no
     elimination);
   * constant tail at a bounded complex X: X_k = X.
 
@@ -38,11 +39,10 @@ from .rmodule import (
     RModule,
     RModuleMap,
     Ring,
+    _tail_stage,
     free_module,
     identity_map,
     omega_power,
-    periodic_tail,
-    syzygy_embedding,
 )
 from .complexes import (
     ChainMap,
@@ -60,11 +60,12 @@ from .metric import GoodMetric, length, require_good
 class TruncationTail:
     """Generates brutal truncations of the minimal free resolution of M.
 
-    F_0 = R^(#blocks of M) and below it the closed-form periodic tail of
-    Omega M >-> F_0 (rmodule.periodic_tail): F_t covers Omega^t M, and
-    d : F_t -> F_(t-1) is that cover followed by the syzygy_embedding of
-    Omega^t M in F_(t-1).  Its colimit is M in degree 0, and the default
-    colimit window is [-2, 2].  Its stages are built trusted.
+    F_0 = R^(#blocks of M) and below it the closed-form periodic tail:
+    F_t covers Omega^t M, and d : F_t -> F_(t-1) is that cover followed by
+    the embedding of Omega^t M in F_(t-1): the t-th rmodule._tail_stage
+    walked from M, shared and read-only.  Its colimit
+    is M in degree 0, and the default colimit window is [-2, 2].  Its
+    stages are built trusted.
     """
 
     window = (-2, 2)
@@ -75,10 +76,9 @@ class TruncationTail:
 
     def complex_at(self, k: int) -> Complex:
         comps = {0: free_module(self.ring, len(self.module.blocks))}
-        diffs = {}
-        tail = periodic_tail(*syzygy_embedding(self.module))
+        diffs, m = {}, self.module
         for t in range(1, k + 1):
-            rank_t, d, _ = next(tail)
+            rank_t, d, m, _ = _tail_stage(m)
             comps[-t] = free_module(self.ring, rank_t)
             diffs[-t] = RModuleMap._trusted(comps[-t], comps[-t + 1], d)
         return Complex._trusted(self.ring, comps, diffs)

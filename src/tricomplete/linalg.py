@@ -7,16 +7,15 @@ every product, negation, scale and transpose reduce, since their
 entries may leave [0, p).  The functions here that allocate a fresh array
 from entries already in [0, p) (rref, kernel_basis, solve, hstack, vstack,
 zeros, identity) wrap it as it is, through Matrix._reduced.
-Gaussian elimination is the algorithm of record and rref is its only
-implementation: ranks, kernels and solutions read its output, and every
-choice of independent columns (new_columns) reads its pivots.  It runs on
-Python int rows: the matrices eliminated here are small (a median of
-4 x 4 on the resolution path), so a numpy update of the whole array per
-pivot costs more than reducing, in plain ints, only the rows with a
-nonzero entry in the pivot column; kernel_basis writes its basis from
-those rows too, entry by entry in Python ints.  Asymptotics never matter,
-exactness does.  Empty (0 x n and n x 0) matrices are first-class citizens because
-zero modules show up constantly.
+Gaussian elimination has one implementation, _eliminate, and every
+reader runs it once: rref builds the array of its reduced rows, rank and
+new_columns read its pivots alone, and kernel_basis and solve write their
+results from its rows.  It runs on Python int rows: the matrices
+eliminated here are small (a median of 4 x 4 on the resolution path), so
+a numpy update of the whole array per pivot costs more than reducing, in
+plain ints, only the rows with a nonzero entry in the pivot column.
+Asymptotics never matter, exactness does.  Empty (0 x n and n x 0)
+matrices are first-class citizens because zero modules show up constantly.
 """
 
 from __future__ import annotations
@@ -129,18 +128,10 @@ class Matrix:
         return Matrix._reduced(np.vstack([self.a, other.a]), self.p)
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row-echelon form.
-
-    Returns (R, rank, pivot_columns).  Row space is preserved; R has
-    leading 1 in each pivot column and zeros elsewhere in that column.
-    Eliminates on the rows as lists of Python ints and returns R as an
-    int64 Matrix; RREF is unique, so the result does not depend on how the
-    elimination is carried out.
-    """
-    p = m.p
-    nrows, ncols = m.a.shape
-    rows = m.a.tolist()
+def _eliminate(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination, in place, of rows of Python ints in [0, p):
+    returns the rows, now in reduced row-echelon form, and the pivots."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -160,35 +151,46 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
                 rows[i] = [(u - f * v) % p for u, v in zip(rows[i], pivot)]
         pivots.append(c)
         r += 1
-    reduced = Matrix._reduced(np.array(rows, dtype=np.int64).reshape(nrows, ncols), p)
-    return reduced, len(pivots), pivots
+    return rows, pivots
+
+
+def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
+    """Reduced row-echelon form.
+
+    Returns (R, rank, pivot_columns).  Row space is preserved; R has
+    leading 1 in each pivot column and zeros elsewhere in that column.
+    The only reader that builds an array of the eliminated rows; RREF is
+    unique, so R does not depend on how the elimination is carried out.
+    """
+    rows, pivots = _eliminate(m.a.tolist(), m.p)
+    return Matrix._reduced(np.array(rows, dtype=np.int64).reshape(m.a.shape), m.p), len(pivots), pivots
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    return len(_eliminate(m.a.tolist(), m.p)[1])
 
 
 def new_columns(a: Matrix, b: Matrix) -> list[int]:
     """Indices of the columns of b independent of the columns of a and of
     b's earlier columns: the columns a greedy left-to-right span adds, read
-    off the pivots of rref([a | b]) past a's columns."""
+    off the pivots of [a | b] past a's columns."""
     m = a.cols
-    return [c - m for c in rref(a.hstack(b))[2] if c >= m]
+    return [c - m for c in _eliminate(a.hstack(b).a.tolist(), a.p)[1] if c >= m]
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the null space {x : m x = 0}.
 
     Returns a cols(m) x (cols(m) - rank) matrix; the standard free-variable
-    parametrization read off the RREF's rows as Python ints.
+    parametrization read off the eliminated rows.
     """
     p, n = m.p, m.cols
-    R, _, pivots = rref(m)
+    rows, pivots = _eliminate(m.a.tolist(), p)
     free = [j for j in range(n) if j not in pivots]
     basis = [[0] * len(free) for _ in range(n)]
     for k, j in enumerate(free):
         basis[j][k] = 1
-    for row, pc in zip(R.a.tolist(), pivots):
+    for row, pc in zip(rows, pivots):
         basis[pc] = [-row[j] % p for j in free]
     return Matrix._reduced(np.array(basis, dtype=np.int64).reshape(n, len(free)), p)
 
@@ -203,9 +205,10 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix | None:
         raise ValueError("rhs has %d rows, expected %d" % (rhs.rows, m.rows))
     if rhs.p != m.p:
         raise ValueError("mixed moduli")
-    R, _, pivots = rref(m.hstack(rhs))
+    rows, pivots = _eliminate(m.hstack(rhs).a.tolist(), m.p)
     if any(pc >= m.cols for pc in pivots):
         return None
-    x = np.zeros((m.cols, rhs.cols), dtype=np.int64)
-    x[pivots, :] = R.a[:len(pivots), m.cols:]
-    return Matrix._reduced(x, m.p)
+    x = [[0] * rhs.cols for _ in range(m.cols)]
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[m.cols:]
+    return Matrix._reduced(np.array(x, dtype=np.int64).reshape(m.cols, rhs.cols), m.p)

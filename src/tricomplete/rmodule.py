@@ -13,7 +13,6 @@ Hom bases, projective covers and syzygies, and Hom modulo projectives.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -467,27 +466,14 @@ def syzygy_embedding(m: RModule) -> tuple[RModule, Matrix]:
     return omega, Matrix(a, m.ring.p)
 
 
-def periodic_tail(m: RModule, embedding: Matrix) -> Iterator[tuple[int, Matrix, RModule]]:
-    """The minimal free resolution below a submodule m of a free F_0, in
-    closed form: for t = 1, 2, ... yields (rank F_t, d_t, Omega^t m), where
-    F_t covers Omega^(t-1) m, d_t : F_t -> F_(t-1) is that cover followed
-    by the embedding of Omega^(t-1) m in F_(t-1) (the given one for t = 1,
-    syzygy_embedding after it), and Omega^t m = ker d_t.  Blocks x^j and
-    x^(n-j) alternate; nothing is eliminated.  Every stage after the first
-    is read from _tail_stage, so its d_t is shared and refuses writes."""
-    omega = RModule(m.ring, syzygy_type(m))
-    yield len(m.blocks), embedding @ cover_matrix(m), omega
-    while True:
-        rank_t, d, m, omega = _tail_stage(m)
-        yield rank_t, d, omega
-
-
 @lru_cache(maxsize=1024)
 def _tail_stage(m: RModule) -> tuple[int, Matrix, RModule, RModule]:
     """The tail stage below Omega m >-> R^(#blocks of m): (rank F, d, Omega m,
     Omega^2 m) with F covering Omega m and d that cover followed by
     syzygy_embedding(m).  It depends only on the Jordan type of m and the
-    ring, so each is built once per key, as _direct_sum's maps are."""
+    ring, so each is built once per key, as _direct_sum's maps are.  The
+    one reader of the 2-periodic tail: resolution bands and truncation
+    towers both walk m -> Omega^2 m through it, eliminating nothing."""
     omega, embedding = syzygy_embedding(m)
     d = embedding @ cover_matrix(omega)
     d.a.flags.writeable = False  # shared by every caller: read-only

@@ -2,8 +2,9 @@
 and matrices, direct sums of complexes with their injection and
 projection chain maps, composites along a tower, amplitudes, shifted ball
 families, the separating stalks of an equivalence report, a resolution
-built by an independent elimination, the eagerly spliced resolution that
-bands are read against, and an exhaustive set of small complexes.  The library, its CLI and its benchmark never perform them;
+built by an independent elimination, the periodic tail below a given
+embedding as a generator, the eagerly spliced resolution that bands are
+read against, and an exhaustive set of small complexes.  The library, its CLI and its benchmark never perform them;
 the tests build inputs and references with them."""
 
 from itertools import combinations_with_replacement, product
@@ -24,12 +25,14 @@ from tricomplete.metric import GoodMetric
 from tricomplete.rmodule import (
     RModule,
     RModuleMap,
+    _tail_stage,
+    cover_matrix,
     direct_sum,
     free_cover,
     free_module,
     hom_basis,
-    periodic_tail,
     subspace_canonicalize,
+    syzygy_type,
     zero_module,
 )
 
@@ -174,6 +177,21 @@ def split_unit_entries(ranks, diffs, eps, ring):
             ranks[i] -= 1
             ranks[i + 1] -= 1
     return ranks, diffs, eps
+
+
+def periodic_tail(m, embedding):
+    """The minimal free resolution below a submodule m of a free F_0, in
+    closed form: for t = 1, 2, ... yields (rank F_t, d_t, Omega^t m), where
+    F_t covers Omega^(t-1) m, d_t : F_t -> F_(t-1) is that cover followed
+    by the embedding of Omega^(t-1) m in F_(t-1) (the given one for t = 1,
+    syzygy_embedding after it), and Omega^t m = ker d_t.  Blocks x^j and
+    x^(n-j) alternate; nothing is eliminated.  Every stage after the first
+    is read from _tail_stage, so its d_t is shared and refuses writes."""
+    omega = RModule(m.ring, syzygy_type(m))
+    yield len(m.blocks), embedding @ cover_matrix(m), omega
+    while True:
+        rank_t, d, m, omega = _tail_stage(m)
+        yield rank_t, d, omega
 
 
 def eager_splice(x, depth):

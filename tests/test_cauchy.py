@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -46,9 +47,12 @@ def scan_colimit(tower, window, horizon):
     """The colimit table by a scan, the reference for colimit: H^i of every
     entry from the first one the tail rule fixes around degree i (entry 1
     without a tail) up to the horizon, and the least index from which every
-    connecting map up to the horizon is checked to be an isomorphism on H^i."""
+    connecting map up to the horizon is checked to be an isomorphism on H^i.
+    Each entry and connecting map is built once per call, whatever the
+    degree that reads it."""
     lo, hi = window
     h = tower.available_horizon(horizon)
+    entry, step = functools.cache(tower.complex_at), functools.cache(tower.map_at)
     table = ColimitTable(ring=tower.ring, window=window, horizon=h)
     if isinstance(tower.tail, TruncationTail):
         table.outside_window_vanishes = tower.tail.module.is_zero() or lo <= 0 <= hi
@@ -62,9 +66,9 @@ def scan_colimit(tower, window, horizon):
             k_start = 1
         k_i = None
         if k_start <= h - 1:
-            datas = {k: cohomology_data(tower.complex_at(k), i) for k in range(k_start, h + 1)}
+            datas = {k: cohomology_data(entry(k), i) for k in range(k_start, h + 1)}
             for k0 in range(k_start, h):
-                if all(cohomology_map(tower.map_at(k), i, datas[k], datas[k + 1]).is_isomorphism()
+                if all(cohomology_map(step(k), i, datas[k], datas[k + 1]).is_isomorphism()
                        for k in range(k0, h)):
                     k_i = k0
                     break

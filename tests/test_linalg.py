@@ -80,8 +80,39 @@ def rref_cases(p):
     yield rng.integers(0, p, size=(40, 40))
 
 
+def reference_kernel(m: Matrix) -> np.ndarray:
+    """The free-variable kernel basis read off reference_rref's array."""
+    R, rk, piv = reference_rref(m)
+    free = [j for j in range(m.cols) if j not in piv]
+    K = np.zeros((m.cols, len(free)), dtype=np.int64)
+    K[free, np.arange(len(free))] = 1
+    K[piv, :] = -R.a[:rk][:, free] % m.p
+    return K
+
+
+def reference_split(m: Matrix, s: int) -> tuple[list[int], np.ndarray | None]:
+    """For m = [a | b] split after column s, read off reference_rref(m):
+    the new columns of b beside a, and the solution of a x = b with free
+    variables zero (None when a pivot lies in b)."""
+    R, rk, piv = reference_rref(m)
+    new = [c - s for c in piv if c >= s]
+    if new:
+        return new, None
+    X = np.zeros((s, m.cols - s), dtype=np.int64)
+    X[piv, :] = R.a[:rk, s:]
+    return new, X
+
+
+def assert_same_array(got: Matrix, want: np.ndarray, p: int, *context):
+    assert got.p == p and got.a.dtype == want.dtype == np.int64, context
+    assert got.a.shape == want.shape and got.a.tobytes() == want.tobytes(), context
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_rref_matches_numpy_reference_byte_for_byte(p):
+    # every reader of the elimination, not rref alone: rank, new_columns,
+    # kernel_basis and solve, against what reference_rref's array says
+    solved = unsolved = 0
     for arr in rref_cases(p):
         m = Matrix(arr, p)
         got, want = rref(m), reference_rref(m)
@@ -90,6 +121,41 @@ def test_rref_matches_numpy_reference_byte_for_byte(p):
         assert got[0].a.tobytes() == want[0].a.tobytes(), arr
         assert got[1:] == want[1:], arr
         assert got[0].p == p
+        assert rank(m) == want[1], arr
+        assert_same_array(kernel_basis(m), reference_kernel(m), p, arr)
+        for s in sorted({0, m.cols // 2, m.cols}):
+            a, b = Matrix(arr[:, :s], p), Matrix(arr[:, s:], p)
+            new, X = reference_split(m, s)
+            assert new_columns(a, b) == new, (arr, s)
+            x = solve(a, b)
+            if X is None:
+                assert x is None, (arr, s)
+                unsolved += 1
+            else:
+                assert_same_array(x, X, p, arr, s)
+                solved += 1
+    assert solved > 100 and unsolved > 100
+
+
+def test_every_reader_runs_the_one_engine_once(monkeypatch):
+    import sys
+
+    from tricomplete import cli, linalg, randomgen  # noqa: F401  (with the package, every module)
+
+    engine, calls = linalg._eliminate, []
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, p: calls.append(p) or engine(rows, p))
+    m, b = Matrix([[1, 2, 0], [2, 1, 1]], 3), Matrix([[1], [0]], 3)
+    readers = {"rref": lambda: rref(m), "rank": lambda: rank(m), "new_columns": lambda: new_columns(m, b),
+               "kernel_basis": lambda: kernel_basis(m), "solve": lambda: solve(m, b)}
+    for name, read in readers.items():
+        calls.clear()
+        read()
+        assert calls == [3], name
+    # modules bind the readers by name, never the engine
+    binders = [name for name, mod in sys.modules.items()
+               if name.split(".")[0] == "tricomplete" and name != "tricomplete.linalg"
+               and any(v is engine or k == "_eliminate" for k, v in vars(mod).items())]
+    assert binders == []
 
 
 def test_rref_leaves_its_input_alone():

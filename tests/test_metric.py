@@ -741,7 +741,7 @@ def test_checks_build_only_the_chain_maps_their_lengths_read(count_calls, ring):
     # both eliminate exactly what the composite-built square did
     from tricomplete import linalg
 
-    counts = count_calls(ChainMap, linalg.rref)
+    counts = count_calls(ChainMap, linalg._eliminate)
 
     def measure(run):
         counts.clear()
@@ -754,14 +754,14 @@ def test_checks_build_only_the_chain_maps_their_lengths_read(count_calls, ring):
             seen = measure(lambda: cartesian_invariance_check(f, h, m))
             was = measure(lambda: (length(f, m), length(composite_square(f, h)[2], m)))
             assert seen["ChainMap"] == 2 and was["ChainMap"] == 8
-            assert seen["rref"] == was["rref"]
-            eliminations += seen["rref"]
+            assert seen["_eliminate"] == was["_eliminate"]
+            eliminations += seen["_eliminate"]
     assert eliminations > 0
     s = Sampler(ring, random.Random(71))
     for _ in range(6):
         f, g = s.composable_pair(-2, 2, max_blocks=2)
         seen = measure(lambda: strong_triangle_check(f, g, metric_i()))
-        assert seen["ChainMap"] == 1 and seen["rref"] > 0
+        assert seen["ChainMap"] == 1 and seen["_eliminate"] > 0
 
 
 # -- lengths read ranks, not cones ------------------------------------------------
@@ -793,7 +793,7 @@ def test_lengths_build_no_cone_and_run_the_same_eliminations(count_calls):
     from tricomplete.cauchy import is_cauchy, prefix_tower, truncation_tower
     from tricomplete.complexes import Complex, is_acyclic, is_quasi_iso
 
-    counts = count_calls(Complex, cone, linalg.rref)
+    counts = count_calls(Complex, cone, linalg._eliminate)
 
     def measure(run):
         counts.clear()
@@ -810,7 +810,7 @@ def test_lengths_build_no_cone_and_run_the_same_eliminations(count_calls):
                        + [is_acyclic(cone(f).z) for f in maps])
     assert new == old and any(new)
     assert seen["Complex"] == seen["cone"] == 0 and was["cone"] == 0  # cone itself is not rebound
-    assert seen["rref"] == was["rref"] > 0
+    assert seen["_eliminate"] == was["_eliminate"] > 0
 
     t = truncation_tower(RModule(ring, (2, 1)))
     tower = prefix_tower([t.complex_at(k) for k in range(1, 5)], [t.map_at(k) for k in range(1, 4)])
@@ -819,7 +819,7 @@ def test_lengths_build_no_cone_and_run_the_same_eliminations(count_calls):
                                 for i in range(1, 5) for j in range(i, 5)})
     assert cert.sup_lengths == {i: max(old[i, j] for j in range(i, 5)) for i in range(1, 5)}
     assert seen["Complex"] == seen["cone"] == 0
-    assert seen["rref"] == was["rref"] > 0
+    assert seen["_eliminate"] == was["_eliminate"] > 0
 
     for m in (metric_i(), metric_iii()):
         rep, seen = measure(lambda: check_good_axioms(m, ring, levels=5, samples=16, seed=7))
@@ -827,4 +827,4 @@ def test_lengths_build_no_cone_and_run_the_same_eliminations(count_calls):
         supports, was = measure(lambda: [cohomology_support(cone(w).z) for _, w in inputs])
         assert rep.ok and any(supports)
         assert seen["cone"] == 0 and seen["Complex"] == drawn["Complex"]
-        assert seen["rref"] == drawn["rref"] + was["rref"]
+        assert seen["_eliminate"] == drawn["_eliminate"] + was["_eliminate"]

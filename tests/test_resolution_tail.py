@@ -40,7 +40,6 @@ from tricomplete.rmodule import (
     free_module,
     hom_basis,
     omega_power,
-    periodic_tail,
     projective_cover_and_syzygy,
     stable_hom,
     stable_hom_dim,
@@ -251,10 +250,10 @@ def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
     ring = Ring(3, 4)
     x = splice_samples(ring, seed=5, count=2)[1]
     cut = x.min_degree - 1
-    calls = {"build": 0, "embed": 0, "rref": 0, "jordan": 0}
+    calls = {"build": 0, "embed": 0, "eliminate": 0, "jordan": 0}
     # the cut kernel's embedding is the one subspace_canonicalize in complexes
     build, embed = complexes._build_free_approximation, complexes.subspace_canonicalize
-    rref, jordan = linalg.rref, rmodule.jordan_basis
+    eliminate, jordan = linalg._eliminate, rmodule.jordan_basis
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -277,14 +276,13 @@ def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
     for d in (-cut, -cut + 1, -cut):
         derived_hom(x, k, d)
     assert calls["build"] == 1 and calls["embed"] == 1
-    monkeypatch.setattr(linalg, "rref", counting("rref", rref))
-    monkeypatch.setattr(rmodule, "rref", counting("rref", rref))
+    monkeypatch.setattr(linalg, "_eliminate", counting("eliminate", eliminate))
     monkeypatch.setattr(rmodule, "jordan_basis", counting("jordan", jordan))
     assert syzygy_class(x) == first
     assert is_perfect(x) == first.is_zero()
     for depth in range(x.min_degree - 1, x.min_degree - 6, -1):
         projective_resolution(x, depth).band(depth, x.max_degree)
-    assert calls == {"build": 1, "embed": 1, "rref": 0, "jordan": 0}
+    assert calls == {"build": 1, "embed": 1, "eliminate": 0, "jordan": 0}
 
 
 def test_syzygy_read_of_a_resolved_complex_builds_nothing(count_calls):
@@ -349,7 +347,7 @@ def test_a_second_derived_hom_builds_no_hom_basis_maps(count_calls, rebind):
 
 
 def fresh_tail(m: RModule, embedding: Matrix):
-    """periodic_tail's recurrence with no memo: every stage rebuilt from
+    """The periodic tail's recurrence with no memo: every stage rebuilt from
     cover_matrix and syzygy_embedding."""
     while True:
         rank_t, cover = len(m.blocks), cover_matrix(m)
@@ -362,17 +360,22 @@ def fresh_tail(m: RModule, embedding: Matrix):
 def test_periodic_tail_matches_a_fresh_recurrence(ring):
     for blocks in jordan_types(ring, 3):
         m = RModule(ring, blocks)
-        tail, ref = periodic_tail(*syzygy_embedding(m)), fresh_tail(*syzygy_embedding(m))
-        for t in range(1, 7):
-            (rank_t, d, omega), (ref_rank, ref_d, ref_omega) = next(tail), next(ref)
-            assert (rank_t, omega) == (ref_rank, ref_omega), (m, t)
-            assert d.p == ref_d.p and d.a.dtype == ref_d.a.dtype and d.a.shape == ref_d.a.shape
-            assert d.a.tobytes() == ref_d.a.tobytes(), (m, t)
-            # stages below the first are shared: they refuse writes (of
-            # the same value, so a failing check corrupts no later test)
-            if t > 1 and d.a.size:
-                with pytest.raises(ValueError):
-                    d.a[0, 0] = d.a[0, 0]
+        for k in range(1, 7):
+            x, ref = TruncationTail(m).complex_at(k), fresh_tail(*syzygy_embedding(m))
+            assert x.component(0) == free_module(ring, len(blocks))
+            assert all(-k <= i <= 0 for i in x.degrees), (m, k)
+            for t in range(1, k + 1):
+                ref_rank, ref_d, _ = next(ref)
+                d = x.differential(-t).matrix
+                assert x.component(-t) == free_module(ring, ref_rank), (m, k, t)
+                assert d.p == ref_d.p and d.a.dtype == ref_d.a.dtype and d.a.shape == ref_d.a.shape
+                assert d.a.tobytes() == ref_d.a.tobytes(), (m, k, t)
+                # every stage is shared, the first included: it refuses
+                # writes (of the same value, so a failing check corrupts no
+                # later test)
+                if d.a.size:
+                    with pytest.raises(ValueError):
+                        d.a[0, 0] = d.a[0, 0]
 
 
 def test_tail_stages_are_built_once_per_syzygy_type(monkeypatch):
