@@ -63,9 +63,9 @@ class TruncationTail:
     F_0 = R^(#blocks of M) and below it the closed-form periodic tail:
     F_t covers Omega^t M, and d : F_t -> F_(t-1) is that cover followed by
     the embedding of Omega^t M in F_(t-1): the t-th rmodule._tail_stage
-    walked from M, shared and read-only.  Its colimit
-    is M in degree 0, and the default colimit window is [-2, 2].  Its
-    stages are built trusted.
+    walked from M, shared and read-only.  Its colimit is M in degree 0,
+    and the default colimit window is [-2, 2].  Its stages are built
+    trusted.
     """
 
     window = (-2, 2)
