@@ -11,10 +11,11 @@ resolution never terminates.  Each complex is resolved once: the window
 [min-1, max] is eliminated and cached on the complex with its cut
 syzygy's Jordan type, and a deeper cut reads the closed-form periodic
 tail only where a band reaches it, so is_perfect, syzygy_class and
-derived_hom share one elimination pass per complex.  is_perfect, the
-injective test (the same condition, since R is self-injective) and
-syzygy_class read only that Jordan type; they build no Jordan basis,
-free Complex, comparison ChainMap or RModuleMap.
+derived_hom share one elimination pass per complex; Ext into a stalk of
+k^m is a Betti number of that window and eliminates nothing more.
+is_perfect, the injective test (the same condition, since R is
+self-injective) and syzygy_class read only that Jordan type; they build
+no Jordan basis, free Complex, comparison ChainMap or RModuleMap.
 
 The singularity quotient is modelled through the stable module category
 (R is self-injective): a complex maps to its deep syzygy with a shift

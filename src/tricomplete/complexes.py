@@ -529,7 +529,8 @@ class Resolution:
     free summands stripped: for cuts below the target the obstruction to
     perfection, read without building anything.  complex and comparison
     are built trusted on first read, valid by construction; band(lo, hi)
-    reads the arrays of [lo, hi] alone, which is all derived_hom reads.
+    reads the arrays of [lo, hi] alone, which is all derived_hom reads
+    into a target other than a stalk of k^m (that one reads ranks alone).
     """
 
     target: Complex
@@ -707,18 +708,27 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
 def derived_hom(a: Complex, b: Complex, d: int = 0) -> int:
     """dim over F_p of Hom in the derived category from a to T^d b.
 
-    Computed as H^d of the Hom complex out of a projective resolution P of
-    a into b: dim Hom^d - rk delta^d - rk delta^(d-1).  Hom^k(P, T^d b) is
-    Hom^(k+d)(P, b), with delta changed only by the sign (-1)^d, so this is
-    H^0 of Hom(P, T^d b) and no shifted copy of b is built.  Hom^(d-1),
-    Hom^d, Hom^(d+1) and both deltas see P only in degrees [lo, hi], for
-    lo = b.min - d - 1 and hi = b.max - d + 1, so only that band of P is
-    built.  The cut min(a.min - 1, lo) is at least one below a's support,
-    so the arrays come from a's cached window or its spliced tail.
+    Computed as H^d of the Hom complex out of the minimal free resolution
+    P of a into b.  When b is one stalk of k^m at degree j, every
+    differential of Hom(P, b) is 0, since no d_P has a unit entry, so the
+    answer is m rank P^(j-d), a Betti number read off a's cached window
+    or the block count of its tail: nothing is eliminated or built.
+
+    Otherwise it is dim Hom^d - rk delta^d - rk delta^(d-1).
+    Hom^k(P, T^d b) is Hom^(k+d)(P, b), with delta changed only by the
+    sign (-1)^d, so this is H^0 of Hom(P, T^d b) and no shifted copy of b
+    is built.  Hom^(d-1), Hom^d, Hom^(d+1) and both deltas see P only in
+    degrees [lo, hi], for lo = b.min - d - 1 and hi = b.max - d + 1, so
+    only that band of P is built.  The cut min(a.min - 1, lo) is at least
+    one below a's support, so the arrays come from a's cached window or
+    its spliced tail.
     """
     if a.is_zero() or b.is_zero():
         return 0
-    lo, hi = b.min_degree - d - 1, b.max_degree - d + 1
+    j = b.min_degree
+    if len(b._components) == 1 and set(b.component(j).blocks) == {1}:
+        return len(b.component(j).blocks) * _resolve_window(a).rank(j - d)
+    lo, hi = j - d - 1, b.max_degree - d + 1
     pc = projective_resolution(a, min(a.min_degree - 1, lo)).band(lo, hi)
     _, dd = hom_complex(pc, b, d)
     _, dm1 = hom_complex(pc, b, d - 1)

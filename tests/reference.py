@@ -4,8 +4,10 @@ projection chain maps, composites along a tower, amplitudes, shifted ball
 families, the separating stalks of an equivalence report, a resolution
 built by an independent elimination, the periodic tail below a given
 embedding as a generator, the eagerly spliced resolution that bands are
-read against, and an exhaustive set of small complexes.  The library, its CLI and its benchmark never perform them;
-the tests build inputs and references with them."""
+read against, derived Hom through the Hom complex for every target, and
+an exhaustive set of small complexes.  The library, its CLI and its
+benchmark never perform them; the tests build inputs and references with
+them."""
 
 from itertools import combinations_with_replacement, product
 
@@ -17,10 +19,12 @@ from tricomplete.complexes import (
     PreconditionError,
     _build_free_approximation,
     _sum_complex,
+    hom_complex,
     identity_chain_map,
     module_complex,
+    projective_resolution,
 )
-from tricomplete.linalg import Matrix, kernel_basis, solve
+from tricomplete.linalg import Matrix, kernel_basis, rank, solve
 from tricomplete.metric import GoodMetric
 from tricomplete.rmodule import (
     RModule,
@@ -220,6 +224,20 @@ def eager_band(ring, ranks, diffs, lo, hi):
     maps = {i: RModuleMap(comps[i], comps[i + 1], Matrix(d, ring.p))
             for i, d in diffs.items() if i in comps and i + 1 in comps}
     return Complex(ring, comps, maps)
+
+
+def hom_complex_derived_hom(a, b, d):
+    """derived_hom(a, b, d) the way the library computed it for every b
+    before a stalk of k^m read a Betti number: H^0 of Hom(P, T^d b) =
+    dim Hom^d - rk delta^d - rk delta^(d-1), out of the band of a's
+    resolution P in degrees [b.min - d - 1, b.max - d + 1]."""
+    if a.is_zero() or b.is_zero():
+        return 0
+    lo, hi = b.min_degree - d - 1, b.max_degree - d + 1
+    pc = projective_resolution(a, min(a.min_degree - 1, lo)).band(lo, hi)
+    _, dd = hom_complex(pc, b, d)
+    _, dm1 = hom_complex(pc, b, d - 1)
+    return dd.cols - rank(dd) - rank(dm1)
 
 
 # -- an exhaustive small world ----------------------------------------------------

@@ -24,6 +24,7 @@ from tricomplete.complexes import (
     cone,
     cone_support,
     derived_hom,
+    dualize,
     hom_complex,
     identity_chain_map,
     module_complex,
@@ -56,6 +57,7 @@ from reference import (
     eager_band,
     eager_splice,
     full_pullback_cover,
+    hom_complex_derived_hom,
     split_unit_entries,
     two_term_complexes,
 )
@@ -219,10 +221,30 @@ def test_window_is_built_minimal(ring):
     assert min(surplus) >= 0 and sum(surplus[1::2]) > 0, surplus
 
 
+EXT_RINGS = (Ring(2, 2), Ring(3, 3), Ring(2, 4), Ring(5, 2), Ring(3, 4))
+
+
+def k_stalks(ring):
+    """k, k^2 and k^3 at degrees -1, 0 and 2, each with its m."""
+    return [(m, module_complex(RModule(ring, (1,) * m), j)) for m in (1, 2, 3) for j in (-1, 0, 2)]
+
+
+def check_ext_into_k(x, stalks, parities):
+    """derived_hom into each stalk for d in -1..4 against the Hom-complex
+    route; adds to parities the syzygy parity cut - 1 - i of every degree i
+    below x's cut that a probe of a non-perfect x reads."""
+    cut = x.min_degree - 1
+    for m, b in stalks:
+        for d in range(-1, 5):
+            assert derived_hom(x, b, d) == hom_complex_derived_hom(x, b, d), (x, m, b.min_degree, d)
+            if b.min_degree - d < cut and not is_perfect(x):
+                parities.add((cut - 1 - b.min_degree + d) % 2)
+
+
 @pytest.mark.parametrize("ring", (Ring(2, 2), Ring(3, 2)), ids=str)
 def test_every_two_term_complex_has_a_minimal_window(ring):
     k = module_complex(RModule(ring, (1,)), 0)
-    seen = 0
+    seen, parities, stalks = 0, set(), k_stalks(ring)
     for x in two_term_complexes(ring):
         if x.is_zero():
             continue
@@ -230,8 +252,10 @@ def test_every_two_term_complex_has_a_minimal_window(ring):
         free = direct_resolution(x, -4)[0]  # deep enough for T^2 k's band
         for d in range(-1, 3):
             assert derived_hom(x, k, d) == hom_h0(free, k, d), (x, d)
+        check_ext_into_k(x, stalks, parities)
         seen += 1
     assert seen == {2: 48, 3: 141}[ring.p]
+    assert parities == {0, 1}
 
 
 def test_spliced_resolution_is_minimal_and_exact_below_the_cut():
@@ -265,16 +289,21 @@ def test_second_resolution_of_a_complex_does_no_elimination(monkeypatch):
     monkeypatch.setattr(complexes, "subspace_canonicalize", counting("embed", embed))
     first = syzygy_class(x)
     assert calls["build"] == 1 and calls["embed"] == 0 and not first.is_zero()
-    # every derived_hom out of x reads the window or its tail, however high
-    # T^d k sits; only the Hom complex is eliminated.  Its band [-d-1, -d+1]
-    # holds both cut-1 and cut only for d = -cut, -cut+1: no other probe
-    # reads d^(cut-1), so none builds the embedding
+    # Ext into k reads ranks alone: no probe, at any d, builds the embedding
     k = module_complex(RModule(ring, (1,)), 0)
-    for d in [*range(-x.max_degree - 2, -cut), *range(-cut + 2, -cut + 8)]:
+    for d in range(-x.max_degree - 2, -cut + 8):
         derived_hom(x, k, d)
     assert calls["build"] == 1 and calls["embed"] == 0
+    # every derived_hom into R out of x reads the window or its tail, however
+    # high T^d R sits; only the Hom complex is eliminated.  Its band
+    # [-d-1, -d+1] holds both cut-1 and cut only for d = -cut, -cut+1: no
+    # other probe reads d^(cut-1), so none builds the embedding
+    r = module_complex(RModule(ring, (ring.n,)), 0)
+    for d in [*range(-x.max_degree - 2, -cut), *range(-cut + 2, -cut + 8)]:
+        derived_hom(x, r, d)
+    assert calls["build"] == 1 and calls["embed"] == 0
     for d in (-cut, -cut + 1, -cut):
-        derived_hom(x, k, d)
+        derived_hom(x, r, d)
     assert calls["build"] == 1 and calls["embed"] == 1
     monkeypatch.setattr(linalg, "_eliminate", counting("eliminate", eliminate))
     monkeypatch.setattr(rmodule, "jordan_basis", counting("jordan", jordan))
@@ -316,7 +345,8 @@ def test_inj_boundedness_of_a_resolved_complex_eliminates_nothing(monkeypatch):
 
 def test_a_second_derived_hom_builds_no_hom_basis_maps(count_calls, rebind):
     # Hom bases depend only on Jordan types: a fresh complex with the types
-    # of one already read reads the maps that first derived_hom built
+    # of one already read reads the maps that first derived_hom built.  The
+    # target is R, not k: Ext into k reads ranks and builds no Hom basis
     built = count_calls(RModuleMap)
     in_bases = []
 
@@ -329,16 +359,16 @@ def test_a_second_derived_hom_builds_no_hom_basis_maps(count_calls, rebind):
     rebind(hom_basis, counting_hom_basis)
     first_builds = 0
     for ring in SPLICE_RINGS:
-        k = module_complex(RModule(ring, (1,)))
+        r = module_complex(RModule(ring, (ring.n,)))
         for x in splice_samples(ring, seed=ring.p * 11 + ring.n, count=4):
             for d in (-1, 0, 1, 2):
                 in_bases.clear()
-                first = derived_hom(x, k, d)
+                first = derived_hom(x, r, d)
                 asked, first_builds = len(in_bases), first_builds + sum(in_bases)
                 fresh = Complex(ring, {i: x.component(i) for i in x.degrees},
                                 {i: x.differential(i) for i in x.degrees})
                 in_bases.clear()
-                assert derived_hom(fresh, k, d) == first
+                assert derived_hom(fresh, r, d) == first
                 assert in_bases == [0] * asked, (ring, x, d)
     assert first_builds
 
@@ -428,6 +458,54 @@ def test_ext_probe_into_k_reads_the_ranks_of_the_minimal_resolution():
                 want = len(free.component(i).blocks) if i >= cut else \
                     len(omega_by_elimination(syz, cut - 1 - i).blocks)
                 assert derived_hom(x, k, -i) == want, (ring, x, i)
+
+
+@pytest.mark.parametrize("ring", EXT_RINGS, ids=str)
+def test_ext_into_a_stalk_of_k_matches_the_hom_complex_route(ring):
+    parities = set()
+    for x in splice_samples(ring, seed=ring.p * 31 + ring.n, count=8):
+        check_ext_into_k(x, k_stalks(ring), parities)
+    assert parities == {0, 1}
+
+
+def test_ext_into_k_of_a_resolved_complex_eliminates_and_builds_nothing(count_calls):
+    # the probe is m rank P^(j-d): one window build on a fresh complex, and
+    # on a complex is_perfect has resolved a lookup at every d, however deep
+    counts = count_calls(complexes._build_free_approximation, linalg._eliminate, hom_complex,
+                         hom_basis, Complex, complexes.ChainMap, RModuleMap)
+    for ring in SPLICE_RINGS:
+        stalks = [b for _, b in k_stalks(ring)]
+        fresh, resolved = splice_samples(ring, seed=ring.p * 37 + ring.n, count=2)
+        counts.clear()
+        derived_hom(fresh, stalks[0], 3)
+        assert counts["_build_free_approximation"] == 1 and not counts["hom_complex"], ring
+        is_perfect(resolved)
+        counts.clear()
+        for x in (fresh, resolved):
+            for b in stalks:
+                for d in range(-x.max_degree - 3, -x.min_degree + 12):
+                    derived_hom(x, b, d)
+        assert not counts, (ring, counts)
+
+
+@pytest.mark.parametrize("ring", EXT_RINGS, ids=str)
+def test_hom_out_of_k_is_a_betti_number_of_the_dual(ring):
+    # k-duality: Hom(k^m at i, T^d F) = Hom(D F, T^(-i-d) k^m), so it is m
+    # times the rank at -i-d of the minimal resolution of dualize(F).  The
+    # left side runs the Hom-complex route out of the stalk for every F but
+    # a stalk of k^m (6 of these 100 samples)
+    s = Sampler(ring, random.Random(ring.p * 41 + ring.n))
+    stalk = functools.cache(lambda m, i: module_complex(RModule(ring, (1,) * m), i))
+    seen = 0
+    while seen < 20:
+        f = s.complex(-1, 1, max_blocks=2)
+        if f.is_zero():
+            continue
+        seen += 1
+        window = complexes._resolve_window(dualize(f))
+        for m, i in product((1, 2), range(f.min_degree - 2, f.max_degree + 6)):
+            for d in range(-1, 3):
+                assert derived_hom(stalk(m, i), f, d) == m * window.rank(-i - d), (f, m, i, d)
 
 
 def band_sources(ring, seed):
