@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Matrix, kernel_basis, rank, solve
+from .linalg import Matrix, kernel_basis, rank, row_kernel, solve
 from .rmodule import (
     RModule,
     RModuleMap,
@@ -564,12 +564,13 @@ class Resolution:
 
 def _build_free_approximation(x: Complex, depth: int):
     """Top-down construction of the minimal free resolution of x above
-    depth, one free cover of a pullback at a time.
+    depth, one free cover of a pullback at a time, on Python int rows.
 
     At degree i, F^i covers the pullback W_i = { (u, v) in ker d^(i+1) x
-    X^i : eps(u) = d_X(v) }, one kernel_basis of [[d^(i+1), 0], [eps^(i+1),
+    X^i : eps(u) = d_X(v) }, one row_kernel of [[d^(i+1), 0], [eps^(i+1),
     -d_X^i]], modulo xW_i + B_i, where B_i = 0 (+) d_X(X^(i-1)), and
-    (d^i, eps^i) is that cover E.  Why this is exact:
+    (d^i, eps^i) is that cover E, on which x is a block shift: int rows,
+    carried to degree i-1 and each stored once as an array.  Why it is exact:
       * cover: by Nakayama the image of E plus B_i is W_i, so the cone of
         the comparison stays exact and the comparison is a
         quasi-isomorphism above the cut.  It is not degreewise surjective.
@@ -591,21 +592,16 @@ def _build_free_approximation(x: Complex, depth: int):
     top = x.max_degree
     empty = np.zeros((0, 0), dtype=np.int64)
     ranks, diffs, eps = {top + 1: 0}, {top + 1: empty}, {top + 1: empty}
+    d_rows, e_rows = [], []  # d^(i+1) and eps^(i+1)
     for i in range(top, depth - 1, -1):
-        comp = x.component(i)
-        (rows, da), below = diffs[i + 1].shape, eps[i + 1].shape[0]
-        system = np.zeros((rows + below, da + comp.dim), dtype=np.int64)
-        system[:rows, :da] = diffs[i + 1]
-        system[rows:, :da] = eps[i + 1]
-        system[rows:, da:] = -x.differential(i).matrix.a
-        pullback = kernel_basis(Matrix(system, p))
-        action = RModule(ring, (n,) * ranks[i + 1] + comp.blocks).x_action()  # free blocks sort first
-        dx = x.differential(i - 1).matrix
-        boundaries = Matrix.zeros(da, dx.cols, p).vstack(dx)
-        F, E = free_cover(action, pullback, boundaries, ring)
-        ranks[i] = len(F.blocks)
-        diffs[i] = E.a[:da, :]
-        eps[i] = E.a[da:, :]
+        comp, da, dx = x.component(i), ranks[i + 1] * n, x.differential(i).matrix.a.tolist()
+        system = [r + [0] * comp.dim for r in d_rows] + [r + [-v % p for v in b] for r, b in zip(e_rows, dx)]
+        pullback = row_kernel(system, da + comp.dim, p)
+        boundaries = x.differential(i - 1).matrix
+        span = [[0] * boundaries.cols for _ in range(da)] + boundaries.a.tolist()
+        F, E = free_cover((n,) * ranks[i + 1] + comp.blocks, pullback, span, ring)  # free blocks sort first
+        stored, d_rows, e_rows = np.array(E, dtype=np.int64).reshape(len(E), F.dim), E[:da], E[da:]
+        ranks[i], diffs[i], eps[i] = len(F.blocks), stored[:da], stored[da:]
         if not ranks[i] and i <= x.min_degree:
             break
     return ranks, diffs, eps

@@ -1,7 +1,8 @@
 """Exact dense linear algebra over a prime field F_p.
 
 Matrices are thin wrappers around numpy int64 arrays with entries reduced
-mod p; numpy is the interface, for products, stacking and slicing.
+mod p; numpy is the interface, for products, stacking and slicing, but
+the resolution window build runs on Python int rows.
 Entries are reduced once, where data enters: the public Matrix(a, p) and
 every product, negation, scale and transpose reduce, since their
 entries may leave [0, p).  The functions here that allocate a fresh array
@@ -10,7 +11,8 @@ zeros, identity) wrap it as it is, through Matrix._reduced.
 Gaussian elimination has one implementation, _eliminate, and every
 reader runs it once: rref builds the array of its reduced rows, rank and
 new_columns read its pivots alone, and kernel_basis and solve write their
-results from its rows.  It runs on Python int rows: the matrices
+results from its rows; row_new_columns and row_kernel are new_columns and
+kernel_basis on int rows.  It runs on Python int rows: the matrices
 eliminated here are small (a median of 4 x 4 on the resolution path), so
 a numpy update of the whole array per pivot costs more than reducing, in
 plain ints, only the rows with a nonzero entry in the pivot column.
@@ -170,12 +172,28 @@ def rank(m: Matrix) -> int:
     return len(_eliminate(m.a.tolist(), m.p)[1])
 
 
+def row_new_columns(rows: list[list[int]], split: int, p: int) -> list[int]:
+    """new_columns on the int rows of [a | b], a of width split, in place."""
+    return [c - split for c in _eliminate(rows, p)[1] if c >= split]
+
+
 def new_columns(a: Matrix, b: Matrix) -> list[int]:
     """Indices of the columns of b independent of the columns of a and of
     b's earlier columns: the columns a greedy left-to-right span adds, read
     off the pivots of [a | b] past a's columns."""
-    m = a.cols
-    return [c - m for c in _eliminate(a.hstack(b).a.tolist(), a.p)[1] if c >= m]
+    return row_new_columns(a.hstack(b).a.tolist(), a.cols, a.p)
+
+
+def row_kernel(rows: list[list[int]], cols: int, p: int) -> list[list[int]]:
+    """kernel_basis on int rows in [0, p) of width cols, eliminated in place."""
+    rows, pivots = _eliminate(rows, p)
+    free = [j for j in range(cols) if j not in pivots]
+    basis = [[0] * len(free) for _ in range(cols)]
+    for k, j in enumerate(free):
+        basis[j][k] = 1
+    for row, pc in zip(rows, pivots):
+        basis[pc] = [-row[j] % p for j in free]
+    return basis
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -184,15 +202,9 @@ def kernel_basis(m: Matrix) -> Matrix:
     Returns a cols(m) x (cols(m) - rank) matrix; the standard free-variable
     parametrization read off the eliminated rows.
     """
-    p, n = m.p, m.cols
-    rows, pivots = _eliminate(m.a.tolist(), p)
-    free = [j for j in range(n) if j not in pivots]
-    basis = [[0] * len(free) for _ in range(n)]
-    for k, j in enumerate(free):
-        basis[j][k] = 1
-    for row, pc in zip(rows, pivots):
-        basis[pc] = [-row[j] % p for j in free]
-    return Matrix._reduced(np.array(basis, dtype=np.int64).reshape(n, len(free)), p)
+    basis = row_kernel(m.a.tolist(), m.cols, m.p)
+    width = len(basis[0]) if basis else 0
+    return Matrix._reduced(np.array(basis, dtype=np.int64).reshape(m.cols, width), m.p)
 
 
 def solve(m: Matrix, rhs: Matrix) -> Matrix | None:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Matrix, is_prime, kernel_basis, new_columns, rank, rref, solve
+from .linalg import Matrix, is_prime, kernel_basis, new_columns, rank, row_new_columns, rref, solve
 
 
 @dataclass(frozen=True)
@@ -387,21 +387,32 @@ def subquotient(f: RModuleMap, which: str) -> tuple[RModule, RModuleMap]:
     raise ValueError("which must be kernel|image|cokernel, got %r" % which)
 
 
-def free_cover(action: Matrix, basis: Matrix, span: Matrix, ring: Ring) -> tuple[RModule, Matrix]:
+def shift_rows(rows: list[list[int]], blocks: tuple[int, ...], t: int) -> list[list[int]]:
+    """x^t M for the int rows of M in canonical coordinates of type blocks:
+    row s + u of a block at s is row s + u - t of M, or 0 if u < t.  M's
+    rows are reused, not copied."""
+    offsets = [u for j in blocks for u in range(j)]
+    return [rows[r - t] if u >= t else [0] * len(rows[r]) for r, u in enumerate(offsets)]
+
+
+def free_cover(blocks: tuple[int, ...], basis: list[list[int]], span: list[list[int]],
+               ring: Ring) -> tuple[RModule, list[list[int]]]:
     """Minimal free cover of the x-stable span W of the columns of basis,
     modulo an x-stable U inside W spanned by the columns of span.
 
-    action is the x-action on the ambient coordinates.  The generators
-    w_k are the columns of basis that are independent modulo xW + U, the
-    span of the columns of action @ basis and of span: they lift a basis
-    of the top of W/U.
-    Returns (F, E) with F = R^(#generators) and E[:, k*n + t] = action^t w_k,
-    so action @ E = E @ F.x_action() and, by Nakayama, the columns of E
-    and of span together span W.  An empty span covers W itself.
+    basis and span are int rows in the canonical coordinates of Jordan type
+    blocks, where x is shift_rows.  The generators w_k are the columns of
+    basis independent modulo xW + U, read off one elimination of
+    [xB | span | B]: they lift a basis of the top of W/U.  Returns (F, E),
+    F = R^(#generators) and E the int rows with column k*n + t = x^t w_k,
+    so x E = E F.x_action() and, by Nakayama, the columns of E and of span
+    together span W.  An empty span (rows of width 0) covers W itself.
     """
-    heads = new_columns((action @ basis).hstack(span), basis)
-    E = _chains(action, basis.a[:, heads], ring.n)
-    return free_module(ring, len(heads)), Matrix(E, ring.p)
+    stacked = [xb + u + b for xb, u, b in zip(shift_rows(basis, blocks, 1), span, basis)]
+    heads = row_new_columns(stacked, len(basis[0]) + len(span[0]) if basis else 0, ring.p)
+    w = [[row[h] for h in heads] for row in basis]  # the columns w_k
+    chains = zip(*(shift_rows(w, blocks, t) for t in range(ring.n)))
+    return free_module(ring, len(heads)), [[c[k] for k in range(len(heads)) for c in cs] for cs in chains]
 
 
 def projective_cover_and_syzygy(m: RModule) -> tuple[RModule, RModuleMap, RModule, RModuleMap]:
@@ -414,8 +425,8 @@ def projective_cover_and_syzygy(m: RModule) -> tuple[RModule, RModuleMap, RModul
     contains a free summand.
     """
     p = m.ring.p
-    F, E = free_cover(m.x_action(), Matrix.identity(m.dim, p), Matrix.zeros(m.dim, 0, p), m.ring)
-    cover = RModuleMap(F, m, E)
+    F, E = free_cover(m.blocks, Matrix.identity(m.dim, p).a.tolist(), [[]] * m.dim, m.ring)
+    cover = RModuleMap(F, m, Matrix(np.array(E, dtype=np.int64).reshape(m.dim, F.dim), p))
     syz, incl = subquotient(cover, "kernel")
     return F, cover, syz, incl
 

@@ -1,7 +1,8 @@
 """Operations that only the tests perform: sums and negatives of maps
 and matrices, direct sums of complexes with their injection and
 projection chain maps, composites along a tower, amplitudes, shifted ball
-families, the separating stalks of an equivalence report, a resolution
+families, the separating stalks of an equivalence report, the numpy
+window build that the int-row build is checked against, a resolution
 built by an independent elimination, the periodic tail below a given
 embedding as a generator, the eagerly spliced resolution that bands are
 read against, derived Hom through the Hom complex for every target, and
@@ -24,11 +25,12 @@ from tricomplete.complexes import (
     module_complex,
     projective_resolution,
 )
-from tricomplete.linalg import Matrix, kernel_basis, rank, solve
+from tricomplete.linalg import Matrix, kernel_basis, new_columns, rank, solve
 from tricomplete.metric import GoodMetric
 from tricomplete.rmodule import (
     RModule,
     RModuleMap,
+    _chains,
     _tail_stage,
     cover_matrix,
     direct_sum,
@@ -109,6 +111,45 @@ def separating_complexes(report, ring):
 # -- a resolution built by another algorithm ------------------------------------
 
 
+def numpy_free_cover(action, basis, span, ring):
+    """free_cover as the library computed it on numpy arrays, from the
+    x-action matrix: the heads are the columns of basis new beside those of
+    action @ basis and span, and E holds the chains action^t of each head,
+    column k*n + t.  Returns (F, E) with E a Matrix."""
+    heads = new_columns((action @ basis).hstack(span), basis)
+    E = _chains(action, basis.a[:, heads], ring.n)
+    return free_module(ring, len(heads)), Matrix(E, ring.p)
+
+
+def numpy_free_approximation(x, depth):
+    """_build_free_approximation as the library computed it before its
+    window build ran on int rows: the same pullbacks and covers, assembled
+    with numpy arrays and numpy_free_cover.  Returns (ranks, diffs, eps)."""
+    ring = x.ring
+    p, n = ring.p, ring.n
+    top = x.max_degree
+    empty = np.zeros((0, 0), dtype=np.int64)
+    ranks, diffs, eps = {top + 1: 0}, {top + 1: empty}, {top + 1: empty}
+    for i in range(top, depth - 1, -1):
+        comp = x.component(i)
+        (rows, da), below = diffs[i + 1].shape, eps[i + 1].shape[0]
+        system = np.zeros((rows + below, da + comp.dim), dtype=np.int64)
+        system[:rows, :da] = diffs[i + 1]
+        system[rows:, :da] = eps[i + 1]
+        system[rows:, da:] = -x.differential(i).matrix.a
+        pullback = kernel_basis(Matrix(system, p))
+        action = RModule(ring, (n,) * ranks[i + 1] + comp.blocks).x_action()  # free blocks sort first
+        dx = x.differential(i - 1).matrix
+        boundaries = Matrix.zeros(da, dx.cols, p).vstack(dx)
+        F, E = numpy_free_cover(action, pullback, boundaries, ring)
+        ranks[i] = len(F.blocks)
+        diffs[i] = E.a[:da, :]
+        eps[i] = E.a[da:, :]
+        if not ranks[i] and i <= x.min_degree:
+            break
+    return ranks, diffs, eps
+
+
 def full_pullback_cover(x, depth):
     """The free approximation of x above depth that the library built
     before it built its window minimal.  Returns (ranks, diffs, eps) as
@@ -131,11 +172,9 @@ def full_pullback_cover(x, depth):
         null = kernel_basis((Matrix(eps[i + 1], p) @ K).hstack(-x.differential(i).matrix))
         u_part = K @ Matrix(null.a[:K.cols, :], p)
         v_part = Matrix(null.a[K.cols:, :], p)
-        act = np.zeros((da + comp.dim, da + comp.dim), dtype=np.int64)
-        act[:da, :da] = free_module(ring, ranks[i + 1]).x_action().a
-        act[da:, da:] = comp.x_action().a
         whole = u_part.vstack(v_part)
-        F, E = free_cover(Matrix(act, p), whole, Matrix.zeros(whole.rows, 0, p), ring)
+        F, rows = free_cover((n,) * ranks[i + 1] + comp.blocks, whole.a.tolist(), [[]] * whole.rows, ring)
+        E = Matrix(np.array(rows, dtype=np.int64).reshape(whole.rows, F.dim), p)
         ranks[i] = len(F.blocks)
         diffs[i] = E.a[:da, :]
         eps[i] = E.a[da:, :]

@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricomplete.linalg import Matrix, inv_mod, kernel_basis, new_columns, rank, rref, solve
+from tricomplete.linalg import (
+    Matrix,
+    inv_mod,
+    kernel_basis,
+    new_columns,
+    rank,
+    row_kernel,
+    row_new_columns,
+    rref,
+    solve,
+)
 
 
 def mat(rows, p):
@@ -140,18 +150,25 @@ def test_rref_matches_numpy_reference_byte_for_byte(p):
 def test_every_reader_runs_the_one_engine_once(monkeypatch):
     import sys
 
-    from tricomplete import cli, linalg, randomgen  # noqa: F401  (with the package, every module)
+    from tricomplete import cli, complexes, linalg, randomgen, rmodule  # noqa: F401  (every module)
 
     engine, calls = linalg._eliminate, []
     monkeypatch.setattr(linalg, "_eliminate", lambda rows, p: calls.append(p) or engine(rows, p))
     m, b = Matrix([[1, 2, 0], [2, 1, 1]], 3), Matrix([[1], [0]], 3)
     readers = {"rref": lambda: rref(m), "rank": lambda: rank(m), "new_columns": lambda: new_columns(m, b),
-               "kernel_basis": lambda: kernel_basis(m), "solve": lambda: solve(m, b)}
+               "kernel_basis": lambda: kernel_basis(m), "solve": lambda: solve(m, b),
+               "row_kernel": lambda: row_kernel(m.a.tolist(), m.cols, 3),
+               "row_new_columns": lambda: row_new_columns(m.hstack(b).a.tolist(), m.cols, 3)}
     for name, read in readers.items():
         calls.clear()
         read()
         assert calls == [3], name
-    # modules bind the readers by name, never the engine
+    # the Matrix readers are wrappers of the row-level cores
+    assert kernel_basis(m).a.tolist() == row_kernel(m.a.tolist(), m.cols, 3)
+    assert new_columns(m, b) == row_new_columns(m.hstack(b).a.tolist(), m.cols, 3)
+    # modules bind the readers by name, the row-level cores included, never
+    # the engine: the window build reaches it through row_kernel and free_cover
+    assert complexes.row_kernel is linalg.row_kernel and rmodule.row_new_columns is linalg.row_new_columns
     binders = [name for name, mod in sys.modules.items()
                if name.split(".")[0] == "tricomplete" and name != "tricomplete.linalg"
                and any(v is engine or k == "_eliminate" for k, v in vars(mod).items())]

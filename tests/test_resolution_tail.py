@@ -58,6 +58,7 @@ from reference import (
     eager_splice,
     full_pullback_cover,
     hom_complex_derived_hom,
+    numpy_free_approximation,
     split_unit_entries,
     two_term_complexes,
 )
@@ -219,6 +220,62 @@ def test_window_is_built_minimal(ring):
     # the whole pullback builds and then has to split off
     surplus = [check_window(x) for x in splice_samples(ring, seed=ring.p * 23 + ring.n, count=8)]
     assert min(surplus) >= 0 and sum(surplus[1::2]) > 0, surplus
+
+
+# -- the int-row window build against the numpy build -------------------------------
+
+
+ORACLE_RINGS = (Ring(2, 2), Ring(3, 3), Ring(2, 4), Ring(5, 2), Ring(3, 4), Ring(2, 1))
+
+
+def oracle_samples(ring):
+    """Every two-term complex over F_2[x]/(x^2) and F_3[x]/(x^2), and 60
+    sampled complexes on degrees -1..1 over every ring."""
+    if (ring.p, ring.n) in ((2, 2), (3, 2)):
+        yield from (x for x in two_term_complexes(ring) if not x.is_zero())
+    s = Sampler(ring, random.Random(ring.p * 43 + ring.n))
+    for _ in range(60):
+        x = s.complex(-1, 1, max_blocks=3)
+        if not x.is_zero():
+            yield x
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS + (Ring(3, 2),), ids=str)
+def test_window_build_matches_the_numpy_build_byte_for_byte(ring):
+    built = 0
+    for x in oracle_samples(ring):
+        cut = x.min_degree - 1
+        for depth in (cut, cut - 2):
+            got, want = _build_free_approximation(x, depth), numpy_free_approximation(x, depth)
+            assert got[0] == want[0], (x, depth)
+            for arrays, ref in zip(got[1:], want[1:]):
+                assert arrays.keys() == ref.keys(), (x, depth)
+                for i, a in arrays.items():
+                    assert a.dtype == ref[i].dtype == np.int64, (x, depth, i)
+                    assert a.shape == ref[i].shape and a.tobytes() == ref[i].tobytes(), (x, depth, i)
+            built += 1
+        window = complexes._resolve_window(x)
+        for a in (*window.diffs.values(), *window.eps.values()):
+            assert not a.flags.writeable, x
+            if a.size:
+                with pytest.raises(ValueError):
+                    a[0, 0] = a[0, 0]
+    assert built >= 80, built
+
+
+def test_window_build_runs_the_eliminations_of_the_numpy_build(count_calls):
+    # two per degree, a pullback kernel and a cover: the int rows remove
+    # glue, not eliminations
+    counts = count_calls(linalg._eliminate)
+    for ring in ORACLE_RINGS:
+        for x in splice_samples(ring, seed=ring.p * 47 + ring.n):
+            for depth in (x.min_degree - 1, x.min_degree - 3):
+                counts.clear()
+                numpy_free_approximation(x, depth)
+                want = counts["_eliminate"]
+                counts.clear()
+                ranks = _build_free_approximation(x, depth)[0]
+                assert counts["_eliminate"] == want == 2 * (len(ranks) - 1), (x, depth)
 
 
 EXT_RINGS = (Ring(2, 2), Ring(3, 3), Ring(2, 4), Ring(5, 2), Ring(3, 4))

@@ -20,6 +20,7 @@ from tricomplete.rmodule import (
     omega_power,
     projective_cover_and_syzygy,
     quotient_canonicalize,
+    shift_rows,
     stable_hom,
     subquotient,
     subspace_canonicalize,
@@ -452,6 +453,24 @@ def test_subquotient_dimensions(data):
 # -- covers and syzygies ----------------------------------------------------
 
 
+@pytest.mark.parametrize("ring", (Ring(2, 2), Ring(3, 3), Ring(2, 4), Ring(5, 2)), ids=str)
+def test_shift_rows_is_the_power_of_the_x_action(ring):
+    # every Jordan type with at most three blocks, the zero module included,
+    # on random matrices of 0 to 3 columns, for x^0 up to x^n
+    rng = random.Random(ring.p * 41 + ring.n)
+    sizes = range(ring.n, 0, -1)
+    for blocks in (b for k in range(4) for b in itertools.combinations_with_replacement(sizes, k)):
+        m = RModule(ring, blocks)
+        for width in range(4):
+            M = Matrix([[rng.randrange(ring.p) for _ in range(width)] for _ in range(m.dim)], ring.p) \
+                if m.dim else Matrix.zeros(0, width, ring.p)
+            rows, power = M.a.tolist(), Matrix.identity(m.dim, ring.p)
+            for t in range(ring.n + 1):
+                assert shift_rows(rows, m.blocks, t) == (power @ M).a.tolist(), (blocks, width, t)
+                power = m.x_action() @ power
+            assert rows == M.a.tolist()
+
+
 def test_free_cover_of_kernels_and_whole_modules():
     # E is an R-map F -> ambient onto W modulo U, and F has one generator
     # per block of W/U.  U is empty, or the image of a random endomorphism
@@ -477,7 +496,8 @@ def test_free_cover_of_kernels_and_whole_modules():
                 W, emb = subspace_canonicalize(action, basis, ring)
                 for h in (Matrix.zeros(W.dim, 0, ring.p), combination(W, W)):
                     span = emb @ h
-                    F, E = free_cover(action, basis, span, ring)
+                    F, rows = free_cover(m.blocks, basis.a.tolist(), span.a.tolist(), ring)
+                    E = Matrix(np.array(rows, dtype=np.int64).reshape(m.dim, F.dim), ring.p)
                     assert F.is_free()
                     assert action @ E == E @ F.x_action()
                     assert rank(E.hstack(span)) == rank(basis) == rank(E.hstack(span).hstack(basis))
