@@ -569,8 +569,8 @@ def _build_free_approximation(x: Complex, depth: int):
     At degree i, F^i covers the pullback W_i = { (u, v) in ker d^(i+1) x
     X^i : eps(u) = d_X(v) }, one row_kernel of [[d^(i+1), 0], [eps^(i+1),
     -d_X^i]], modulo xW_i + B_i, where B_i = 0 (+) d_X(X^(i-1)), and
-    (d^i, eps^i) is that cover E, on which x is a block shift: int rows,
-    carried to degree i-1 and each stored once as an array.  Why it is exact:
+    (d^i, eps^i) is that cover E, built on int rows with x as a block shift
+    (free_cover) and carried to degree i-1 as rows.  Why this is exact:
       * cover: by Nakayama the image of E plus B_i is W_i, so the cone of
         the comparison stays exact and the comparison is a
         quasi-isomorphism above the cut.  It is not degreewise surjective.
