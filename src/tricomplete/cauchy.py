@@ -319,7 +319,8 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
     it is the identity on the same data.  The tail tower's colimit
     vanishes outside the window iff its representative's cohomology
     support lies inside it.  A prefix-only tower is scanned: the least k
-    whose maps up to the horizon are isomorphisms on H^i.
+    whose maps up to the horizon are isomorphisms on H^i, found by walking
+    down from the horizon, so each connecting map is read at most once.
     """
     if certificate.verdict == "not_cauchy":
         raise PreconditionError("tower is not Cauchy for %s: no colimit in the completion"
@@ -338,10 +339,11 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
             data = cohomology_data(tower.complex_at(k_i), i)
         else:
             datas = {k: cohomology_data(tower.complex_at(k), i) for k in range(1, h + 1) if h > 1}
-            k_i = next((k0 for k0 in range(1, h) if all(
-                cohomology_map(tower.map_at(k), i, datas[k], datas[k + 1]).is_isomorphism()
-                for k in range(k0, h))), None)
-            data = datas.get(k_i)
+            k_i = h
+            while k_i > 1 and cohomology_map(tower.map_at(k_i - 1), i, datas[k_i - 1],
+                                             datas[k_i]).is_isomorphism():
+                k_i -= 1
+            data = datas[k_i] if k_i < h else None
         if data is None:
             table.inconclusive.append(i)
         else:

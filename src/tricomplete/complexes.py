@@ -487,14 +487,8 @@ def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
 def _reversal(m: RModule) -> Matrix:
     """Blockwise antidiagonal; conjugates the transposed x-action back to
     canonical form.  Self-inverse."""
-    d = m.dim
-    arr = np.zeros((d, d), dtype=np.int64)
-    at = 0
-    for j in m.blocks:
-        for t in range(j):
-            arr[at + j - 1 - t, at + t] = 1
-        at += j
-    return Matrix(arr, m.ring.p)
+    ones = [(s + j - 1 - t, s + t) for j, s in zip(m.blocks, m.block_starts()) for t in range(j)]
+    return Matrix.units(m.dim, m.dim, ones, m.ring.p)
 
 
 def dual_map(f: RModuleMap) -> RModuleMap:

@@ -6,8 +6,8 @@ the resolution window build runs on Python int rows.
 Entries are reduced once, where data enters: the public Matrix(a, p) and
 every product, negation, scale and transpose reduce, since their
 entries may leave [0, p).  The functions here that allocate a fresh array
-from entries already in [0, p) (rref, kernel_basis, solve, hstack, vstack,
-zeros, identity) wrap it as it is, through Matrix._reduced.
+from entries already in [0, p) (rref, kernel_basis, solve, hstack, zeros,
+identity, units) wrap it as it is, through Matrix._reduced.
 Gaussian elimination has one implementation, _eliminate, and every
 reader runs it once: rref builds the array of its reduced rows, rank and
 new_columns read its pivots alone, and kernel_basis and solve write their
@@ -68,6 +68,14 @@ class Matrix:
     def identity(n: int, p: int) -> "Matrix":
         return Matrix._reduced(np.eye(n, dtype=np.int64), p)
 
+    @staticmethod
+    def units(rows: int, cols: int, ones: list[tuple[int, int]], p: int) -> "Matrix":
+        """The 0/1 matrix with a 1 at each (row, column) in ones."""
+        a = np.zeros((rows, cols), dtype=np.int64)
+        for r, c in ones:
+            a[r, c] = 1
+        return Matrix._reduced(a, p)
+
     # -- shape --------------------------------------------------------
 
     @property
@@ -123,12 +131,6 @@ class Matrix:
             raise ValueError("row mismatch in hstack")
         return Matrix._reduced(np.hstack([self.a, other.a]), self.p)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._same_field(other)
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return Matrix._reduced(np.vstack([self.a, other.a]), self.p)
-
 
 def _eliminate(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan elimination, in place, of rows of Python ints in [0, p):
@@ -139,8 +141,10 @@ def _eliminate(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if rows[pr][c]:
+                break
+        else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = inv_mod(rows[r][c], p)

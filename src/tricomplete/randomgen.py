@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import kernel_basis
 from .rmodule import RModule, RModuleMap, Ring
-from .complexes import ChainMap, Complex, hom_combination, hom_complex, module_complex, zero_complex
+from .complexes import ChainMap, Complex, hom_combination, hom_complex, module_complex
 
 
 class Sampler:
@@ -48,8 +48,6 @@ class Sampler:
             m = self.module(max_blocks=max_blocks)
             if not m.is_zero():
                 comps[i] = m
-        if not comps:
-            return zero_complex(self.ring)
         diffs: dict[int, RModuleMap] = {}
         for i in sorted(comps):
             if i + 1 not in comps:

@@ -78,18 +78,18 @@ class RModule:
         return "0" if not self.blocks else "+".join("[%d]" % j for j in self.blocks)
 
 
+def _frozen(matrix: Matrix) -> Matrix:
+    """A cached closed form, shared by every caller: its array refuses writes."""
+    matrix.a.flags.writeable = False
+    return matrix
+
+
 @lru_cache(maxsize=None)
 def _x_action(ring: Ring, blocks: tuple[int, ...]) -> Matrix:
-    d = sum(blocks)
-    m = np.zeros((d, d), dtype=np.int64)
-    at = 0
-    for j in blocks:
-        for t in range(j - 1):
-            m[at + t + 1, at + t] = 1
-        at += j
-    action = Matrix(m, ring.p)
-    action.a.flags.writeable = False  # shared by every caller: read-only
-    return action
+    """The lower shift: row r takes row r - 1 unless r starts a block."""
+    offsets = [u for j in blocks for u in range(j)]
+    ones = [(r, r - 1) for r, u in enumerate(offsets) if u]
+    return _frozen(Matrix.units(len(offsets), len(offsets), ones, ring.p))
 
 
 @lru_cache(maxsize=None)
@@ -155,25 +155,20 @@ class RModuleMap:
         return (self.source, self.target, self.matrix) == (other.source, other.target, other.matrix)
 
 
-def _shared(f: RModuleMap) -> RModuleMap:
-    f.matrix.a.flags.writeable = False  # shared by every caller: read-only
-    return f
-
-
 @lru_cache(maxsize=1024)
 def zero_map(source: RModule, target: RModule) -> RModuleMap:
     """The zero map source -> target: built once per pair of Jordan types,
     then shared, its matrix read-only."""
     if source.ring != target.ring:
         raise ValueError("ring mismatch: %s vs %s" % (source.ring, target.ring))
-    return _shared(RModuleMap._trusted(source, target, Matrix.zeros(target.dim, source.dim, source.ring.p)))
+    return RModuleMap._trusted(source, target, _frozen(Matrix.zeros(target.dim, source.dim, source.ring.p)))
 
 
 @lru_cache(maxsize=1024)
 def identity_map(m: RModule) -> RModuleMap:
     """The identity of m: built once per Jordan type, then shared, its
     matrix read-only."""
-    return _shared(RModuleMap._trusted(m, m, Matrix.identity(m.dim, m.ring.p)))
+    return RModuleMap._trusted(m, m, _frozen(Matrix.identity(m.dim, m.ring.p)))
 
 
 # -- Jordan canonicalization ----------------------------------------------
@@ -201,15 +196,13 @@ def jordan_basis(a: Matrix) -> tuple[tuple[int, ...], Matrix]:
     t, so together they complete those to a basis of ker(a^t).
     """
     p, d = a.p, a.rows
-    if d == 0:
-        return (), Matrix.zeros(0, 0, p)
     kernels = [Matrix.zeros(d, 0, p)]
     power = Matrix.identity(d, p)
     while kernels[-1].cols < d:
         power = power @ a
         kernels.append(kernel_basis(power))
     blocks: list[int] = []
-    chains = []
+    chains = [kernels[0].a]  # d x 0, so that the zero module stacks too
     tails = Matrix.zeros(d, 0, p)  # the heads so far, pushed down to height t
     for t in range(len(kernels) - 1, 0, -1):
         heads = kernels[t].a[:, new_columns(kernels[t - 1].hstack(tails), kernels[t])]
@@ -226,8 +219,6 @@ def subspace_canonicalize(action: Matrix, basis: Matrix, ring: Ring) -> tuple[RM
     Returns (M, E) with M canonical and E an embedding matrix in ambient
     coordinates satisfying action @ E = E @ M.x_action().
     """
-    if basis.cols == 0:
-        return zero_module(ring), Matrix.zeros(action.rows, 0, ring.p)
     induced = solve(basis, action @ basis)
     if induced is None:
         raise ValueError("subspace is not x-stable")
@@ -298,24 +289,18 @@ def direct_sum(summands: list[RModule], ring: Ring) -> tuple[RModule, list[RModu
 def _direct_sum(summands: tuple[RModule, ...], ring: Ring):
     if any(m.ring != ring for m in summands):
         raise ValueError("ring mismatch: summands must lie over %s" % ring)
-    p = ring.p
-    tagged = []  # (size, summand index, start within summand)
-    for si, m in enumerate(summands):
-        for size, start in zip(m.blocks, m.block_starts()):
-            tagged.append((size, si, start))
-    order = sorted(range(len(tagged)), key=lambda i: (-tagged[i][0], tagged[i][1]))
-    total = RModule(ring, tuple(tagged[i][0] for i in order))
-    inj_arrays = [np.zeros((total.dim, m.dim), dtype=np.int64) for m in summands]
+    # (size, summand index, start within summand), in canonical order: sizes descending, ties by summand
+    tagged = sorted(((size, si, start) for si, m in enumerate(summands)
+                     for size, start in zip(m.blocks, m.block_starts())), key=lambda b: (-b[0], b[1]))
+    total = RModule(ring, tuple(size for size, _, _ in tagged))
+    ones = [[] for _ in summands]  # injection si sends start + t to at + t
     at = 0
-    for i in order:
-        size, si, start = tagged[i]
-        for t in range(size):
-            inj_arrays[si][at + t, start + t] = 1
+    for size, si, start in tagged:
+        ones[si] += [(at + t, start + t) for t in range(size)]
         at += size
-    injections = tuple(_shared(RModuleMap._trusted(m, total, Matrix(arr, p)))
-                       for m, arr in zip(summands, inj_arrays))
-    projections = tuple(_shared(RModuleMap._trusted(total, m, Matrix(arr.T, p)))
-                        for m, arr in zip(summands, inj_arrays))
+    injs = [_frozen(Matrix.units(total.dim, m.dim, o, ring.p)) for m, o in zip(summands, ones)]
+    injections = tuple(RModuleMap._trusted(m, total, e) for m, e in zip(summands, injs))
+    projections = tuple(RModuleMap._trusted(total, m, _frozen(e.T)) for m, e in zip(summands, injs))
     return total, injections, projections
 
 
@@ -355,12 +340,11 @@ def _hom_basis(m: RModule, nn: RModule) -> tuple[RModuleMap, ...]:
     for a, sa in zip(m.blocks, m.block_starts()):
         for b, sb in zip(nn.blocks, nn.block_starts()):
             for s in range(max(0, b - a), b):
-                f = np.zeros((dn, dm), dtype=np.int64)
-                t = np.arange(b - s)
-                f[sb + s + t, sa + t] = 1
-                keyed.append((sa * dn + sb + s if free else (sb + b - 1) * dm + sa + b - s - 1, f))
+                keyed.append((sa * dn + sb + s if free else (sb + b - 1) * dm + sa + b - s - 1,
+                              [(sb + s + t, sa + t) for t in range(b - s)]))
     keyed.sort(key=lambda kf: kf[0])
-    return tuple(_shared(RModuleMap._trusted(m, nn, Matrix(f, m.ring.p))) for _, f in keyed)
+    return tuple(RModuleMap._trusted(m, nn, _frozen(Matrix.units(dn, dm, ones, m.ring.p)))
+                 for _, ones in keyed)
 
 
 # -- kernels, images, cokernels --------------------------------------------
@@ -449,10 +433,9 @@ def cover_matrix(m: RModule) -> Matrix:
     """The canonical cover R^(#blocks) ->> m in closed form: x^t e_s goes to
     x^t times the generator of block s, and to 0 once t reaches its size."""
     n = m.ring.n
-    a = np.zeros((m.dim, len(m.blocks) * n), dtype=np.int64)
-    for s, (b, start) in enumerate(zip(m.blocks, m.block_starts())):
-        a[start + np.arange(b), s * n + np.arange(b)] = 1
-    return Matrix(a, m.ring.p)
+    ones = [(start + t, s * n + t)
+            for s, (b, start) in enumerate(zip(m.blocks, m.block_starts())) for t in range(b)]
+    return Matrix.units(m.dim, len(m.blocks) * n, ones, m.ring.p)
 
 
 def syzygy_embedding(m: RModule) -> tuple[RModule, Matrix]:
@@ -470,11 +453,9 @@ def syzygy_embedding(m: RModule) -> tuple[RModule, Matrix]:
     n = m.ring.n
     heads = sorted((s for s, b in enumerate(m.blocks) if b < n), key=lambda s: m.blocks[s])
     omega = RModule(m.ring, tuple(n - m.blocks[s] for s in heads))
-    a = np.zeros((len(m.blocks) * n, omega.dim), dtype=np.int64)
-    for s, start in zip(heads, omega.block_starts()):
-        b = m.blocks[s]
-        a[s * n + b + np.arange(n - b), start + np.arange(n - b)] = 1
-    return omega, Matrix(a, m.ring.p)
+    ones = [(s * n + m.blocks[s] + t, start + t)
+            for s, start in zip(heads, omega.block_starts()) for t in range(n - m.blocks[s])]
+    return omega, Matrix.units(len(m.blocks) * n, omega.dim, ones, m.ring.p)
 
 
 @lru_cache(maxsize=1024)
@@ -486,8 +467,7 @@ def _tail_stage(m: RModule) -> tuple[int, Matrix, RModule, RModule]:
     one reader of the 2-periodic tail: resolution bands and truncation
     towers both walk m -> Omega^2 m through it, eliminating nothing."""
     omega, embedding = syzygy_embedding(m)
-    d = embedding @ cover_matrix(omega)
-    d.a.flags.writeable = False  # shared by every caller: read-only
+    d = _frozen(embedding @ cover_matrix(omega))
     return len(omega.blocks), d, omega, RModule(m.ring, syzygy_type(omega))
 
 
@@ -510,8 +490,6 @@ def stable_hom(m: RModule, nn: RModule) -> tuple[int, list[RModuleMap]]:
     if m.ring != nn.ring:
         raise ValueError("ring mismatch")
     basis = hom_basis(m, nn)
-    if not basis:
-        return 0, []
     P, cover, _, _ = projective_cover_and_syzygy(nn)
 
     def flattened(mats: list[Matrix]) -> Matrix:  # one column per map

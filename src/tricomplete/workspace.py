@@ -197,9 +197,7 @@ class _Parser:
             vals = [int(e) for e in entries]
         except ValueError:
             raise self.error("%s: entries must be integers" % what)
-        arr = np.array(vals, dtype=np.int64).reshape(rows, cols) if vals else \
-            np.zeros((rows, cols), dtype=np.int64)
-        return Matrix(arr, p)
+        return Matrix(np.array(vals, dtype=np.int64).reshape(rows, cols), p)
 
     def _parse_complex(self, ws: Workspace, name: str) -> Complex:
         comps: dict[int, RModule] = {}

@@ -140,7 +140,7 @@ def numpy_free_approximation(x, depth):
         pullback = kernel_basis(Matrix(system, p))
         action = RModule(ring, (n,) * ranks[i + 1] + comp.blocks).x_action()  # free blocks sort first
         dx = x.differential(i - 1).matrix
-        boundaries = Matrix.zeros(da, dx.cols, p).vstack(dx)
+        boundaries = Matrix(np.vstack([np.zeros((da, dx.cols), dtype=np.int64), dx.a]), p)
         F, E = numpy_free_cover(action, pullback, boundaries, ring)
         ranks[i] = len(F.blocks)
         diffs[i] = E.a[:da, :]
@@ -172,7 +172,7 @@ def full_pullback_cover(x, depth):
         null = kernel_basis((Matrix(eps[i + 1], p) @ K).hstack(-x.differential(i).matrix))
         u_part = K @ Matrix(null.a[:K.cols, :], p)
         v_part = Matrix(null.a[K.cols:, :], p)
-        whole = u_part.vstack(v_part)
+        whole = Matrix(np.vstack([u_part.a, v_part.a]), p)
         F, rows = free_cover((n,) * ranks[i + 1] + comp.blocks, whole.a.tolist(), [[]] * whole.rows, ring)
         E = Matrix(np.array(rows, dtype=np.int64).reshape(whole.rows, F.dim), p)
         ranks[i] = len(F.blocks)

@@ -20,7 +20,7 @@ from tricomplete.complexes import (
     module_complex,
     zero_complex,
 )
-from tricomplete.metric import length, metric_i, metric_ii, metric_iii, object_length
+from tricomplete.metric import equivalent, length, metric_i, metric_ii, metric_iii, object_length
 from tricomplete.cauchy import (
     CauchyCertificate,
     ColimitTable,
@@ -392,6 +392,26 @@ def test_colimit_matches_the_scan_to_the_horizon():
     assert tables >= 1308
 
 
+def test_prefix_colimit_reads_each_connecting_map_once(count_calls):
+    # k0 -> ... -> k0 -> 0: only the last map fails on H^0, which a scan
+    # from every start would find h - 1 times
+    for ring in (R22, Ring(3, 3)):
+        x = module_complex(RModule(ring, (1,)), 0)
+        for h in (4, 8, 16):
+            zero = zero_complex(ring)
+            t = prefix_tower([x] * (h - 1) + [zero],
+                             [identity_chain_map(x)] * (h - 2) + [ChainMap(x, zero, {})])
+            cert = is_cauchy(t, metric_i(), h, 2)
+            counts = count_calls(cohomology_map)
+            for i in (-1, 0, 1):
+                counts.clear()
+                table = colimit(t, (i, i), h, cert)
+                assert counts["cohomology_map"] <= h - 1, (ring, h, i)
+                ref = scan_colimit(t, (i, i), h)
+                assert (table.entries, table.inconclusive) == (ref.entries, ref.inconclusive)
+            assert colimit(t, (-1, 1), h, cert).inconclusive == [0]
+
+
 def test_tail_colimits_do_not_depend_on_the_horizon():
     rng = random.Random(16)
     for ring in (R22, Ring(3, 3), Ring(2, 4)):
@@ -556,3 +576,33 @@ def test_complete_reads_window_and_representative_off_the_tail_rule(ring, draw_g
                 assert dataclasses.asdict(c.table) == dataclasses.asdict(table)
                 completed += 1
     assert completed > 0
+
+
+def test_equivalent_metrics_give_equal_conclusive_verdicts(draw_good_metric):
+    # the completion is built from Cauchy sequences and balls, so it
+    # depends only on a metric's class under equivalent: within a class no
+    # two conclusive verdicts differ, and every Cauchy verdict reads the
+    # same colimit table.  inconclusive is allowed: a prefix-only tower is
+    # always, and a tail tower may be at a horizon too small for a level
+    # (ROADMAP item 2)
+    rng = random.Random(17)
+    classes = []
+    for m in _certificate_metrics(rng, draw_good_metric, 12):
+        same = next((c for c in classes if equivalent(c[0], m, levels=0).equivalent), None)
+        if same is None:
+            classes.append([m])
+        else:
+            same.append(m)
+    classes = [c for c in classes if len(c) > 1]
+    seen = set()
+    for ring in (R22, Ring(3, 3), Ring(2, 4)):
+        for t in _colimit_towers(ring, rng):
+            for c in classes:
+                certs = [is_cauchy(t, m, 6, 3) for m in c]
+                verdicts = {cert.verdict for cert in certs if cert.conclusive}
+                assert len(verdicts) <= 1, (t.tail, [m.pieces for m in c], [cert.verdict for cert in certs])
+                tables = [dataclasses.asdict(colimit(t, (-2, 2), 6, cert))
+                          for cert in certs if cert.verdict == "cauchy"]
+                assert all(table == tables[0] for table in tables), (t.tail, [m.pieces for m in c])
+                seen |= verdicts
+    assert len(classes) >= 3 and seen == {"cauchy", "not_cauchy"}

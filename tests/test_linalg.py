@@ -243,11 +243,11 @@ def reduced_once_cases(p):
         rows, cols, more = (int(v) for v in rng.integers(0, 7, size=3))
         m = Matrix(rng.integers(-3 * p, 3 * p, size=(rows, cols)), p)
         right = Matrix(rng.integers(-3 * p, 3 * p, size=(rows, more)), p)
-        below = Matrix(rng.integers(-3 * p, 3 * p, size=(more, cols)), p)
+        ones = np.argwhere(rng.integers(0, 2, size=(rows, cols))).tolist()
         yield "rref", (m,), rref(m)[0]
         yield "kernel_basis", (m,), kernel_basis(m)
         yield "hstack", (m, right), m.hstack(right)
-        yield "vstack", (m, below), m.vstack(below)
+        yield "units", (), Matrix.units(rows, cols, ones, p)
         rhs = m @ Matrix(rng.integers(0, p, size=(cols, more)), p)
         yield "solve", (m, rhs), solve(m, rhs)
         yield "zeros", (), Matrix.zeros(rows, cols, p)
@@ -263,7 +263,7 @@ def test_reduced_once_outputs_are_reduced_and_own_their_arrays(p):
         assert out.a.dtype == np.int64, name
         assert ((0 <= out.a) & (out.a < p)).all(), (name, out)
         assert not any(np.shares_memory(out.a, m.a) for m in inputs), name
-    assert seen == {"rref", "kernel_basis", "hstack", "vstack", "solve", "zeros", "identity"}
+    assert seen == {"rref", "kernel_basis", "hstack", "units", "solve", "zeros", "identity"}
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

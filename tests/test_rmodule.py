@@ -28,6 +28,9 @@ from tricomplete.rmodule import (
     zero_map,
     zero_module,
 )
+from tricomplete.complexes import zero_complex
+from tricomplete.randomgen import Sampler
+from tricomplete.workspace import _Parser, parse_workspace_text
 
 from reference import add
 
@@ -588,6 +591,29 @@ def test_stable_hom_field_case_vanishes():
     k = free_module(ring, 1)
     dim, _ = stable_hom(k, k)
     assert dim == 0
+
+
+def test_zero_inputs_give_what_their_general_paths_give():
+    # zero modules, empty bases and empty entry lists take each reader's
+    # general path, which must return the zero objects pinned here
+    for ring in (R22, Ring(3, 3), Ring(5, 2)):
+        p = ring.p
+        blocks, J = jordan_basis(Matrix.zeros(0, 0, p))
+        assert (blocks, J) == ((), Matrix.zeros(0, 0, p)) and J.a.dtype == np.int64
+        for rank_ in range(3):
+            action = free_module(ring, rank_).x_action()
+            mod, emb = subspace_canonicalize(action, Matrix.zeros(action.rows, 0, p), ring)
+            assert (mod, emb) == (zero_module(ring), Matrix.zeros(action.rows, 0, p))
+        for blocks in ((), (1,), (ring.n,), (ring.n, 1)):
+            m = RModule(ring, blocks)
+            assert stable_hom(m, zero_module(ring)) == stable_hom(zero_module(ring), m) == (0, [])
+        assert Sampler(ring, random.Random(p)).complex(-2, 2, max_blocks=0) == zero_complex(ring)
+    for rows, cols in ((0, 0), (2, 0), (0, 3)):
+        assert _Parser("")._matrix([], rows, cols, 3, "empty") == Matrix.zeros(rows, cols, 3)
+    ws = parse_workspace_text("RING 3 3\nMODULE K 2 1\nCOMPLEX zero\nEND\nCOMPLEX k0\n  AT 0 K\nEND\n"
+                              "MAP f zero k0\n  AT 0\nEND\n")
+    f = ws.get("map", "f")
+    assert f.is_zero() and f.component(0).matrix == Matrix.zeros(3, 0, 3)
 
 
 @settings(max_examples=40, deadline=None)
