@@ -320,7 +320,8 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
     vanishes outside the window iff its representative's cohomology
     support lies inside it.  A prefix-only tower is scanned: the least k
     whose maps up to the horizon are isomorphisms on H^i, found by walking
-    down from the horizon, so each connecting map is read at most once.
+    down from the horizon, so each connecting map is read at most once,
+    and H^i of each entry only when the walk reaches it.
     """
     if certificate.verdict == "not_cauchy":
         raise PreconditionError("tower is not Cauchy for %s: no colimit in the completion"
@@ -338,12 +339,13 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
             k_i = tower.tail.stable_from(i)
             data = cohomology_data(tower.complex_at(k_i), i)
         else:
-            datas = {k: cohomology_data(tower.complex_at(k), i) for k in range(1, h + 1) if h > 1}
-            k_i = h
-            while k_i > 1 and cohomology_map(tower.map_at(k_i - 1), i, datas[k_i - 1],
-                                             datas[k_i]).is_isomorphism():
-                k_i -= 1
-            data = datas[k_i] if k_i < h else None
+            k_i, upper = h, cohomology_data(tower.complex_at(h), i) if h > 1 else None
+            while k_i > 1:
+                lower = cohomology_data(tower.complex_at(k_i - 1), i)
+                if not cohomology_map(tower.map_at(k_i - 1), i, lower, upper).is_isomorphism():
+                    break
+                k_i, upper = k_i - 1, lower
+            data = upper if k_i < h else None
         if data is None:
             table.inconclusive.append(i)
         else:

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Matrix, kernel_basis, rank, row_kernel, solve
+from .linalg import Matrix, kernel_basis, rank, row_kernel, row_new_columns, solve
 from .rmodule import (
     RModule,
     RModuleMap,
@@ -42,7 +42,7 @@ from .rmodule import (
     omega_power,
     quotient_canonicalize,
     subspace_canonicalize,
-    subspace_type,
+    syzygy_type,
     zero_map,
     zero_module,
 )
@@ -149,9 +149,7 @@ def shift(x: Complex, t: int) -> Complex:
         return x
     sgn = 1 if t % 2 == 0 else -1
     comps = {i - t: m for i, m in x._components.items()}
-    diffs = {}
-    for i, f in x._diffs.items():
-        diffs[i - t] = RModuleMap._trusted(f.source, f.target, f.matrix.scale(sgn))
+    diffs = {i - t: RModuleMap._trusted(f.source, f.target, f.matrix.scale(sgn)) for i, f in x._diffs.items()}
     return Complex._trusted(x.ring, comps, diffs)
 
 
@@ -178,11 +176,11 @@ class ChainMap:
         for i, f in components.items():
             if f.source != self.source.component(i) or f.target != self.target.component(i):
                 raise ValidationError("chain map component at degree %d has wrong (co)domain" % i)
-        for i in set(self.source.degrees) | set(self._components):
+        # only a square with a composite f^(i+1) d^i or d^i f^i can fail
+        for i in ({i for i in self.source._diffs if i + 1 in self._components}
+                  | {i for i in self.target._diffs if i in self._components}):
             f1, d0 = self._components.get(i + 1), self.source._diffs.get(i)
             d1, f0 = self.target._diffs.get(i), self._components.get(i)
-            if (f1 is None or d0 is None) and (d1 is None or f0 is None):
-                continue  # both composites are absent, so 0
             if np.any((_composite(f1, d0) - _composite(d1, f0)) % self.source.ring.p):
                 raise ValidationError("square at degrees (%d, %d) does not commute" % (i, i + 1))
 
@@ -504,10 +502,7 @@ def dualize(x: Complex) -> Complex:
     to equality of representations.
     """
     comps = {-i: m for i, m in x._components.items()}
-    diffs = {}
-    for i, f in x._diffs.items():
-        # d' at degree -(i+1): dual of d^i : X^i -> X^(i+1)
-        diffs[-(i + 1)] = dual_map(f)
+    diffs = {-(i + 1): dual_map(f) for i, f in x._diffs.items()}  # d' at -(i+1): dual of d^i
     return Complex(x.ring, comps, diffs)
 
 
@@ -573,9 +568,8 @@ def _build_free_approximation(x: Complex, depth: int):
         But E(u) = sum_k c_k h_k mod xW_i, against the choice of the heads
         h_k.  So no d^i has a unit entry, and nothing is ever split.
       * cut: at the window's cut c = min-1, X^c = 0 and B_c = 0, so W_c
-        lies in F^(c+1) and ker d^c lies in xF^c: a kernel element with a
-        unit coefficient at a generator would make the heads dependent
-        modulo xW_c.  A submodule of xF^c has no block of size n.
+        lies in F^(c+1), d^c is a minimal free cover of W_c and ker d^c is
+        Omega W_c: a block n - j for each block j < n of W_c, none of size n.
 
     Returns (ranks, diffs, eps): F^i = R^ranks[i], diffs[i] the F_p matrix
     of d^i : F^i -> F^(i+1) and eps[i] that of the comparison F^i -> X^i,
@@ -605,8 +599,9 @@ def _build_free_approximation(x: Complex, depth: int):
 class _Window:
     """The minimal resolution of a complex in degrees [cut, max], cut =
     min-1: the F_p arrays _build_free_approximation builds, shared by every
-    Resolution of the complex and so read-only, the cut kernel
-    (kernel_basis of d^cut) and its Jordan type Omega, the cut syzygy.
+    Resolution of the complex and so read-only, and the Jordan type Omega
+    of ker d^cut, the cut syzygy.  The cut kernel's basis and embedding
+    are built with the first band that holds both cut-1 and cut.
 
     Below the cut nothing is stored: F^(cut-1-t) covers Omega^t Omega,
     d^(cut-1) is the cover of Omega followed by its embedding in F^cut, and
@@ -618,8 +613,12 @@ class _Window:
     ranks: dict[int, int]
     diffs: dict[int, np.ndarray]
     eps: dict[int, np.ndarray]
-    kernel: Matrix
     syzygy: RModule
+
+    @cached_property
+    def kernel(self) -> Matrix:
+        """A basis of ker d^cut, for F^cut nonzero."""
+        return kernel_basis(Matrix(self.diffs[self.cut], self.syzygy.ring.p))
 
     @cached_property
     def embedding(self) -> Matrix:
@@ -649,24 +648,26 @@ class _Window:
 def _resolve_window(x: Complex) -> _Window:
     """Build and cache the window of x; later calls are lookups.
 
-    The cut syzygy is read as a Jordan type (subspace_type); its embedding
-    waits for a reader.  It has no free summand: it lies in x F^(min-1)
-    (see _build_free_approximation), so the tail below has no unit entry
-    either.  The check below only guards this argument; it never strips.
+    The cut syzygy is Omega W for the image W of d^cut, a minimal free cover
+    of W (see _build_free_approximation), read off one rank profile: column
+    k*n + t of d^cut is x^t w_k, so in the column order t = n-1, ..., 0 the
+    pivots in the first n - t groups count dim x^t W, and the pivots among
+    the x^t w_k, dim x^t W - dim x^(t+1) W, count the blocks of W of size
+    > t.  The cut kernel and its embedding wait for a reader.
     """
     if x._window is not None:
         return x._window
-    ring = x.ring
+    ring, n = x.ring, x.ring.n
     cut = x.min_degree - 1
     ranks, diffs, eps = _build_free_approximation(x, cut)
-    rank_cut = ranks.get(cut, 0)
-    kernel = kernel_basis(Matrix(diffs[cut], ring.p)) if rank_cut else Matrix.zeros(0, 0, ring.p)
-    syz = subspace_type(free_module(ring, rank_cut).x_action(), kernel, ring)
-    if syz != syz.strip_free():
-        raise PreconditionError("cut kernel %s of the minimal window has a free summand" % syz)
+    r = ranks.get(cut, 0)
+    order = [k * n + t for t in range(n - 1, -1, -1) for k in range(r)]
+    picked = row_new_columns(diffs[cut][:, order].tolist(), 0, ring.p) if r else []
+    taller = [sum(c // r == n - 1 - t for c in picked) for t in range(n)]  # blocks of W of size > t
+    image = RModule(ring, tuple(sum(c >= j for c in taller) for j in range(1, taller[0] + 1)))
     for arr in (*diffs.values(), *eps.values()):
         arr.flags.writeable = False
-    x._window = _Window(cut, ranks, diffs, eps, kernel, syz)
+    x._window = _Window(cut, ranks, diffs, eps, RModule(ring, syzygy_type(image)))
     return x._window
 
 
@@ -684,7 +685,7 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
     """
     ring = x.ring
     if x.is_zero():
-        return Resolution(x, depth, _Window(depth, {}, {}, {}, Matrix.zeros(0, 0, ring.p), zero_module(ring)))
+        return Resolution(x, depth, _Window(depth, {}, {}, {}, zero_module(ring)))
     cut = x.min_degree - 1
     if depth > cut:
         raise PreconditionError("resolution depth %d must be <= %d, one below the lowest degree"

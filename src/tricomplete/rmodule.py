@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -68,11 +69,7 @@ class RModule:
         return _x_action(self.ring, self.blocks)
 
     def block_starts(self) -> list[int]:
-        starts, at = [], 0
-        for j in self.blocks:
-            starts.append(at)
-            at += j
-        return starts
+        return [0, *accumulate(self.blocks)][:-1]
 
     def __str__(self):
         return "0" if not self.blocks else "+".join("[%d]" % j for j in self.blocks)
@@ -130,8 +127,9 @@ class RModuleMap:
                              % (self.matrix.rows, self.matrix.cols, self.target.dim, self.source.dim))
         if self.matrix.p != self.ring.p:
             raise ValueError("mixed moduli %d and %d" % (self.matrix.p, self.ring.p))
-        a = self.matrix.a
-        if np.any((a @ self.source.x_action().a - self.target.x_action().a @ a) % self.ring.p):
+        flat = self.matrix.a.ravel()
+        repeated = np.append(flat, 0)[_linear_entries(self.source.blocks, self.target.blocks)]
+        if repeated.tobytes() != flat.tobytes():
             raise ValueError("matrix does not commute with the x-actions (not R-linear)")
 
     @property
@@ -153,6 +151,20 @@ class RModuleMap:
         if not isinstance(other, RModuleMap):
             return NotImplemented
         return (self.source, self.target, self.matrix) == (other.source, other.target, other.matrix)
+
+
+@lru_cache(maxsize=1024)
+def _linear_entries(source: tuple[int, ...], target: tuple[int, ...]) -> np.ndarray:
+    """R-linearity as a table over Jordan types: for each row-major entry,
+    the index of the coordinate entry an R-linear map repeats there, or one
+    past the last index where it is 0.  hom_basis's map e -> x^s f from
+    block a at sa to block b at sb has its ones at (sb + s + t, sa + t)."""
+    dm, dn = sum(source), sum(target)
+    table = np.full(dn * dm, dn * dm, dtype=np.int64)
+    for (a, sa), (b, sb) in product(zip(source, [0, *accumulate(source)]), zip(target, [0, *accumulate(target)])):
+        for s in range(max(0, b - a), b):
+            table[[(sb + s + t) * dm + sa + t for t in range(b - s)]] = (sb + s) * dm + sa
+    return table
 
 
 @lru_cache(maxsize=1024)
@@ -224,22 +236,6 @@ def subspace_canonicalize(action: Matrix, basis: Matrix, ring: Ring) -> tuple[RM
         raise ValueError("subspace is not x-stable")
     blocks, J = jordan_basis(induced)
     return RModule(ring, blocks), basis @ J
-
-
-def subspace_type(action: Matrix, basis: Matrix, ring: Ring) -> RModule:
-    """What subspace_canonicalize returns for the span W of the independent
-    columns B of basis under the action A, less the Jordan basis.  x^t W is
-    spanned by the columns of A^s B for s >= t, so the pivots of
-    one elimination of [A^(n-1) B | ... | A B] in its first n - t groups
-    count dim x^t W, and dim x^t W - dim x^(t+1) W blocks have size > t."""
-    d, n, k = action.rows, ring.n, basis.cols
-    if k == 0:
-        return zero_module(ring)
-    powers = _chains(action, basis.a, n).reshape(d, k, n)[:, :, :0:-1].transpose(0, 2, 1)
-    picked = new_columns(Matrix.zeros(d, 0, ring.p), Matrix(powers.reshape(d, (n - 1) * k), ring.p))
-    dims = [k] + [sum(c < (n - t) * k for c in picked) for t in range(1, n)] + [0]
-    taller = [dims[t] - dims[t + 1] for t in range(n)]  # blocks of size > t
-    return RModule(ring, tuple(sum(c >= j for c in taller) for j in range(1, taller[0] + 1)))
 
 
 def quotient_canonicalize(action: Matrix, sub_basis: Matrix, ring: Ring) -> tuple[RModule, Matrix, Matrix]:

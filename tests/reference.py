@@ -5,8 +5,10 @@ families, the separating stalks of an equivalence report, the numpy
 window build that the int-row build is checked against, a resolution
 built by an independent elimination, the periodic tail below a given
 embedding as a generator, the eagerly spliced resolution that bands are
-read against, derived Hom through the Hom complex for every target, and
-an exhaustive set of small complexes.  The library, its CLI and its
+read against, derived Hom through the Hom complex for every target, the
+cut syzygy's type by a Jordan profile of the cut kernel, R-linearity by
+the products with the x-actions, and an exhaustive set of small
+complexes.  The library, its CLI and its
 benchmark never perform them; the tests build inputs and references with
 them."""
 
@@ -277,6 +279,33 @@ def hom_complex_derived_hom(a, b, d):
     _, dd = hom_complex(pc, b, d)
     _, dm1 = hom_complex(pc, b, d - 1)
     return dd.cols - rank(dd) - rank(dm1)
+
+
+# -- oracles of the cut syzygy and of R-linearity -------------------------------------
+
+
+def subspace_type(action, basis, ring):
+    """What subspace_canonicalize returns for the span W of the independent
+    columns B of basis under the action A, less the Jordan basis: the cut
+    syzygy's type as the window read it off kernel_basis(d^cut).  x^t W is
+    spanned by the columns of A^s B for s >= t, so the pivots of
+    one elimination of [A^(n-1) B | ... | A B] in its first n - t groups
+    count dim x^t W, and dim x^t W - dim x^(t+1) W blocks have size > t."""
+    d, n, k = action.rows, ring.n, basis.cols
+    if k == 0:
+        return zero_module(ring)
+    powers = _chains(action, basis.a, n).reshape(d, k, n)[:, :, :0:-1].transpose(0, 2, 1)
+    picked = new_columns(Matrix.zeros(d, 0, ring.p), Matrix(powers.reshape(d, (n - 1) * k), ring.p))
+    dims = [k] + [sum(c < (n - t) * k for c in picked) for t in range(1, n)] + [0]
+    taller = [dims[t] - dims[t + 1] for t in range(n)]  # blocks of size > t
+    return RModule(ring, tuple(sum(c >= j for c in taller) for j in range(1, taller[0] + 1)))
+
+
+def commutes_with_x(matrix, source, target):
+    """RModuleMap's R-linearity check as two dense products: a X_source =
+    X_target a."""
+    a = matrix.a
+    return not np.any((a @ source.x_action().a - target.x_action().a @ a) % matrix.p)
 
 
 # -- an exhaustive small world ----------------------------------------------------

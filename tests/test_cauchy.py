@@ -412,6 +412,26 @@ def test_prefix_colimit_reads_each_connecting_map_once(count_calls):
             assert colimit(t, (-1, 1), h, cert).inconclusive == [0]
 
 
+def test_prefix_colimit_builds_only_the_cohomology_its_walk_reads(count_calls):
+    # k0 -> ... -> k0 -> 0: on H^0 the walk stops at the last map, so it
+    # reads X_(h-1) and X_h; on H^-1 and H^1 every map is an isomorphism
+    # and the walk reads every entry once
+    for ring in (R22, Ring(3, 3)):
+        x = module_complex(RModule(ring, (1,)), 0)
+        for h in (4, 8, 16):
+            zero = zero_complex(ring)
+            t = prefix_tower([x] * (h - 1) + [zero],
+                             [identity_chain_map(x)] * (h - 2) + [ChainMap(x, zero, {})])
+            cert = is_cauchy(t, metric_i(), h, 2)
+            counts = count_calls(cohomology_data)
+            for i, built in ((-1, h), (0, 2), (1, h)):
+                counts.clear()
+                table = colimit(t, (i, i), h, cert)
+                assert counts["cohomology_data"] == built, (ring, h, i)
+                ref = scan_colimit(t, (i, i), h)
+                assert (table.entries, table.inconclusive) == (ref.entries, ref.inconclusive)
+
+
 def test_tail_colimits_do_not_depend_on_the_horizon():
     rng = random.Random(16)
     for ring in (R22, Ring(3, 3), Ring(2, 4)):

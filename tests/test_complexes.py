@@ -585,13 +585,20 @@ def test_resolution_complex_and_comparison_built_on_first_read():
 
 
 def test_resolution_built_from_arrays_is_validated():
+    # a stored degree above the cut is forged: d^cut is where the cut
+    # kernel is read, so a forged d^cut would not reach validation
+    y = Complex(R23, {0: RModule(R23, (2, 1)), 1: RModule(R23, (1,))}, {})
+    res = projective_resolution(y, -3)
+    # on a copied window, d^0 sends each generator of F^0 = R^3 to that of
+    # F^1 = R: R-linear, but d^0 d^-1 != 0
+    forged = np.hstack([np.eye(R23.n, dtype=np.int64)] * 3)
+    assert (forged @ res.window.diffs[-1] % R23.p).any()
+    bad_d = replace(res, window=replace(res.window, diffs={**res.window.diffs, 0: forged}))
+    with pytest.raises(ValidationError):
+        bad_d.complex
     x = module_complex(RModule(R23, (2, 1)), 0)
     res = projective_resolution(x, -3)
     window = res.window
-    # on a copied window, d^-1 = 1 is R-linear, but d^-1 d^-2 = d^-2 != 0
-    bad_d = replace(res, window=replace(window, diffs={**window.diffs, -1: np.eye(6, dtype=np.int64)}))
-    with pytest.raises(ValidationError):
-        bad_d.complex
     # swapping the two generators of F^0 = R^2 is R-linear but moves im d^-1
     bad_eps = replace(res, window=replace(window, eps={**window.eps, 0: np.roll(window.eps[0], R23.n, axis=1)}))
     with pytest.raises(ValidationError):

@@ -167,8 +167,10 @@ def test_every_reader_runs_the_one_engine_once(monkeypatch):
     assert kernel_basis(m).a.tolist() == row_kernel(m.a.tolist(), m.cols, 3)
     assert new_columns(m, b) == row_new_columns(m.hstack(b).a.tolist(), m.cols, 3)
     # modules bind the readers by name, the row-level cores included, never
-    # the engine: the window build reaches it through row_kernel and free_cover
+    # the engine: the window build reaches it through row_kernel and free_cover,
+    # and the cut syzygy's rank profile through row_new_columns
     assert complexes.row_kernel is linalg.row_kernel and rmodule.row_new_columns is linalg.row_new_columns
+    assert complexes.row_new_columns is linalg.row_new_columns
     binders = [name for name, mod in sys.modules.items()
                if name.split(".")[0] == "tricomplete" and name != "tricomplete.linalg"
                and any(v is engine or k == "_eliminate" for k, v in vars(mod).items())]

@@ -45,7 +45,6 @@ from tricomplete.rmodule import (
     stable_hom,
     stable_hom_dim,
     subspace_canonicalize,
-    subspace_type,
     syzygy_embedding,
     syzygy_type,
     zero_module,
@@ -60,6 +59,7 @@ from reference import (
     hom_complex_derived_hom,
     numpy_free_approximation,
     split_unit_entries,
+    subspace_type,
     two_term_complexes,
 )
 
@@ -602,17 +602,53 @@ def test_derived_hom_on_its_band_matches_a_deep_direct_build(ring):
     assert (False, False, True) in seen
 
 
-def test_window_cut_kernel_with_free_summand_is_refused(monkeypatch):
-    ring = Ring(2, 2)
-    x = module_complex(RModule(ring, (1,)), 0)
-    real = complexes.subspace_type
+def test_cut_syzygy_is_omega_of_the_image_of_d_cut():
+    # the oracle is the route the window took before: a Jordan profile of
+    # kernel_basis(d^cut).  d^cut covers its image W minimally, so it has
+    # one generator per block of W, and its kernel is Omega W
+    nonzero = 0
+    for ring in (Ring(3, 2),) + EXT_RINGS:
+        for x in oracle_samples(ring):
+            window = complexes._resolve_window(x)
+            r = window.rank(window.cut)
+            if not r:
+                assert window.syzygy.is_zero(), x
+                continue
+            assert window.syzygy == subspace_type(free_module(ring, r).x_action(), window.kernel, ring), x
+            d = Matrix(window.diffs[window.cut], ring.p)
+            image = Matrix(d.a[:, new_columns(Matrix.zeros(d.rows, 0, ring.p), d)], ring.p)
+            w = subspace_type(free_module(ring, window.rank(window.cut + 1)).x_action(), image, ring)
+            assert len(w.blocks) == r and window.syzygy == RModule(ring, syzygy_type(w)), x
+            nonzero += not window.syzygy.is_zero()
+    assert nonzero >= 100, nonzero
 
-    def with_free(action, basis, ring_):
-        return RModule(ring_, real(action, basis, ring_).blocks + (ring_.n,))
 
-    monkeypatch.setattr(complexes, "subspace_type", with_free)
-    with pytest.raises(complexes.PreconditionError):
-        projective_resolution(x, -1)
+def test_resolving_profiles_d_cut_once_and_builds_no_kernel(count_calls, monkeypatch):
+    # one elimination beyond the build's own, and no kernel: that waits for
+    # the first band that holds both cut-1 and cut, which builds it once
+    counts = count_calls(linalg._eliminate)
+    kernels = []
+    monkeypatch.setattr(complexes, "kernel_basis", lambda m: kernels.append(m) or kernel_basis(m))
+    nonperfect = 0
+    for ring in SPLICE_RINGS:
+        for x in splice_samples(ring, seed=ring.p * 53 + ring.n, count=4):
+            cut = x.min_degree - 1
+            counts.clear()
+            _build_free_approximation(x, cut)
+            build = counts["_eliminate"]
+            counts.clear()
+            window = complexes._resolve_window(x)
+            assert counts["_eliminate"] == build + (window.rank(cut) > 0) and not kernels, (ring, x)
+            res = projective_resolution(x, cut - 3)
+            res.band(cut, x.max_degree)
+            res.band(cut - 3, cut - 1)
+            assert not kernels and "kernel" not in vars(window), (ring, x)
+            res.band(cut - 1, cut)
+            res.band(cut - 3, x.max_degree)
+            assert len(kernels) == (not window.syzygy.is_zero()), (ring, x)
+            nonperfect += bool(kernels)
+            kernels.clear()
+    assert nonperfect >= len(SPLICE_RINGS)
 
 
 # -- the cut syzygy's Jordan type, and bands read lazily ------------------------------

@@ -32,7 +32,7 @@ from tricomplete.complexes import zero_complex
 from tricomplete.randomgen import Sampler
 from tricomplete.workspace import _Parser, parse_workspace_text
 
-from reference import add
+from reference import add, commutes_with_x
 
 R22 = Ring(2, 2)
 R23 = Ring(2, 3)
@@ -117,6 +117,33 @@ def test_map_validation_reads_commutator_mod_p(ring, diag):
     bad = np.diag([1, 2] + [2] * (ring.n - 2))  # x-coefficients 1 and 2 differ mod p
     with pytest.raises(ValueError, match="not R-linear"):
         RModuleMap(m, m, Matrix(bad, ring.p))
+
+
+@pytest.mark.parametrize("ring", (R22, Ring(3, 3), Ring(2, 4), Ring(5, 2)), ids=str)
+def test_map_validation_agrees_with_the_product_check(ring):
+    # every pair of Jordan types with <= 3 blocks: a random matrix, a random
+    # combination of the Hom basis, and that combination with one entry changed
+    rng = random.Random(ring.p * 59 + ring.n)
+    types = [RModule(ring, blocks) for k in range(4)
+             for blocks in itertools.combinations_with_replacement(range(1, ring.n + 1), k)]
+    verdicts = set()
+    for m, nn in itertools.product(types, types):
+        combo = sum((rng.randrange(ring.p) * f.matrix.a for f in hom_basis(m, nn)),
+                    np.zeros((nn.dim, m.dim), dtype=np.int64)) % ring.p
+        changed = combo.copy()
+        if changed.size:
+            changed.flat[rng.randrange(changed.size)] += rng.randrange(1, ring.p)
+        noise = np.array([rng.randrange(ring.p) for _ in range(nn.dim * m.dim)]).reshape(nn.dim, m.dim)
+        for a in (noise, combo, changed):
+            matrix = Matrix(a, ring.p)
+            linear = commutes_with_x(matrix, m, nn)
+            try:
+                RModuleMap(m, nn, matrix)
+                assert linear, (m, nn, a)
+            except ValueError as e:
+                assert not linear and str(e) == "matrix does not commute with the x-actions (not R-linear)"
+            verdicts.add(linear)
+    assert verdicts == {True, False}
 
 
 # -- Jordan canonicalization ------------------------------------------------
