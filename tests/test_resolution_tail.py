@@ -602,6 +602,9 @@ def test_derived_hom_on_its_band_matches_a_deep_direct_build(ring):
     assert (False, False, True) in seen
 
 
+# -- the cut syzygy's Jordan type, and bands read lazily ------------------------------
+
+
 def test_cut_syzygy_is_omega_of_the_image_of_d_cut():
     # the oracle is the route the window took before: a Jordan profile of
     # kernel_basis(d^cut).  d^cut covers its image W minimally, so it has
@@ -649,9 +652,6 @@ def test_resolving_profiles_d_cut_once_and_builds_no_kernel(count_calls, monkeyp
             nonperfect += bool(kernels)
             kernels.clear()
     assert nonperfect >= len(SPLICE_RINGS)
-
-
-# -- the cut syzygy's Jordan type, and bands read lazily ------------------------------
 
 
 @pytest.mark.parametrize("ring", sorted(set(SPLICE_RINGS + FORMULA_RINGS), key=str), ids=str)
