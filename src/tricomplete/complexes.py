@@ -8,6 +8,9 @@ complex, then read the periodic tail below it where a band reaches) is the
 engine behind perfection tests, syzygy classes and derived Hom.  Lengths
 and quasi-iso tests need only where the cone's cohomology vanishes:
 cone_support reads it off the cone's block ranks without building it.
+H^i is a Jordan type off one rank profile (span_type, as the cut syzygy
+is), and an induced map is only asked whether it is an isomorphism
+(induces_iso): no basis of H^i is built.
 
 Sign conventions, fixed once:
   * shift:   (T^t X)^i = X^(i+t), differential scaled by (-1)^t;
@@ -27,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Matrix, kernel_basis, rank, row_kernel, row_new_columns, solve
+from .linalg import Matrix, kernel_basis, new_columns, rank, row_kernel, solve
 from .rmodule import (
     RModule,
     RModuleMap,
@@ -40,7 +43,7 @@ from .rmodule import (
     hom_basis,
     identity_map,
     omega_power,
-    quotient_canonicalize,
+    span_type,
     subspace_canonicalize,
     syzygy_type,
     zero_map,
@@ -305,38 +308,23 @@ def homotopy_pushout(f: ChainMap, h: ChainMap) -> tuple[ChainMap, ChainMap]:
 
 @dataclass
 class CohomologyData:
-    """H^i with enough structure to induce maps on classes.
-
-    cycles: basis of ker d^i in component coordinates.
-    to_classes: cycle coordinates -> canonical coordinates of the module.
-    lift: canonical coordinates -> component coordinates (representatives).
-    """
+    """H^i = Z/B by its Jordan type, and the spans an induced map reads:
+    cycles, a basis of Z = ker d^i, and boundaries, d^(i-1), whose columns
+    span B, both in the coordinates of X^i."""
 
     module: RModule
     cycles: Matrix
-    to_classes: Matrix
-    lift: Matrix
+    boundaries: Matrix
 
 
 def cohomology_data(x: Complex, i: int) -> CohomologyData:
+    """H^i off one kernel and one rank profile: span_type of G = Z, U = B."""
     cached = x._coh_cache.get(i)
     if cached is not None:
         return cached
-    ring = x.ring
-    comp = x.component(i)
-    cyc = kernel_basis(x.differential(i).matrix)
-    if cyc.cols == 0:
-        z = zero_module(ring)
-        e = Matrix.zeros(comp.dim, 0, ring.p)
-        data = CohomologyData(z, cyc, Matrix.zeros(0, 0, ring.p), e)
-    else:
-        action = solve(cyc, comp.x_action() @ cyc)
-        assert action is not None  # kernels of R-maps are x-stable
-        boundaries = solve(cyc, x.differential(i - 1).matrix)
-        assert boundaries is not None  # d^2 = 0 puts boundaries inside cycles
-        mod, proj, section = quotient_canonicalize(action, boundaries, ring)
-        data = CohomologyData(mod, cyc, proj, cyc @ section)
-    x._coh_cache[i] = data
+    cycles, boundaries = kernel_basis(x.differential(i).matrix), x.differential(i - 1).matrix
+    module = span_type(boundaries.a.tolist(), cycles.a.tolist(), x.component(i).blocks, x.ring)
+    x._coh_cache[i] = data = CohomologyData(module, cycles, boundaries)
     return data
 
 
@@ -356,17 +344,16 @@ def is_acyclic(x: Complex) -> bool:
     return not cohomology_support(x)
 
 
-def cohomology_map(f: ChainMap, i: int, src_data: CohomologyData | None = None,
-                   tgt_data: CohomologyData | None = None) -> RModuleMap:
-    """The induced map H^i(f)."""
-    a = src_data or cohomology_data(f.source, i)
-    b = tgt_data or cohomology_data(f.target, i)
-    if a.module.is_zero() or b.module.is_zero():
-        return zero_map(a.module, b.module)
-    image = f.component(i).matrix @ a.lift
-    coords = solve(b.cycles, image)
-    assert coords is not None  # chain maps send cycles to cycles
-    return RModuleMap(a.module, b.module, b.to_classes @ coords)
+def induces_iso(f: ChainMap, i: int, src: CohomologyData | None = None,
+                tgt: CohomologyData | None = None) -> bool:
+    """Whether H^i(f) is an isomorphism: both H^i have the same type and
+    its image (f Z_X + B_Y)/B_Y, of dim rank [B_Y | f Z_X] - rank B_Y (one
+    elimination), has dim H^i(X).  A zero side eliminates nothing."""
+    a = src or cohomology_data(f.source, i)
+    b = tgt or cohomology_data(f.target, i)
+    if a.module != b.module or a.module.is_zero():
+        return a.module == b.module
+    return len(new_columns(b.boundaries, f.component(i).matrix @ a.cycles)) == a.module.dim
 
 
 def cone_support(f: ChainMap) -> frozenset[int]:
@@ -648,23 +635,20 @@ class _Window:
 def _resolve_window(x: Complex) -> _Window:
     """Build and cache the window of x; later calls are lookups.
 
-    The cut syzygy is Omega W for the image W of d^cut, a minimal free cover
-    of W (see _build_free_approximation), read off one rank profile: column
-    k*n + t of d^cut is x^t w_k, so in the column order t = n-1, ..., 0 the
-    pivots in the first n - t groups count dim x^t W, and the pivots among
-    the x^t w_k, dim x^t W - dim x^(t+1) W, count the blocks of W of size
-    > t.  The cut kernel and its embedding wait for a reader.
+    The cut syzygy is Omega W for the image W = R{w_k} of d^cut, a minimal
+    free cover of W (see _build_free_approximation), with w_k = d^cut e_k.
+    W's type is span_type of the w_k with U = 0: x^t w_k is column
+    k*n + t of d^cut, so its one rank profile eliminates d^cut's columns
+    in the order t = n-1, ..., 0.  The cut kernel and its embedding wait
+    for a reader.
     """
     if x._window is not None:
         return x._window
     ring, n = x.ring, x.ring.n
     cut = x.min_degree - 1
     ranks, diffs, eps = _build_free_approximation(x, cut)
-    r = ranks.get(cut, 0)
-    order = [k * n + t for t in range(n - 1, -1, -1) for k in range(r)]
-    picked = row_new_columns(diffs[cut][:, order].tolist(), 0, ring.p) if r else []
-    taller = [sum(c // r == n - 1 - t for c in picked) for t in range(n)]  # blocks of W of size > t
-    image = RModule(ring, tuple(sum(c >= j for c in taller) for j in range(1, taller[0] + 1)))
+    w = diffs[cut][:, ::n].tolist() if ranks.get(cut) else []
+    image = span_type([[]] * len(w), w, (n,) * ranks.get(cut + 1, 0), ring)
     for arr in (*diffs.values(), *eps.values()):
         arr.flags.writeable = False
     x._window = _Window(cut, ranks, diffs, eps, RModule(ring, syzygy_type(image)))

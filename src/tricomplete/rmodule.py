@@ -375,6 +375,24 @@ def shift_rows(rows: list[list[int]], blocks: tuple[int, ...], t: int) -> list[l
     return [rows[r - t] if u >= t else [0] * len(rows[r]) for r, u in enumerate(offsets)]
 
 
+def span_type(span: list[list[int]], gens: list[list[int]], blocks: tuple[int, ...], ring: Ring) -> RModule:
+    """Jordan type of (RG + U)/U for the columns G of gens and the x-stable
+    U spanned by the columns of span, int rows in the canonical coordinates
+    of type blocks, where x is shift_rows (span of width 0 for U = 0).
+
+    One rank profile, no basis: the columns [U | x^(n-1)G | ... | xG | G]
+    span U + x^t RG up to the group x^t G, so its pivots there count
+    dim(x^t RG + U) - dim(x^(t+1) RG + U), the blocks of size > t."""
+    n, g = ring.n, len(gens[0]) if gens else 0
+    if not g:
+        return zero_module(ring)
+    powers = [shift_rows(gens, blocks, t) for t in range(n - 1, -1, -1)]
+    rows = [[v for part in parts for v in part] for parts in zip(span, *powers)]
+    picked = row_new_columns(rows, len(span[0]), ring.p)
+    taller = [sum(c // g == n - 1 - t for c in picked) for t in range(n)]  # blocks of size > t
+    return RModule(ring, tuple(sum(c >= j for c in taller) for j in range(1, taller[0] + 1)))
+
+
 def free_cover(blocks: tuple[int, ...], basis: list[list[int]], span: list[list[int]],
                ring: Ring) -> tuple[RModule, list[list[int]]]:
     """Minimal free cover of the x-stable span W of the columns of basis,

@@ -6,11 +6,12 @@ window build that the int-row build is checked against, a resolution
 built by an independent elimination, the periodic tail below a given
 embedding as a generator, the eagerly spliced resolution that bands are
 read against, derived Hom through the Hom complex for every target, the
-cut syzygy's type by a Jordan profile of the cut kernel, R-linearity by
-the products with the x-actions, and an exhaustive set of small
-complexes.  The library, its CLI and its
-benchmark never perform them; the tests build inputs and references with
-them."""
+cut syzygy's type by a Jordan profile of the cut kernel, H^i in
+canonical bases and the maps it induces (the oracles of the rank-profile
+cohomology and of induces_iso), R-linearity by the products with the
+x-actions, and an exhaustive set of small complexes.  The library, its
+CLI and its benchmark never perform them; the tests build inputs and
+references with them."""
 
 from itertools import combinations_with_replacement, product
 
@@ -39,8 +40,10 @@ from tricomplete.rmodule import (
     free_cover,
     free_module,
     hom_basis,
+    quotient_canonicalize,
     subspace_canonicalize,
     syzygy_type,
+    zero_map,
     zero_module,
 )
 
@@ -279,6 +282,37 @@ def hom_complex_derived_hom(a, b, d):
     _, dd = hom_complex(pc, b, d)
     _, dm1 = hom_complex(pc, b, d - 1)
     return dd.cols - rank(dd) - rank(dm1)
+
+
+# -- H^i in canonical bases ----------------------------------------------------------
+
+
+def canonical_cohomology(x, i):
+    """H^i with canonical bases, as cohomology_data built it before it read
+    the type off a rank profile: (module, cycles, to_classes, lift), with
+    cycles a kernel basis of d^i, to_classes from cycle coordinates onto
+    the module's canonical coordinates, and lift from those back to
+    representatives in X^i."""
+    ring, comp = x.ring, x.component(i)
+    cycles = kernel_basis(x.differential(i).matrix)
+    if cycles.cols == 0:
+        return zero_module(ring), cycles, Matrix.zeros(0, 0, ring.p), Matrix.zeros(comp.dim, 0, ring.p)
+    action = solve(cycles, comp.x_action() @ cycles)
+    boundaries = solve(cycles, x.differential(i - 1).matrix)
+    module, proj, section = quotient_canonicalize(action, boundaries, ring)
+    return module, cycles, proj, cycles @ section
+
+
+def cohomology_map(f, i, src=None, tgt=None):
+    """The induced map H^i(f) in the bases of canonical_cohomology, which
+    src and tgt may pass in: the oracle of induces_iso."""
+    a, _, _, lift = src or canonical_cohomology(f.source, i)
+    b, cycles, to_classes, _ = tgt or canonical_cohomology(f.target, i)
+    if a.is_zero() or b.is_zero():
+        return zero_map(a, b)
+    coords = solve(cycles, f.component(i).matrix @ lift)
+    assert coords is not None  # chain maps send cycles to cycles
+    return RModuleMap(a, b, to_classes @ coords)
 
 
 # -- oracles of the cut syzygy and of R-linearity -------------------------------------

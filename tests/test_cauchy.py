@@ -14,8 +14,8 @@ from tricomplete.complexes import (
     PreconditionError,
     cohomology,
     cohomology_data,
-    cohomology_map,
     cone,
+    induces_iso,
     identity_chain_map,
     module_complex,
     zero_complex,
@@ -36,7 +36,7 @@ from tricomplete.cauchy import (
 from tricomplete.completion import complete
 from tricomplete.randomgen import Sampler
 
-from reference import add, composite, direct_sum_complex, sum_projections
+from reference import add, canonical_cohomology, cohomology_map, composite, direct_sum_complex, sum_projections
 
 R22 = Ring(2, 2)
 R23 = Ring(2, 3)
@@ -47,9 +47,10 @@ def scan_colimit(tower, window, horizon):
     """The colimit table by a scan, the reference for colimit: H^i of every
     entry from the first one the tail rule fixes around degree i (entry 1
     without a tail) up to the horizon, and the least index from which every
-    connecting map up to the horizon is checked to be an isomorphism on H^i.
-    Each entry and connecting map is built once per call, whatever the
-    degree that reads it."""
+    connecting map up to the horizon is checked to be an isomorphism on H^i,
+    by the canonical-basis route (reference.cohomology_map).  Each entry and
+    connecting map is built once per call, whatever the degree that reads
+    it."""
     lo, hi = window
     h = tower.available_horizon(horizon)
     entry, step = functools.cache(tower.complex_at), functools.cache(tower.map_at)
@@ -66,7 +67,7 @@ def scan_colimit(tower, window, horizon):
             k_start = 1
         k_i = None
         if k_start <= h - 1:
-            datas = {k: cohomology_data(entry(k), i) for k in range(k_start, h + 1)}
+            datas = {k: canonical_cohomology(entry(k), i) for k in range(k_start, h + 1)}
             for k0 in range(k_start, h):
                 if all(cohomology_map(step(k), i, datas[k], datas[k + 1]).is_isomorphism()
                        for k in range(k0, h)):
@@ -75,7 +76,7 @@ def scan_colimit(tower, window, horizon):
         if k_i is None:
             table.inconclusive.append(i)
         else:
-            table.entries[i] = (datas[k_i].module, k_i)
+            table.entries[i] = (datas[k_i][0], k_i)
     return table
 
 
@@ -268,6 +269,22 @@ def test_prefix_maps_must_agree_with_the_tail_rule():
     Tower(R22, prefix=entries, prefix_maps=[t.map_at(k) for k in (1, 2)], tail=t.tail)
 
 
+
+def test_connecting_maps_start_at_1_like_the_entries():
+    # map_at(0) and map_at(-1) once read prefix_maps[-1] and [-2]: on the
+    # bench workspace's three-entry prefix tower, X_2 -> X_3 and X_1 -> X_2
+    from tricomplete.workspace import parse_workspace
+
+    ws = parse_workspace(str(Path(__file__).resolve().parents[1] / "bench" / "cli_session" / "workspace.txt"))
+    t = truncation_tower(K)
+    tail_with_prefix = Tower(R22, prefix=[t.complex_at(k) for k in (1, 2, 3)],
+                             prefix_maps=[t.map_at(k) for k in (1, 2)], tail=t.tail)
+    for tower in (ws.towers["pre"], tail_with_prefix, t):
+        for k in (0, -1):
+            with pytest.raises(PreconditionError, match="tower entries start at 1"):
+                tower.map_at(k)
+        assert tower.map_at(1).source == tower.complex_at(1)
+
 # -- colimits -------------------------------------------------------------------
 
 
@@ -402,11 +419,11 @@ def test_prefix_colimit_reads_each_connecting_map_once(count_calls):
             t = prefix_tower([x] * (h - 1) + [zero],
                              [identity_chain_map(x)] * (h - 2) + [ChainMap(x, zero, {})])
             cert = is_cauchy(t, metric_i(), h, 2)
-            counts = count_calls(cohomology_map)
+            counts = count_calls(induces_iso)
             for i in (-1, 0, 1):
                 counts.clear()
                 table = colimit(t, (i, i), h, cert)
-                assert counts["cohomology_map"] <= h - 1, (ring, h, i)
+                assert counts["induces_iso"] <= h - 1, (ring, h, i)
                 ref = scan_colimit(t, (i, i), h)
                 assert (table.entries, table.inconclusive) == (ref.entries, ref.inconclusive)
             assert colimit(t, (-1, 1), h, cert).inconclusive == [0]

@@ -21,7 +21,7 @@ from tricomplete.complexes import (
     ValidationError,
     chain_map_space,
     cohomology,
-    cohomology_map,
+    cohomology_data,
     cohomology_support,
     cone,
     cone_support,
@@ -30,6 +30,7 @@ from tricomplete.complexes import (
     dualize,
     hom_complex,
     identity_chain_map,
+    induces_iso,
     is_acyclic,
     is_null_homotopic,
     is_quasi_iso,
@@ -39,7 +40,7 @@ from tricomplete.complexes import (
     zero_complex,
 )
 
-from reference import add, direct_sum_complex, neg
+from reference import add, canonical_cohomology, cohomology_map, direct_sum_complex, neg, two_term_complexes
 
 R22 = Ring(2, 2)
 R23 = Ring(2, 3)
@@ -405,6 +406,100 @@ def test_cohomology_support_matches_cohomology(ring):
         assert cohomology_support(x) == expected
         nonzero += bool(x._diffs)
     assert nonzero >= 10
+
+
+# -- H^i off one rank profile ---------------------------------------------------
+
+
+PROFILE_RINGS = (R22, Ring(3, 3), Ring(2, 4), Ring(5, 2), Ring(3, 4))
+
+
+def profile_samples():
+    """Every two-term complex over F_2[x]/(x^2) and F_3[x]/(x^2), and 20
+    sampled complexes on degrees -1..1 over each of five rings."""
+    from tricomplete.randomgen import Sampler
+
+    yield from two_term_complexes(R22)
+    yield from two_term_complexes(Ring(3, 2))
+    for k, ring in enumerate(PROFILE_RINGS):
+        s = Sampler(ring, random.Random(60 + k))
+        yield from (s.complex(-1, 1, max_blocks=3) for _ in range(20))
+
+
+def test_cohomology_types_equal_the_canonical_route():
+    # the rank profile against the Jordan basis of the canonical quotient,
+    # at every degree from one below a complex to one above it
+    seen = {"degrees": 0, "nonzero": 0, "mixed": 0}
+    for x in profile_samples():
+        for i in range(-1, 3) if x.is_zero() else range(x.min_degree - 1, x.max_degree + 2):
+            got, want = cohomology(x, i), canonical_cohomology(x, i)[0]
+            assert (got.ring, got.blocks) == (want.ring, want.blocks), (x, i)
+            seen["degrees"] += 1
+            seen["nonzero"] += not got.is_zero()
+            seen["mixed"] += len(set(got.blocks)) >= 2
+    assert seen["degrees"] >= 1150 and seen["nonzero"] >= 350 and seen["mixed"] >= 40, seen
+
+
+def iso_samples():
+    """Identities, sampled endomorphisms and maps, maps into and out of 0 and
+    resolution comparisons, over the sampled complexes and every two-term
+    complex of profile_samples."""
+    from tricomplete.randomgen import Sampler
+
+    for k, ring in enumerate(PROFILE_RINGS):
+        s = Sampler(ring, random.Random(70 + k))
+        zero = zero_complex(ring)
+        for _ in range(10):
+            x, y = s.complex(-1, 1, max_blocks=2), s.complex(-1, 1, max_blocks=2)
+            yield from (identity_chain_map(x), s.chain_map(x, x), s.chain_map(x, y),
+                        ChainMap(x, zero, {}), ChainMap(zero, x, {}))
+            if not x.is_zero():
+                yield projective_resolution(x, x.min_degree - 2).comparison
+    for ring in (R22, Ring(3, 2)):
+        s = Sampler(ring, random.Random(78 + ring.p))
+        for x in two_term_complexes(ring):
+            yield from (identity_chain_map(x), s.chain_map(x, x))
+
+
+def test_induces_iso_equals_the_induced_map_test():
+    seen = {"iso": 0, "zero side": 0, "same type, no iso": 0, "types differ": 0}
+    for f in iso_samples():
+        for i in range(-3, 3):
+            want = cohomology_map(f, i).is_isomorphism()
+            assert induces_iso(f, i) == want, (f.source, f.target, i)
+            a, b = cohomology(f.source, i), cohomology(f.target, i)
+            if want and not a.is_zero():
+                seen["iso"] += 1
+            elif a.is_zero() or b.is_zero():
+                seen["zero side"] += 1
+            elif not want:
+                seen["same type, no iso" if a == b else "types differ"] += 1
+    assert seen["iso"] >= 400 and seen["zero side"] >= 250, seen
+    assert seen["same type, no iso"] >= 40 and seen["types differ"] >= 20, seen
+
+
+def test_cohomology_runs_two_eliminations_per_degree_and_builds_no_basis(count_calls):
+    # one kernel and one rank profile per degree, no Jordan basis and no
+    # solve; with both sides built, induces_iso runs one elimination, or
+    # none when a side is 0 or the types differ
+    from tricomplete import linalg
+    from tricomplete.rmodule import jordan_basis, quotient_canonicalize
+
+    counts = count_calls(linalg._eliminate, linalg.solve, jordan_basis, quotient_canonicalize)
+    profiled = 0
+    for f in iso_samples():
+        for i in range(-2, 3):
+            for x in (f.source, f.target):
+                counts.clear()
+                cohomology_data(x, i)
+                assert counts["_eliminate"] <= 2 and set(counts) <= {"_eliminate"}, (x, i, counts)
+                profiled += counts["_eliminate"] == 2
+            counts.clear()
+            induces_iso(f, i)
+            a, b = cohomology(f.source, i), cohomology(f.target, i)
+            assert counts["_eliminate"] == int(a == b and not a.is_zero()), (f.source, f.target, i)
+            assert set(counts) <= {"_eliminate"}
+    assert profiled >= 600, profiled
 
 
 def cone_support_samples(ring, seed):

@@ -168,9 +168,17 @@ def test_every_reader_runs_the_one_engine_once(monkeypatch):
     assert new_columns(m, b) == row_new_columns(m.hstack(b).a.tolist(), m.cols, 3)
     # modules bind the readers by name, the row-level cores included, never
     # the engine: the window build reaches it through row_kernel and free_cover,
-    # and the cut syzygy's rank profile through row_new_columns
+    # and every type read off a rank profile (the cut syzygy, each H^i)
+    # through span_type, which runs it once, through row_new_columns; the
+    # canonical route to H^i is gone from complexes
     assert complexes.row_kernel is linalg.row_kernel and rmodule.row_new_columns is linalg.row_new_columns
-    assert complexes.row_new_columns is linalg.row_new_columns
+    assert complexes.span_type is rmodule.span_type and not hasattr(complexes, "quotient_canonicalize")
+    via = []
+    monkeypatch.setattr(rmodule, "row_new_columns", lambda *args: via.append(args[2]) or linalg.row_new_columns(*args))
+    calls.clear()
+    ring = rmodule.Ring(3, 2)  # R e / x R e, with U = x R e
+    assert rmodule.span_type([[0], [1]], [[1], [0]], (2,), ring) == rmodule.RModule(ring, (1,))
+    assert calls == via == [3]
     binders = [name for name, mod in sys.modules.items()
                if name.split(".")[0] == "tricomplete" and name != "tricomplete.linalg"
                and any(v is engine or k == "_eliminate" for k, v in vars(mod).items())]

@@ -21,6 +21,7 @@ from tricomplete.completion import (
 from tricomplete.complexes import (
     Complex,
     _build_free_approximation,
+    cohomology_support,
     cone,
     cone_support,
     derived_hom,
@@ -765,3 +766,44 @@ def test_sing_hom_of_shifted_classes_is_stable_hom_of_syzygies(ring):
         want = stable(omega(m, max(0, s - t)), omega(nn, max(0, t - s)))[0]
         assert sing_hom(classes[m, s], classes[nn, t]) == want, (m, s, nn, t)
 
+
+
+# -- Ext above the amplitude is stable Hom --------------------------------------------
+
+
+def test_ext_above_the_amplitude_is_stable_hom():
+    # R is self-injective, so Hom_D(X, T^d Y) is Hom in D_sg once d >
+    # max H(Y) - min H(X) (Buchweitz): derived_hom's band and Hom complex,
+    # or its Betti number for Y = k, against sing_hom's closed form on the
+    # cut syzygies, T^d moving Y's cut, and so its class, by -d.  At
+    # d = bound the two may differ.
+    seen = {"checked": 0, "differ at the bound": 0}
+
+    def check(x, y):
+        bound = max(cohomology_support(y)) - min(cohomology_support(x))
+        cls = syzygy_class(y)
+        for d in range(bound, bound + 5):
+            shifted = syzygy_class(shift(y, d))
+            assert (shifted.module, shifted.shift) == (cls.module, cls.shift - d), (y, d)
+            same = derived_hom(x, y, d) == sing_hom(syzygy_class(x), shifted)
+            if d > bound:
+                assert same, (x, y, d)
+                seen["checked"] += 1
+            else:
+                seen["differ at the bound"] += not same
+
+    for ring in (Ring(2, 2), Ring(3, 2)):
+        k = module_complex(RModule(ring, (1,)), 0)
+        xs = [x for x in two_term_complexes(ring) if cohomology_support(x)]
+        for idx, x in enumerate(xs):
+            check(x, k)
+            check(x, xs[7 * idx % len(xs)])
+    for seed, ring in enumerate(EXT_RINGS, start=11):
+        s, k, drawn = Sampler(ring, random.Random(seed)), module_complex(RModule(ring, (1,)), 0), 0
+        while drawn < 8:
+            x, y = s.complex(-1, 1, max_blocks=2), s.complex(-2, 1, max_blocks=2)
+            if cohomology_support(x) and cohomology_support(y):
+                check(x, y)
+                check(x, k)
+                drawn += 1
+    assert seen["checked"] >= 1300 and seen["differ at the bound"] >= 70, seen
