@@ -322,9 +322,8 @@ def colimit(tower: Tower, window: tuple[int, int], horizon: int,
     vanishes outside the window iff its representative's cohomology
     support lies inside it.  A prefix-only tower is scanned: the least k
     whose maps up to the horizon are isomorphisms on H^i, found by walking
-    down from the horizon, so each connecting map is read at most once,
-    and H^i of each entry only when the walk reaches it.  Entries are Jordan
-    types, and a step asks induces_iso, by ranks: no basis of H^i is built.
+    down from the horizon, so each connecting map is read at most once, by
+    induces_iso, and H^i of each entry, a type, only when the walk reaches it.
     """
     if certificate.verdict == "not_cauchy":
         raise PreconditionError("tower is not Cauchy for %s: no colimit in the completion"

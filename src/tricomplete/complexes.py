@@ -8,9 +8,8 @@ complex, then read the periodic tail below it where a band reaches) is the
 engine behind perfection tests, syzygy classes and derived Hom.  Lengths
 and quasi-iso tests need only where the cone's cohomology vanishes:
 cone_support reads it off the cone's block ranks without building it.
-H^i is a Jordan type off one rank profile (span_type, as the cut syzygy
-is), and an induced map is only asked whether it is an isomorphism
-(induces_iso): no basis of H^i is built.
+H^i is a Jordan type off one rank profile, as the cut syzygy is, and an
+induced map is only asked whether it is an isomorphism (induces_iso).
 
 Sign conventions, fixed once:
   * shift:   (T^t X)^i = X^(i+t), differential scaled by (-1)^t;
@@ -43,6 +42,7 @@ from .rmodule import (
     hom_basis,
     identity_map,
     omega_power,
+    profile_type,
     span_type,
     subspace_canonicalize,
     syzygy_type,
@@ -319,10 +319,10 @@ class CohomologyData:
 
 def cohomology_data(x: Complex, i: int) -> CohomologyData:
     """H^i off one kernel and one rank profile: span_type of G = Z, U = B."""
-    cached = x._coh_cache.get(i)
-    if cached is not None:
-        return cached
-    cycles, boundaries = kernel_basis(x.differential(i).matrix), x.differential(i - 1).matrix
+    if i in x._coh_cache:
+        return x._coh_cache[i]
+    d, boundaries = x.differential(i).matrix, x.differential(i - 1).matrix
+    cycles = kernel_basis(d) if d.cols else Matrix.zeros(0, 0, d.p)  # X^i = 0: nothing to eliminate
     module = span_type(boundaries.a.tolist(), cycles.a.tolist(), x.component(i).blocks, x.ring)
     x._coh_cache[i] = data = CohomologyData(module, cycles, boundaries)
     return data
@@ -637,18 +637,19 @@ def _resolve_window(x: Complex) -> _Window:
 
     The cut syzygy is Omega W for the image W = R{w_k} of d^cut, a minimal
     free cover of W (see _build_free_approximation), with w_k = d^cut e_k.
-    W's type is span_type of the w_k with U = 0: x^t w_k is column
-    k*n + t of d^cut, so its one rank profile eliminates d^cut's columns
-    in the order t = n-1, ..., 0.  The cut kernel and its embedding wait
-    for a reader.
+    W's type is span_type's for G = the w_k and U = 0, but x^t w_k is
+    already column k*n + t of d^cut: one gather of its columns in the order
+    t = n-1, ..., 0 gives profile_type the rows span_type would build.  The
+    cut kernel and its embedding wait for a reader.
     """
     if x._window is not None:
         return x._window
     ring, n = x.ring, x.ring.n
     cut = x.min_degree - 1
     ranks, diffs, eps = _build_free_approximation(x, cut)
-    w = diffs[cut][:, ::n].tolist() if ranks.get(cut) else []
-    image = span_type([[]] * len(w), w, (n,) * ranks.get(cut + 1, 0), ring)
+    r = ranks.get(cut, 0)
+    order = [k * n + t for t in range(n - 1, -1, -1) for k in range(r)]
+    image = profile_type(diffs[cut][:, order].tolist(), 0, r, ring) if r else zero_module(ring)
     for arr in (*diffs.values(), *eps.values()):
         arr.flags.writeable = False
     x._window = _Window(cut, ranks, diffs, eps, RModule(ring, syzygy_type(image)))

@@ -19,7 +19,7 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from .linalg import Matrix, is_prime, kernel_basis, new_columns, rank, row_new_columns, rref, solve
+from .linalg import Matrix, is_prime, kernel_basis, new_columns, row_new_columns, rref, solve
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,6 @@ class RModuleMap:
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
-
-    def is_isomorphism(self) -> bool:
-        return self.source.blocks == self.target.blocks and rank(self.matrix) == self.source.dim
 
     def __eq__(self, other):
         if not isinstance(other, RModuleMap):
@@ -376,19 +373,23 @@ def shift_rows(rows: list[list[int]], blocks: tuple[int, ...], t: int) -> list[l
 
 
 def span_type(span: list[list[int]], gens: list[list[int]], blocks: tuple[int, ...], ring: Ring) -> RModule:
-    """Jordan type of (RG + U)/U for the columns G of gens and the x-stable
-    U spanned by the columns of span, int rows in the canonical coordinates
-    of type blocks, where x is shift_rows (span of width 0 for U = 0).
-
-    One rank profile, no basis: the columns [U | x^(n-1)G | ... | xG | G]
-    span U + x^t RG up to the group x^t G, so its pivots there count
-    dim(x^t RG + U) - dim(x^(t+1) RG + U), the blocks of size > t."""
+    """Jordan type of (RG + U)/U, G and the x-stable U the columns of gens and
+    span (width 0 for U = 0), int rows of type blocks: profile_type of the rows
+    [U | x^(n-1)G | ... | G], x^t G holding G's row r - t at block offsets >= t."""
     n, g = ring.n, len(gens[0]) if gens else 0
     if not g:
         return zero_module(ring)
-    powers = [shift_rows(gens, blocks, t) for t in range(n - 1, -1, -1)]
-    rows = [[v for part in parts for v in part] for parts in zip(span, *powers)]
-    picked = row_new_columns(rows, len(span[0]), ring.p)
+    rows = [sum((gens[r - t] for t in range(u, -1, -1)), span[r] + [0] * g * (n - 1 - u))
+            for r, u in enumerate(u for j in blocks for u in range(j))]
+    return profile_type(rows, len(span[0]), g, ring)
+
+
+def profile_type(rows: list[list[int]], split: int, g: int, ring: Ring) -> RModule:
+    """Jordan type of (RG + U)/U off one elimination of the int rows of
+    [U | x^(n-1)G | ... | xG | G], U of width split and G of width g: the
+    columns up to the group x^t G span U + x^t RG, so its pivots count
+    dim(x^t RG + U) - dim(x^(t+1) RG + U), the blocks of size > t."""
+    n, picked = ring.n, row_new_columns(rows, split, ring.p)
     taller = [sum(c // g == n - 1 - t for c in picked) for t in range(n)]  # blocks of size > t
     return RModule(ring, tuple(sum(c >= j for c in taller) for j in range(1, taller[0] + 1)))
 

@@ -7,8 +7,9 @@ built by an independent elimination, the periodic tail below a given
 embedding as a generator, the eagerly spliced resolution that bands are
 read against, derived Hom through the Hom complex for every target, the
 cut syzygy's type by a Jordan profile of the cut kernel, H^i in
-canonical bases and the maps it induces (the oracles of the rank-profile
-cohomology and of induces_iso), R-linearity by the products with the
+canonical bases, the maps it induces and whether an R-map is an
+isomorphism (the oracles of the rank-profile cohomology and of
+induces_iso), R-linearity by the products with the
 x-actions, and an exhaustive set of small complexes.  The library, its
 CLI and its benchmark never perform them; the tests build inputs and
 references with them."""
@@ -313,6 +314,11 @@ def cohomology_map(f, i, src=None, tgt=None):
     coords = solve(cycles, f.component(i).matrix @ lift)
     assert coords is not None  # chain maps send cycles to cycles
     return RModuleMap(a, b, to_classes @ coords)
+
+
+def is_isomorphism(f):
+    """Whether the R-map f is an isomorphism: equal types and full rank."""
+    return f.source.blocks == f.target.blocks and rank(f.matrix) == f.source.dim
 
 
 # -- oracles of the cut syzygy and of R-linearity -------------------------------------

@@ -169,10 +169,12 @@ def test_every_reader_runs_the_one_engine_once(monkeypatch):
     # modules bind the readers by name, the row-level cores included, never
     # the engine: the window build reaches it through row_kernel and free_cover,
     # and every type read off a rank profile (the cut syzygy, each H^i)
-    # through span_type, which runs it once, through row_new_columns; the
-    # canonical route to H^i is gone from complexes
+    # through profile_type, which runs it once, through row_new_columns
+    # (span_type lays out H^i's rows for it); the canonical route to H^i is
+    # gone from complexes
     assert complexes.row_kernel is linalg.row_kernel and rmodule.row_new_columns is linalg.row_new_columns
-    assert complexes.span_type is rmodule.span_type and not hasattr(complexes, "quotient_canonicalize")
+    assert complexes.span_type is rmodule.span_type and complexes.profile_type is rmodule.profile_type
+    assert not hasattr(complexes, "quotient_canonicalize")
     via = []
     monkeypatch.setattr(rmodule, "row_new_columns", lambda *args: via.append(args[2]) or linalg.row_new_columns(*args))
     calls.clear()

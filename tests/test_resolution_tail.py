@@ -767,7 +767,6 @@ def test_sing_hom_of_shifted_classes_is_stable_hom_of_syzygies(ring):
         assert sing_hom(classes[m, s], classes[nn, t]) == want, (m, s, nn, t)
 
 
-
 # -- Ext above the amplitude is stable Hom --------------------------------------------
 
 
