@@ -42,7 +42,6 @@ from .rmodule import (
     _tail_stage,
     free_module,
     identity_map,
-    omega_power,
 )
 from .complexes import (
     ChainMap,
@@ -88,14 +87,14 @@ class TruncationTail:
         as a finite set plus the top of a ray of degrees escaping to -infinity.
 
         The cone is the quotient complex in degrees [-j, -i-1]: its top
-        cohomology is the covered syzygy (nonzero iff F_(i+1) is), its
-        bottom is Omega^(j+1) M, and middle degrees are exact.  The syzygies
-        of a module that is neither free nor zero never vanish, so -j runs
-        over every degree <= -i-1.
+        cohomology is the covered syzygy Omega^(i+1) M, its bottom is
+        Omega^(j+1) M, and middle degrees are exact.  For i >= 0 both are
+        nonzero exactly when M is neither free nor zero, since the syzygies
+        of such a module never vanish; then -j runs over every degree <= -i-1,
+        and the top, -i-1, lies on that ray.
         """
-        supp = frozenset() if omega_power(self.module, i + 1).is_zero() else frozenset({-i - 1})
         escapes = not self.module.is_free() and not self.module.is_zero()
-        return supp, (-i - 1 if escapes else None)
+        return frozenset(), (-i - 1 if escapes else None)
 
     def stable_from(self, i: int) -> int:
         """From X_k with k >= this on, degrees i-1..i+1 are all in X_k."""

@@ -19,10 +19,12 @@ no Jordan basis, free Complex, comparison ChainMap or RModuleMap.
 
 The singularity quotient is modelled through the stable module category
 (R is self-injective): a complex maps to its deep syzygy with a shift
-bookkeeping integer, and Hom in the quotient is stable Hom after aligning
-shifts by the syzygy equivalence.  Its dimension is the closed form
-sum of min(a, b, n-a, n-b) over block pairs (rmodule.stable_hom_dim); the
-elimination-based rmodule.stable_hom stays public as its oracle.
+bookkeeping integer, and Hom in the quotient is stable Hom of the two
+syzygies, the closed form sum of min(a, b, n-a, n-b) over block pairs
+(rmodule.stable_hom_dim).  Omega, which moves a class to another shift,
+sends each block j to n - j and so leaves that sum alone: the dimension
+never reads the shifts.  The elimination-based rmodule.stable_hom stays
+public as its oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .rmodule import RModule, omega_power, stable_hom_dim, zero_module
+from .rmodule import RModule, stable_hom_dim, zero_module
 from .complexes import Complex, PreconditionError, cohomology, projective_resolution
 from .metric import GoodMetric
 from .cauchy import CauchyCertificate, ColimitTable, Tower, colimit, is_cauchy
@@ -163,19 +165,12 @@ def syzygy_class(x: Complex) -> SingClass:
 def sing_hom(a: SingClass, b: SingClass) -> int:
     """Hom dimension in the singularity category.
 
-    The syzygy functor inverts the shift on the stable category, so after
-    applying it to whichever class has the shallower cut the classes sit
-    at the same shift and Hom is stable Hom of the representatives, in
-    closed form (stable_hom_dim).
+    The syzygy functor inverts the shift on the stable category, so Hom is
+    stable Hom of the representatives once one is moved by Omega to the
+    other's shift.  That move never changes the dimension: stable_hom_dim
+    sums min(a, b, n-a, n-b) over block pairs, Omega sends a block j < n to
+    n - j, and a class has no free block.  So no shift is aligned.
     """
     if a.module.ring != b.module.ring:
         raise PreconditionError("singularity classes over different rings")
-    if a.is_zero() or b.is_zero():
-        return 0
-    if b.shift >= a.shift:
-        right = omega_power(b.module, b.shift - a.shift)
-        left = a.module
-    else:
-        left = omega_power(a.module, a.shift - b.shift)
-        right = b.module
-    return stable_hom_dim(left, right)
+    return stable_hom_dim(a.module, b.module)

@@ -37,6 +37,7 @@ from .rmodule import (
     _tail_stage,
     cover_matrix,
     direct_sum,
+    dual_map,
     free_cover,
     free_module,
     hom_basis,
@@ -467,19 +468,6 @@ def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
 
 
 # -- duality ------------------------------------------------------------------
-
-
-def _reversal(m: RModule) -> Matrix:
-    """Blockwise antidiagonal; conjugates the transposed x-action back to
-    canonical form.  Self-inverse."""
-    ones = [(s + j - 1 - t, s + t) for j, s in zip(m.blocks, m.block_starts()) for t in range(j)]
-    return Matrix.units(m.dim, m.dim, ones, m.ring.p)
-
-
-def dual_map(f: RModuleMap) -> RModuleMap:
-    """F_p-linear dual in canonical bases: target' -> source'."""
-    ra, rb = _reversal(f.source), _reversal(f.target)
-    return RModuleMap(f.target, f.source, ra @ f.matrix.T @ rb)
 
 
 def dualize(x: Complex) -> Complex:

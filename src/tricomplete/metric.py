@@ -129,14 +129,16 @@ def _level_range(constraints: list[tuple[int, int]]) -> tuple | None:
     return (lo, hi) if lo <= hi else None
 
 
-def _meeting_constraints(run: tuple, d: int, below: bool) -> list[tuple[int, int]]:
-    """Conditions on n for the run (lo, hi) at level n to hold degree d, or
-    (below) to hold some degree <= d; each condition (a, b) reads a*n + b > 0."""
-    lo, hi = run
-    out = [] if lo is None else [(-lo.a, d + 1 - lo.b)]  # lo(n) <= d
-    if hi is not None and not below:
-        out.append((hi.a, hi.b + 1 - d))  # d <= hi(n)
-    elif hi is not None and lo is not None:
+def _meeting_constraints(run: tuple, probe: tuple) -> list[tuple[int, int]]:
+    """Conditions on n for the run (lo, hi) at level n to meet the closed
+    probe run (plo, phi), None at an open end: a point (d, d), the below
+    ray (None, b) or the whole line (None, None).  Each condition (a, b)
+    reads a*n + b > 0.  A point needs only lo(n) <= d <= hi(n)."""
+    (lo, hi), (plo, phi) = run, probe
+    out = [] if lo is None or phi is None else [(-lo.a, phi + 1 - lo.b)]  # lo(n) <= phi
+    if hi is not None and plo is not None:
+        out.append((hi.a, hi.b + 1 - plo))  # plo <= hi(n)
+    if lo is not None and hi is not None and (plo is None or plo != phi):
         out.append((hi.a - lo.a, hi.b + 1 - lo.b))  # lo(n) <= hi(n)
     return out
 
@@ -171,12 +173,12 @@ class GoodMetric:
 
     # -- ball membership & lengths ----------------------------------------
 
-    def _level_ranges(self, supp: frozenset, below: int | None = None) -> list[tuple]:
-        """Per run and probe, the range of levels n >= 2 where the run holds
-        the support degree (for the below probe, a degree <= below)."""
-        probes = [(d, False) for d in supp] + ([] if below is None else [(below, True)])
-        return [r for run in self.effective_pieces for d, ray in probes
-                if (r := _level_range(_meeting_constraints(run, d, ray))) is not None]
+    def _level_ranges(self, probes: list[tuple]) -> list[tuple]:
+        """Per run and probe (plo, phi), the range of levels n >= 2 where the
+        run meets the probe (_meeting_constraints): a support degree d is the
+        point (d, d), and every degree <= below the ray (None, below)."""
+        return [r for run in self.effective_pieces for probe in probes
+                if (r := _level_range(_meeting_constraints(run, probe))) is not None]
 
     def ball_level(self, supp: frozenset, below: int | None = None) -> int | None:
         """Largest n with the support, and every degree <= below when given,
@@ -185,7 +187,7 @@ class GoodMetric:
         B_n misses them exactly at the levels in the ranges; when those end
         in an unbounded run from s, B_(s-1) is the deepest ball holding them.
         Exact for every family; for a nested one every range is a ray."""
-        runs = _merged(self._level_ranges(supp, below))
+        runs = _merged(self._level_ranges([(d, d) for d in supp] + ([] if below is None else [(None, below)])))
         return runs[-1][0] - 1 if runs and runs[-1][1] == math.inf else None
 
     def support_length(self, supp: frozenset, below: int | None = None) -> Fraction:
@@ -198,7 +200,7 @@ class GoodMetric:
         in no level range (so B_1 is everything)."""
         if n < 1:
             raise PreconditionError("ball level must be >= 1, got %d" % n)
-        return not any(first <= n <= last for first, last in self._level_ranges(supp))
+        return not any(first <= n <= last for first, last in self._level_ranges([(d, d) for d in supp]))
 
 
 def in_ball(x: Complex, n: int, m: GoodMetric) -> bool:
@@ -396,11 +398,9 @@ class EquivalenceReport:
 
 
 def _first_nonempty_level(m: GoodMetric) -> int | None:
-    """The least level n >= 2 with spec(n) nonempty, or None."""
-    ranges = [_level_range([] if lo is None or hi is None else
-                           [(hi.a - lo.a, hi.b + 1 - lo.b)])  # lo(n) <= hi(n)
-              for lo, hi in m.effective_pieces]
-    return min((r[0] for r in ranges if r is not None), default=None)
+    """The least level n >= 2 with spec(n) nonempty, or None: the first
+    level where some run meets the whole line."""
+    return min((r[0] for r in m._level_ranges([(None, None)])), default=None)
 
 
 def _fail_level(inner: GoodMetric, outer: GoodMetric) -> int | None:

@@ -7,8 +7,10 @@ so the x-action is the block-diagonal lower shift matrix.  Morphisms carry
 an F_p matrix in canonical bases and must commute with the x-actions.
 
 Everything downstream (complexes, cones, resolutions) reduces to the
-operations here: kernels/images/cokernels re-canonicalized to Jordan type,
-Hom bases, projective covers and syzygies, and Hom modulo projectives.
+operations here: k-duality of maps, kernels/images/cokernels
+re-canonicalized to Jordan type (all three as kernels, by
+subspace_canonicalize), Hom bases, projective covers and syzygies, and
+Hom modulo projectives.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from .linalg import Matrix, is_prime, kernel_basis, new_columns, row_new_columns, rref, solve
+from .linalg import Matrix, is_prime, kernel_basis, new_columns, row_new_columns, solve
 
 
 @dataclass(frozen=True)
@@ -235,36 +237,6 @@ def subspace_canonicalize(action: Matrix, basis: Matrix, ring: Ring) -> tuple[RM
     return RModule(ring, blocks), basis @ J
 
 
-def quotient_canonicalize(action: Matrix, sub_basis: Matrix, ring: Ring) -> tuple[RModule, Matrix, Matrix]:
-    """Canonicalize the quotient of a coordinate space by a stable span.
-
-    Returns (Q, proj, section): proj maps ambient coordinates onto the
-    canonical coordinates of Q, section is a linear (not R-linear) right
-    inverse picking representatives.  sub_basis columns may be dependent.
-
-    The pivots of one rref([sub_basis | I]) pick the independent columns
-    of sub_basis and then the standard vectors that complete them to a
-    basis T; the quotient coordinates are the complement's rows of T^-1,
-    the projection along span(sub_basis) whichever of its bases T holds.
-    """
-    d, p = action.rows, ring.p
-    both = sub_basis.hstack(Matrix.identity(d, p))
-    picked = new_columns(Matrix.zeros(d, 0, p), both)
-    rk = sum(c < sub_basis.cols for c in picked)
-    if rk == d:
-        return zero_module(ring), Matrix.zeros(0, d, p), Matrix.zeros(d, 0, p)
-    T = Matrix(both.a[:, picked], p)
-    C = Matrix(T.a[:, rk:], p)
-    Tinv = solve(T, Matrix.identity(d, p))
-    assert Tinv is not None
-    P = Matrix(Tinv.a[rk:], p)  # ambient coords -> quotient coords
-    induced = P @ action @ C
-    blocks, J = jordan_basis(induced)
-    Jinv = solve(J, Matrix.identity(J.rows, p))
-    assert Jinv is not None
-    return RModule(ring, blocks), Jinv @ P, C @ J
-
-
 def direct_sum(summands: list[RModule], ring: Ring) -> tuple[RModule, list[RModuleMap], list[RModuleMap]]:
     """Direct sum in canonical form, with injections and projections.
 
@@ -343,24 +315,38 @@ def _hom_basis(m: RModule, nn: RModule) -> tuple[RModuleMap, ...]:
 # -- kernels, images, cokernels --------------------------------------------
 
 
+def _reversal(m: RModule) -> Matrix:
+    """Blockwise antidiagonal; conjugates the transposed x-action back to
+    canonical form.  Self-inverse."""
+    ones = [(s + j - 1 - t, s + t) for j, s in zip(m.blocks, m.block_starts()) for t in range(j)]
+    return Matrix.units(m.dim, m.dim, ones, m.ring.p)
+
+
+def dual_map(f: RModuleMap) -> RModuleMap:
+    """F_p-linear dual in canonical bases: target' -> source'."""
+    ra, rb = _reversal(f.source), _reversal(f.target)
+    return RModuleMap(f.target, f.source, ra @ f.matrix.T @ rb)
+
+
 def subquotient(f: RModuleMap, which: str) -> tuple[RModule, RModuleMap]:
     """Kernel, image or cokernel of a map, re-canonicalized to Jordan type.
 
     kernel:   (K, inclusion K -> source)
     image:    (I, inclusion I -> target)
     cokernel: (C, projection target -> C)
+
+    Only the kernel is canonicalized (subspace_canonicalize); the others
+    are kernels too.  By k-duality D coker f = ker Df, and the dual of that
+    kernel's inclusion is onto, with kernel im f; and im f = ker coker f.
     """
     if which == "kernel":
         mod, emb = subspace_canonicalize(f.source.x_action(), kernel_basis(f.matrix), f.ring)
         return mod, RModuleMap(mod, f.source, emb)
-    if which == "image":
-        R_, rk, _ = rref(f.matrix.T)
-        img = Matrix(R_.a[:rk, :].T, f.matrix.p)
-        mod, emb = subspace_canonicalize(f.target.x_action(), img, f.ring)
-        return mod, RModuleMap(mod, f.target, emb)
     if which == "cokernel":
-        mod, proj, _ = quotient_canonicalize(f.target.x_action(), f.matrix, f.ring)
-        return mod, RModuleMap(f.target, mod, proj)
+        mod, incl = subquotient(dual_map(f), "kernel")
+        return mod, dual_map(incl)
+    if which == "image":
+        return subquotient(subquotient(f, "cokernel")[1], "kernel")
     raise ValueError("which must be kernel|image|cokernel, got %r" % which)
 
 

@@ -6,11 +6,12 @@ window build that the int-row build is checked against, a resolution
 built by an independent elimination, the periodic tail below a given
 embedding as a generator, the eagerly spliced resolution that bands are
 read against, derived Hom through the Hom complex for every target, the
-cut syzygy's type by a Jordan profile of the cut kernel, H^i in
-canonical bases, the maps it induces and whether an R-map is an
-isomorphism (the oracles of the rank-profile cohomology and of
-induces_iso), R-linearity by the products with the
-x-actions, and an exhaustive set of small complexes.  The library, its
+cut syzygy's type by a Jordan profile of the cut kernel, quotients
+canonicalized by a complement of the subspace (the route cokernels took
+before they became kernels of the dual), H^i in canonical bases on it,
+the maps it induces and whether an R-map is an isomorphism (the oracles
+of the rank-profile cohomology and of induces_iso), R-linearity by the
+products with the x-actions, and an exhaustive set of small complexes.  The library, its
 CLI and its benchmark never perform them; the tests build inputs and
 references with them."""
 
@@ -41,7 +42,7 @@ from tricomplete.rmodule import (
     free_cover,
     free_module,
     hom_basis,
-    quotient_canonicalize,
+    jordan_basis,
     subspace_canonicalize,
     syzygy_type,
     zero_map,
@@ -285,7 +286,37 @@ def hom_complex_derived_hom(a, b, d):
     return dd.cols - rank(dd) - rank(dm1)
 
 
-# -- H^i in canonical bases ----------------------------------------------------------
+# -- quotients and H^i in canonical bases ---------------------------------------------
+
+
+def quotient_canonicalize(action, sub_basis, ring):
+    """Canonicalize the quotient of a coordinate space by a stable span.
+
+    Returns (Q, proj, section): proj maps ambient coordinates onto the
+    canonical coordinates of Q, section is a linear (not R-linear) right
+    inverse picking representatives.  sub_basis columns may be dependent.
+
+    The pivots of one rref([sub_basis | I]) pick the independent columns
+    of sub_basis and then the standard vectors that complete them to a
+    basis T; the quotient coordinates are the complement's rows of T^-1,
+    the projection along span(sub_basis) whichever of its bases T holds.
+    """
+    d, p = action.rows, ring.p
+    both = sub_basis.hstack(Matrix.identity(d, p))
+    picked = new_columns(Matrix.zeros(d, 0, p), both)
+    rk = sum(c < sub_basis.cols for c in picked)
+    if rk == d:
+        return zero_module(ring), Matrix.zeros(0, d, p), Matrix.zeros(d, 0, p)
+    T = Matrix(both.a[:, picked], p)
+    C = Matrix(T.a[:, rk:], p)
+    Tinv = solve(T, Matrix.identity(d, p))
+    assert Tinv is not None
+    P = Matrix(Tinv.a[rk:], p)  # ambient coords -> quotient coords
+    induced = P @ action @ C
+    blocks, J = jordan_basis(induced)
+    Jinv = solve(J, Matrix.identity(J.rows, p))
+    assert Jinv is not None
+    return RModule(ring, blocks), Jinv @ P, C @ J
 
 
 def canonical_cohomology(x, i):

@@ -47,6 +47,7 @@ from reference import (
     direct_sum_complex,
     is_isomorphism,
     neg,
+    quotient_canonicalize,
     two_term_complexes,
 )
 
@@ -491,7 +492,7 @@ def test_cohomology_runs_two_eliminations_per_degree_and_builds_no_basis(count_c
     # Jordan basis and no solve; with both sides built, induces_iso runs one
     # elimination, or none when a side is 0 or the types differ
     from tricomplete import linalg
-    from tricomplete.rmodule import jordan_basis, quotient_canonicalize
+    from tricomplete.rmodule import jordan_basis
 
     counts = count_calls(linalg._eliminate, linalg.solve, jordan_basis, quotient_canonicalize)
     profiled = bare = 0

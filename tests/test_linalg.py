@@ -171,10 +171,12 @@ def test_every_reader_runs_the_one_engine_once(monkeypatch):
     # and every type read off a rank profile (the cut syzygy, each H^i)
     # through profile_type, which runs it once, through row_new_columns
     # (span_type lays out H^i's rows for it); the canonical route to H^i is
-    # gone from complexes
+    # gone from complexes, and rmodule reads images and cokernels as
+    # kernels, with k-duality its own (dual_map), and binds no rref
     assert complexes.row_kernel is linalg.row_kernel and rmodule.row_new_columns is linalg.row_new_columns
     assert complexes.span_type is rmodule.span_type and complexes.profile_type is rmodule.profile_type
     assert not hasattr(complexes, "quotient_canonicalize")
+    assert not hasattr(rmodule, "rref") and complexes.dual_map is rmodule.dual_map
     via = []
     monkeypatch.setattr(rmodule, "row_new_columns", lambda *args: via.append(args[2]) or linalg.row_new_columns(*args))
     calls.clear()

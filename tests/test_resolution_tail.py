@@ -754,6 +754,17 @@ def omega_by_elimination(m: RModule, t: int) -> RModule:
     return m
 
 
+@pytest.mark.parametrize("ring", FORMULA_RINGS, ids=str)
+def test_stable_hom_dim_is_invariant_under_omega_on_either_side(ring):
+    # what sing_hom rests on when it aligns no shifts: Omega, by elimination,
+    # moves neither side's stable Hom dimension, free blocks included
+    types = [RModule(ring, b) for b in jordan_types(ring, 2)]
+    omega = {m: omega_by_elimination(m, 1) for m in types}
+    for m, nn in product(types, types):
+        want = stable_hom_dim(m, nn)
+        assert stable_hom_dim(omega[m], nn) == want == stable_hom_dim(m, omega[nn]), (m, nn)
+
+
 @pytest.mark.parametrize("ring", (Ring(2, 2), Ring(2, 3), Ring(3, 3), Ring(2, 4)), ids=str)
 def test_sing_hom_of_shifted_classes_is_stable_hom_of_syzygies(ring):
     # Buchweitz: in D_sg, M[-s] -> N[-t] is stable Hom(Omega^(s-t) M, N) or

@@ -19,7 +19,6 @@ from tricomplete.rmodule import (
     jordan_basis,
     omega_power,
     projective_cover_and_syzygy,
-    quotient_canonicalize,
     shift_rows,
     stable_hom,
     subquotient,
@@ -32,7 +31,7 @@ from tricomplete.complexes import zero_complex
 from tricomplete.randomgen import Sampler
 from tricomplete.workspace import _Parser, parse_workspace_text
 
-from reference import add, commutes_with_x
+from reference import add, commutes_with_x, quotient_canonicalize
 
 R22 = Ring(2, 2)
 R23 = Ring(2, 3)
@@ -478,6 +477,33 @@ def test_subquotient_dimensions(data):
     assert (f.matrix @ ki.matrix).is_zero()
     assert (cp.matrix @ f.matrix).is_zero()
     assert (cp.matrix @ ii.matrix).is_zero()
+
+
+@pytest.mark.parametrize("ring", (Ring(2, 2), Ring(3, 3), Ring(2, 4), Ring(5, 2), Ring(3, 4)), ids=str)
+def test_cokernels_and_images_read_as_kernels_match_the_quotient_route(ring):
+    # cokernels by k-duality (D coker f = ker Df) and images as ker coker f,
+    # on a random map for every pair of types with at most 3 blocks: their
+    # types equal the complement route's (quotient_canonicalize) and those
+    # of rref + subspace_canonicalize; q f = 0, q is onto, and ker q = im f
+    rng = random.Random(ring.p * 37 + ring.n)
+    seen = {"proper": 0, "zero map": 0}
+    for m, nn in itertools.product(jordan_types(ring, 3), repeat=2):
+        f = zero_map(m, nn).matrix
+        for b in hom_basis(m, nn):
+            f = add(f, b.matrix.scale(rng.randrange(ring.p)))
+        g = RModuleMap(m, nn, f)
+        (cok, q), (img, incl) = subquotient(g, "cokernel"), subquotient(g, "image")
+        assert cok == quotient_canonicalize(nn.x_action(), f, ring)[0], (m, nn, f)
+        R_, rk, _ = rref(f.T)
+        assert img == subspace_canonicalize(nn.x_action(), Matrix(R_.a[:rk, :].T, ring.p), ring)[0], (m, nn, f)
+        assert (q.source, q.target, incl.source, incl.target) == (nn, cok, img, nn)
+        assert (q.matrix @ f).is_zero() and rank(q.matrix) == cok.dim, (m, nn, f)
+        # im f lies in ker q, which has dimension dim nn - rank q; the image's
+        # inclusion spans im f
+        assert rank(f) == nn.dim - cok.dim == img.dim == rank(f.hstack(incl.matrix)), (m, nn, f)
+        seen["proper"] += 0 < img.dim < nn.dim
+        seen["zero map"] += f.is_zero() and not m.is_zero() and not nn.is_zero()
+    assert seen["proper"] >= 40 and seen["zero map"] >= 1, seen
 
 
 # -- covers and syzygies ----------------------------------------------------
