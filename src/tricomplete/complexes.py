@@ -5,9 +5,9 @@ differentials.  Morphisms of the derived category are realized as strict
 chain maps out of a projective resolution; the resolution machinery at the
 bottom of this file (build the minimal window down to the cut once per
 complex, then read the periodic tail below it where a band reaches) is the
-engine behind perfection tests, syzygy classes and derived Hom.  Lengths
-and quasi-iso tests need only where the cone's cohomology vanishes:
-cone_support reads it off the cone's block ranks without building it.
+engine behind perfection tests, syzygy classes and derived Hom.  Lengths,
+quasi-iso tests and the cartesian check need only where a cone's
+cohomology vanishes: one block-rank reader reads it without building it.
 H^i is a Jordan type off one rank profile, as the cut syzygy is, and an
 induced map is only asked whether it is an isomorphism (induces_iso).
 
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Matrix, kernel_basis, new_columns, rank, row_kernel, solve
+from .linalg import Matrix, kernel_basis, new_columns, rank, row_kernel, row_rank, solve
 from .rmodule import (
     RModule,
     RModuleMap,
@@ -251,8 +251,8 @@ class Triangle:
     """X --f--> Y --g--> Z --h--> TX with Z the cone of f.
 
     g and h are built on first read, as validated chain maps out of the
-    direct-sum structure maps kept from the cone.  Lengths, quasi-iso tests
-    and Cauchy checks build no Triangle: they read cone_support.
+    direct-sum structure maps kept from the cone.  Lengths, quasi-iso tests,
+    cartesian and Cauchy checks build no Triangle: they read block ranks.
     """
 
     x: Complex
@@ -278,30 +278,6 @@ def cone(f: ChainMap) -> Triangle:
     tx = shift(x, 1)
     z, injs, projs = _sum_complex([tx, y], x.ring, twist=f)
     return Triangle(x, y, z, f, tx, injs, projs)
-
-
-def homotopy_pushout(f: ChainMap, h: ChainMap) -> tuple[ChainMap, ChainMap]:
-    """The square on B <-f- A -h-> C: u = (-f, h) : A -> B (+) C and the
-    induced g : C -> D into its cone D = cone(u).z.
-
-    u and g are built once each, from the direct-sum structure maps:
-    u^i = iota_C h^i - iota_B f^i, one F_p array per degree where f or h
-    is nonzero, and g^i = iota^i iota_C^i with iota the cone's injection
-    of B (+) C.  Both are chain maps by construction and built trusted; no
-    composite, sum or injection chain map is built on the way.
-    """
-    if f.source != h.source:
-        raise PreconditionError("maps do not share a source")
-    a, ring = f.source, f.source.ring
-    bc, injs, _ = _sum_complex([f.target, h.target], ring)
-    comps = {}
-    for i in f._components.keys() | h._components.keys():
-        arr = _composite(injs[i][1], h._components.get(i)) - _composite(injs[i][0], f._components.get(i))
-        comps[i] = RModuleMap._trusted(a.component(i), bc.component(i), Matrix(arr, ring.p))
-    u = ChainMap._trusted(a, bc, comps)
-    tri = cone(u)
-    g = ChainMap._trusted(h.target, tri.z, {i: tri._injs[i][1] @ injs[i][1] for i in h.target.degrees})
-    return u, g
 
 
 # -- cohomology --------------------------------------------------------------
@@ -334,11 +310,43 @@ def cohomology(x: Complex, i: int) -> RModule:
     return cohomology_data(x, i).module
 
 
+def _block_support(parts: list[tuple[Complex, int]], blocks: list[tuple], p: int) -> frozenset[int]:
+    """The degrees with H^i != 0 of a complex met only as block arrays:
+    piece k of its degree-i component is X^(i+t) for (X, t) = parts[k],
+    and d^i has, for each (r, c, sign, maps, t) in blocks with i + t in
+    maps, the block sign * maps[i + t] from column piece c to row piece r;
+    sign 0 marks the identity of piece c, maps then holding modules.
+    H^i != 0 iff dim > rk d^i + rk d^(i-1), with one rank, on int rows,
+    per degree where a block is present: elsewhere d^i = 0."""
+    dims, total = [], {}
+    for x, t in parts:
+        dims.append(part := {i - t: m.dim for i, m in x._components.items()})
+        for i, d in part.items():
+            total[i] = total.get(i, 0) + d
+    ranks = {}
+    for i in {k - t for _, _, _, maps, t in blocks for k in maps}:
+        row_at, col_at = [0], [0]
+        for part in dims:
+            row_at.append(row_at[-1] + part.get(i + 1, 0))
+            col_at.append(col_at[-1] + part.get(i, 0))
+        rows = [[0] * col_at[-1] for _ in range(row_at[-1])]
+        for r, c, sign, maps, t in blocks:
+            if i + t not in maps:
+                continue
+            if sign:
+                a = maps[i + t].matrix.a
+                for k, vals in enumerate((a if sign > 0 else -a % p).tolist(), row_at[r]):
+                    rows[k][col_at[c]:col_at[c + 1]] = vals
+            else:  # the identity of piece c
+                for k in range(col_at[c + 1] - col_at[c]):
+                    rows[row_at[r] + k][col_at[c] + k] = 1
+        ranks[i] = row_rank(rows, p)
+    return frozenset(i for i, dim in total.items() if dim > ranks.get(i, 0) + ranks.get(i - 1, 0))
+
+
 def cohomology_support(x: Complex) -> frozenset[int]:
     """The degrees with H^i != 0: dim X^i > rk d^i + rk d^(i-1)."""
-    ranks = {i: rank(f.matrix) for i, f in x._diffs.items()}
-    return frozenset(i for i in x.degrees
-                     if x.component(i).dim > ranks.get(i, 0) + ranks.get(i - 1, 0))
+    return _block_support([(x, 0)], [(0, 0, 1, x._diffs, 0)], x.ring.p)
 
 
 def is_acyclic(x: Complex) -> bool:
@@ -358,32 +366,29 @@ def induces_iso(f: ChainMap, i: int, src: CohomologyData | None = None,
 
 
 def cone_support(f: ChainMap) -> frozenset[int]:
-    """cohomology_support(cone(f).z), read off ranks without building the
-    cone: cone^i = X^(i+1) (+) Y^i, and d^i has the rank of the unsorted
-    block array [[d_X^(i+1), 0], [f^(i+1), d_Y^i]], since reordering the
-    blocks and negating d_X change no rank.  Its d^2 = 0 needs no check:
-    f is a chain map.  One rank per nonzero array, as for the
-    built cone."""
-    x, y, p = f.source, f.target, f.source.ring.p
-    xdim = {i: m.dim for i, m in x._components.items()}
-    dims = {i - 1: d for i, d in xdim.items()}
-    for i, m in y._components.items():
-        dims[i] = dims.get(i, 0) + m.dim
-    ranks = {}
-    for i in dims:
-        dx, fi, dy = x._diffs.get(i + 1), f._components.get(i + 1), y._diffs.get(i)
-        if dx is None and fi is None and dy is None:
-            continue
-        top, left = xdim.get(i + 2, 0), xdim.get(i + 1, 0)
-        a = np.zeros((dims[i + 1], dims[i]), dtype=np.int64)
-        if dx is not None:
-            a[:top, :left] = dx.matrix.a
-        if fi is not None:
-            a[top:, :left] = fi.matrix.a
-        if dy is not None:
-            a[top:, left:] = dy.matrix.a
-        ranks[i] = rank(Matrix(a, p))
-    return frozenset(i for i, dim in dims.items() if dim > ranks.get(i, 0) + ranks.get(i - 1, 0))
+    """cohomology_support(cone(f).z) without building the cone: on the
+    unsorted basis X^(i+1) (+) Y^i of cone^i, d^i is the block array
+    [[-d_X^(i+1), 0], [f^(i+1), d_Y^i]], the cone's differential with its
+    basis reordered (direct_sum only sorts), so every rank is the same."""
+    x, y = f.source, f.target
+    return _block_support([(x, 1), (y, 0)], [
+        (0, 0, -1, x._diffs, 1), (1, 0, 1, f._components, 1), (1, 1, 1, y._diffs, 0)], x.ring.p)
+
+
+def pushout_cone_support(f: ChainMap, h: ChainMap) -> frozenset[int]:
+    """cone_support(g) for g : C -> D = cone(u) the inclusion and
+    u = (-f, h) : A -> B (+) C, off f and h alone, building no sum, cone or
+    map.  On the unsorted basis C^(i+1) (+) A^(i+1) (+) B^i (+) C^i of
+    cone(g)^i, the definitions of u, cone(u) and g make d^i the array
+    [[-d_C^(i+1), 0, 0, 0], [0, -d_A^(i+1), 0, 0], [0, -f^(i+1), d_B^i, 0],
+    [I, h^(i+1), 0, d_C^i]]; cone(g) ~ cone(f) is never used."""
+    if f.source != h.source:
+        raise PreconditionError("maps do not share a source")
+    a, b, c = f.source, f.target, h.target
+    return _block_support([(c, 1), (a, 1), (b, 0), (c, 0)], [
+        (0, 0, -1, c._diffs, 1), (1, 1, -1, a._diffs, 1), (2, 1, -1, f._components, 1),
+        (2, 2, 1, b._diffs, 0), (3, 0, 0, c._components, 1), (3, 1, 1, h._components, 1),
+        (3, 3, 1, c._diffs, 0)], a.ring.p)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

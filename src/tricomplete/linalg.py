@@ -172,8 +172,13 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     return Matrix._reduced(np.array(rows, dtype=np.int64).reshape(m.a.shape), m.p), len(pivots), pivots
 
 
+def row_rank(rows: list[list[int]], p: int) -> int:
+    """The rank of int rows in [0, p), eliminated in place."""
+    return len(_eliminate(rows, p)[1])
+
+
 def rank(m: Matrix) -> int:
-    return len(_eliminate(m.a.tolist(), m.p)[1])
+    return row_rank(m.a.tolist(), m.p)
 
 
 def row_new_columns(rows: list[list[int]], split: int, p: int) -> list[int]:

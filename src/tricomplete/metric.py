@@ -32,7 +32,7 @@ from .complexes import (
     PreconditionError,
     cohomology_support,
     cone_support,
-    homotopy_pushout,
+    pushout_cone_support,
     shift,
 )
 
@@ -432,6 +432,17 @@ def equivalent(m1: GoodMetric, m2: GoodMetric, levels: int = 20,
     table holds, for n <= levels, the max over both directions of the
     least m: containment is monotone in m and the least m never falls as
     n grows, so each level's scan starts at the previous witness.
+
+    Each scan stops by m = s + K(n), s the inner metric's first nonempty
+    level (1 if none, and then spec_out(n) is empty) and K(n) twice the
+    largest |finite end| of the runs of spec_out(n) and spec_in(s).  By the
+    growth above, spec_in(s + K) holds every degree within K of
+    spec_in(s).  A run of spec_in(s) is the whole line or holds a finite
+    end d with |d| <= K/2, so spec_in(s + K) holds [-K/2, K/2], and with it
+    each finite run of spec_out(n).  Each ray of spec_in(s) moves past
+    -K/2 or K/2, so it holds the ray of spec_out(n) of its kind, and both
+    together hold the whole line.  A scan past the bound means _fail_level
+    passed a failing pair: an internal error, never a verdict.
     search_bound must be >= 1 and levels >= 0.
     """
     if search_bound < 1:
@@ -454,11 +465,17 @@ def equivalent(m1: GoodMetric, m2: GoodMetric, levels: int = 20,
             if mm <= search_bound]
         return report
     least = {(m1, m2): 1, (m2, m1): 1}  # (inner, outer) -> least m at the last level
+    first = {m: _first_nonempty_level(m) or 1 for m in (m1, m2)}
     for n in range(1, levels + 1):
         for inner, outer in least:
-            spec_out = outer.effective_spec(n)
+            spec_out, s = outer.effective_spec(n), first[inner]
+            bound = s + 2 * max((abs(e) for run in spec_out.runs() + inner.effective_spec(s).runs()
+                                 for e in run if math.isfinite(e)), default=0)
             while not spec_out.is_subset(inner.effective_spec(least[inner, outer])):
                 least[inner, outer] += 1
+                if least[inner, outer] > bound:
+                    raise RuntimeError("no m <= %d puts B(%s)_m inside B(%s)_%d" % (
+                        bound, inner.display_name(), outer.display_name(), n))
         report.witness[n] = max(least.values())
     return report
 
@@ -495,10 +512,9 @@ def cartesian_invariance_check(f: ChainMap, h: ChainMap, m: GoodMetric) -> Carte
     """Homotopy pushout invariance: the induced g : C -> D in the square
     built on f : A -> B and h : A -> C has the same length as f.
 
-    The square is complexes.homotopy_pushout: u : A -> B (+) C and g are
-    built once each from the direct-sum maps, so a check builds two chain
-    maps and one cone."""
-    _, g = homotopy_pushout(f, h)
+    g's length is read off complexes.pushout_cone_support, the ranks of
+    cone(g) assembled from the blocks of f and h, so a check builds no
+    direct sum, cone or map."""
+    lg = m.support_length(pushout_cone_support(f, h))
     lf = length(f, m)
-    lg = length(g, m)
     return CartesianInvarianceCheck(lf == lg, lf, lg)

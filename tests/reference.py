@@ -1,8 +1,9 @@
 """Operations that only the tests perform: sums and negatives of maps
 and matrices, direct sums of complexes with their injection and
-projection chain maps, composites along a tower, amplitudes, shifted ball
-families, the separating stalks of an equivalence report, the numpy
-window build that the int-row build is checked against, a resolution
+projection chain maps, the homotopy pushout square built from them (the
+oracle of the cartesian check's block ranks), composites along a tower,
+amplitudes, shifted ball families, the separating stalks of an
+equivalence report, the numpy window build that the int-row build is checked against, a resolution
 built by an independent elimination, the periodic tail below a given
 embedding as a generator, the eagerly spliced resolution that bands are
 read against, derived Hom through the Hom complex for every target, the
@@ -24,7 +25,9 @@ from tricomplete.complexes import (
     Complex,
     PreconditionError,
     _build_free_approximation,
+    _composite,
     _sum_complex,
+    cone,
     hom_complex,
     identity_chain_map,
     module_complex,
@@ -86,6 +89,26 @@ def sum_projections(total, parts):
     return [ChainMap(total, x, {i: direct_sum([y.component(i) for y in parts], total.ring)[2][k]
                                 for i in x.degrees})
             for k, x in enumerate(parts)]
+
+
+def homotopy_pushout(f, h):
+    """The square on B <-f- A -h-> C: u = (-f, h) : A -> B (+) C and the
+    induced g : C -> D into its cone D = cone(u).z, built from the
+    direct-sum structure maps: u^i = iota_C h^i - iota_B f^i and
+    g^i = iota^i iota_C^i with iota the cone's injection of B (+) C.  The
+    oracle of pushout_cone_support, which builds none of them."""
+    if f.source != h.source:
+        raise PreconditionError("maps do not share a source")
+    a, ring = f.source, f.source.ring
+    bc, injs, _ = _sum_complex([f.target, h.target], ring)
+    comps = {}
+    for i in f._components.keys() | h._components.keys():
+        arr = _composite(injs[i][1], h._components.get(i)) - _composite(injs[i][0], f._components.get(i))
+        comps[i] = RModuleMap._trusted(a.component(i), bc.component(i), Matrix(arr, ring.p))
+    u = ChainMap._trusted(a, bc, comps)
+    tri = cone(u)
+    g = ChainMap._trusted(h.target, tri.z, {i: tri._injs[i][1] @ injs[i][1] for i in h.target.degrees})
+    return u, g
 
 
 def composite(tower, i, j):

@@ -10,6 +10,7 @@ from tricomplete.linalg import (
     rank,
     row_kernel,
     row_new_columns,
+    row_rank,
     rref,
     solve,
 )
@@ -158,6 +159,7 @@ def test_every_reader_runs_the_one_engine_once(monkeypatch):
     readers = {"rref": lambda: rref(m), "rank": lambda: rank(m), "new_columns": lambda: new_columns(m, b),
                "kernel_basis": lambda: kernel_basis(m), "solve": lambda: solve(m, b),
                "row_kernel": lambda: row_kernel(m.a.tolist(), m.cols, 3),
+               "row_rank": lambda: row_rank(m.a.tolist(), 3),
                "row_new_columns": lambda: row_new_columns(m.hstack(b).a.tolist(), m.cols, 3)}
     for name, read in readers.items():
         calls.clear()
@@ -170,10 +172,12 @@ def test_every_reader_runs_the_one_engine_once(monkeypatch):
     # the engine: the window build reaches it through row_kernel and free_cover,
     # and every type read off a rank profile (the cut syzygy, each H^i)
     # through profile_type, which runs it once, through row_new_columns
-    # (span_type lays out H^i's rows for it); the canonical route to H^i is
+    # (span_type lays out H^i's rows for it), every support read off block
+    # ranks through row_rank; the canonical route to H^i is
     # gone from complexes, and rmodule reads images and cokernels as
     # kernels, with k-duality its own (dual_map), and binds no rref
     assert complexes.row_kernel is linalg.row_kernel and rmodule.row_new_columns is linalg.row_new_columns
+    assert complexes.row_rank is linalg.row_rank
     assert complexes.span_type is rmodule.span_type and complexes.profile_type is rmodule.profile_type
     assert not hasattr(complexes, "quotient_canonicalize")
     assert not hasattr(rmodule, "rref") and complexes.dual_map is rmodule.dual_map

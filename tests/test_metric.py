@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tricomplete import metric
@@ -14,10 +16,11 @@ from tricomplete.complexes import (
     PreconditionError,
     cohomology_support,
     cone,
+    cone_support,
     dualize,
-    homotopy_pushout,
     identity_chain_map,
     module_complex,
+    pushout_cone_support,
     shift,
     zero_complex,
 )
@@ -46,6 +49,7 @@ from reference import (
     add,
     composite,
     direct_sum_complex,
+    homotopy_pushout,
     neg,
     separating_complexes,
     shifted_family,
@@ -585,6 +589,20 @@ def test_equivalence_past_the_probe_bound_and_the_table():
         assert not rep.equivalent and rep.fail_level == 2 and rep.witness == {}
 
 
+def test_a_wrong_pass_raises_an_internal_error_and_does_not_hang(monkeypatch, capsys):
+    # i and ii fail from level 2; with _fail_level passing them, no m puts
+    # B(i)_m in B(ii)_2, and the scan stops at its bound s + K(2) = 2 + 2
+    from tricomplete.cli import main
+
+    monkeypatch.setattr(metric, "_fail_level", lambda inner, outer: None)
+    with pytest.raises(RuntimeError, match=r"no m <= 4 puts B\(i\)_m inside B\(ii\)_2"):
+        equivalent(metric_i(), metric_ii(), levels=3)
+    assert main(["--format", "structured", "metric-equiv", "i", "ii"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "internal"
+    # a pair that passes by right stays well inside its bound
+    assert equivalent(metric_iii(), metric_iii(dual=True), levels=20).witness[20] == 20
+
+
 def test_separating_probes_are_sorted_distinct_and_within_the_bound():
     probes = {b: [mm for _, mm, _ in equivalent(metric_i(), metric_ii(), search_bound=b).separating]
               for b in (1, 3, 16, 40, 60, 200)}
@@ -731,17 +749,90 @@ def test_homotopy_pushout_equals_the_composite_square(ring):
 
 
 def test_homotopy_pushout_refuses_maps_without_a_common_source():
+    f, h = identity_chain_map(k_at(0)), identity_chain_map(k_at(1))
     with pytest.raises(PreconditionError, match="share a source"):
-        homotopy_pushout(identity_chain_map(k_at(0)), identity_chain_map(k_at(1)))
+        homotopy_pushout(f, h)
+    with pytest.raises(PreconditionError, match="share a source"):
+        cartesian_invariance_check(f, h, metric_i())
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(2, 4), Ring(5, 2)], ids=str)
+def test_pushout_cone_support_matches_the_built_square(ring):
+    # the support read off f and h is the built g's cone support, on
+    # random corners, on corners with A, B, C or all three zero, and with
+    # f = id, where cone(g) is acyclic
+    shapes = {"nonzero": 0, "acyclic": 0}
+    for f, h in square_corners(ring, seed=80 + ring.p + ring.n):
+        for f in (f, identity_chain_map(f.source)):
+            supp = pushout_cone_support(f, h)
+            assert supp == cone_support(homotopy_pushout(f, h)[1])
+            shapes["nonzero" if supp else "acyclic"] += 1
+    assert min(shapes.values()) >= 10, shapes
+
+
+def unsorted_embeddings(tri, inner=()):
+    """P[i]: the columns of tri.z^i in the unsorted order of the block
+    readers, as a 0/1 array: the injection of tri's first summand, then
+    that of its second, refined through the injections of each triangle
+    in inner (the first summand of each, then the rest)."""
+    out = {}
+    for i in tri.z.degrees:
+        cols, rest = [tri._injs[i][0].matrix.a], tri._injs[i][1].matrix.a
+        for injs in inner:
+            if i in injs:
+                first, second = (inj.matrix.a for inj in injs[i])
+            else:  # the summand is zero at i, and so are both its pieces
+                first = second = np.zeros((rest.shape[1], 0), dtype=np.int64)
+            cols.append(rest @ first)
+            rest = rest @ second
+        out[i] = np.hstack(cols + [rest])
+    return out
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(2, 4), Ring(5, 2)], ids=str)
+def test_block_readers_eliminate_the_built_differential_unsorted(rebind, ring):
+    # the rows a block reader eliminates are, degree by degree, the built
+    # cone's d^i with its basis put in the unsorted order, P^T d P, sign for
+    # sign: over F_3 and F_5 the signs of -d_X, -d_A and -f show, which no
+    # rank sees
+    from tricomplete import linalg
+    from tricomplete.complexes import _sum_complex
+
+    seen = []
+    real = linalg.row_rank
+
+    def recorded(rows, p):
+        block = np.array(rows, dtype=np.int64)
+        seen.append((block.shape, block.tobytes()))
+        return real(rows, p)
+
+    def check(support, tri, inner=()):
+        seen.clear()
+        support()
+        emb = unsorted_embeddings(tri, inner)
+        want = [emb[i + 1].T @ d.matrix.a @ emb[i] % ring.p for i, d in tri.z._diffs.items()]
+        want = [(block.shape, block.tobytes()) for block in want]
+        assert sorted(seen) == sorted(want)
+        return len(want)
+
+    rebind(real, recorded)
+    arrays = 0
+    for f, h in square_corners(ring, seed=60 + ring.p + ring.n):
+        arrays += check(lambda: cone_support(f), cone(f))
+        u, g = homotopy_pushout(f, h)
+        bc_injs = _sum_complex([f.target, h.target], ring)[1]
+        arrays += check(lambda: pushout_cone_support(f, h), cone(g), (cone(u)._injs, bc_injs))
+    assert arrays >= 20
 
 
 @pytest.mark.parametrize("ring", [R22, Ring(3, 3)], ids=str)
 def test_checks_build_only_the_chain_maps_their_lengths_read(count_calls, ring):
-    # a cartesian check builds u and g, a strong-triangle check g o f, and
-    # both eliminate exactly what the composite-built square did
-    from tricomplete import linalg
+    # a cartesian check builds no chain map, sum or cone, a strong-triangle
+    # check only g o f, and both eliminate exactly what the composite-built
+    # square did
+    from tricomplete import complexes, linalg
 
-    counts = count_calls(ChainMap, linalg._eliminate)
+    counts = count_calls(ChainMap, linalg._eliminate, complexes._sum_complex, complexes.cone)
 
     def measure(run):
         counts.clear()
@@ -753,7 +844,8 @@ def test_checks_build_only_the_chain_maps_their_lengths_read(count_calls, ring):
         for m in (metric_i(), metric_ii(), metric_iii()):
             seen = measure(lambda: cartesian_invariance_check(f, h, m))
             was = measure(lambda: (length(f, m), length(composite_square(f, h)[2], m)))
-            assert seen["ChainMap"] == 2 and was["ChainMap"] == 8
+            assert seen["ChainMap"] == 0 and was["ChainMap"] == 8
+            assert seen["_sum_complex"] == seen["cone"] == 0 and was["_sum_complex"] > 0
             assert seen["_eliminate"] == was["_eliminate"]
             eliminations += seen["_eliminate"]
     assert eliminations > 0

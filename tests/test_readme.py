@@ -67,7 +67,9 @@ def test_public_surface_is_the_literal_all():
             (metric.EquivalenceReport, "separating_complexes"), (metric.VanishingSpec, "negated"),
             (cauchy.TruncationTail, "map_at"), (cauchy.ConstantTail, "map_at"),
             (cauchy.TruncationTail, "free"), (tricomplete, "cohomology_map"),
-            (complexes, "cohomology_map"), (rmodule, "quotient_canonicalize")]
+            (complexes, "cohomology_map"), (rmodule, "quotient_canonicalize"),
+            (tricomplete, "homotopy_pushout"), (complexes, "homotopy_pushout"),
+            (metric, "homotopy_pushout")]
     assert [(owner.__name__, name) for owner, name in gone if hasattr(owner, name)] == []
     tower = cauchy.truncation_tower(rmodule.RModule(rmodule.Ring(2, 2), (1,)))
     assert tower.complex_at(3) is not tower.complex_at(3)  # no stage cache
