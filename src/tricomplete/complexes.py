@@ -29,18 +29,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Matrix, kernel_basis, new_columns, rank, row_kernel, row_rank, solve
+from .linalg import Matrix, kernel_basis, new_columns, row_kernel, row_rank, solve
 from .rmodule import (
     RModule,
     RModuleMap,
     Ring,
+    _hom_units,
     _tail_stage,
     cover_matrix,
     direct_sum,
     dual_map,
     free_cover,
     free_module,
-    hom_basis,
     identity_map,
     omega_power,
     profile_type,
@@ -398,51 +398,54 @@ def is_quasi_iso(f: ChainMap) -> bool:
 # -- the Hom complex -------------------------------------------------------------
 
 
-def hom_complex(x: Complex, y: Complex, k: int) -> tuple[list[tuple[int, list[RModuleMap]]], Matrix]:
-    """Basis of Hom^k(X, Y) = prod_i Hom(X^i, Y^(i+k)) and the matrix of
-    delta^k(f) = d_Y f - (-1)^k f d_X : Hom^k -> Hom^(k+1).
+def hom_complex(x: Complex, y: Complex, k: int) -> tuple[list[tuple], list[list[int]], int]:
+    """Basis of Hom^k(X, Y) = prod_i Hom(X^i, Y^(i+k)), the int rows of
+    delta^k(f) = d_Y f - (-1)^k f d_X : Hom^k -> Hom^(k+1), and their width.
 
-    The basis is a list of (i, hom_basis(X^i, Y^(i+k))) in increasing i,
-    empty factors left out; its concatenation indexes the columns.  The
+    The basis lists (i, X^i, Y^(i+k), the ones of each hom_basis map) in
+    increasing i, empty factors left out; its maps index the columns.  The
     rows are the entries of the maps X^i -> Y^(i+k+1), one row-major block
-    per degree of X in increasing order.  kernel_basis and solve depend only
-    on the row space and the column order, so every caller's bases and
-    witnesses are fixed by this layout.
+    per degree of X in increasing order.  row_kernel, solve and row_rank
+    depend only on the row space and the column order, so every caller's
+    bases and witnesses are fixed by this layout.
     """
-    basis, row_at, rows = [], {}, 0
+    if x.ring != y.ring:
+        raise ValueError("ring mismatch")
+    p, basis, row_at, nrows = x.ring.p, [], {}, 0
     for i in x.degrees:
-        row_at[i] = rows
-        rows += y.component(i + k + 1).dim * x.component(i).dim
-        if i + k in y._components:  # Hom of nonzero modules over R is nonzero
-            basis.append((i, hom_basis(x.component(i), y.component(i + k))))
-    delta = np.zeros((rows, sum(len(bs) for _, bs in basis)), dtype=np.int64)
-    sign = -1 if k % 2 == 0 else 1  # -(-1)^k
+        m, nn, after = x._components[i], y._components.get(i + k), y._components.get(i + k + 1)
+        row_at[i], nrows = nrows, nrows + (after.dim * m.dim if after else 0)
+        if nn:  # Hom of nonzero modules over R is nonzero
+            basis.append((i, m, nn, _hom_units(m.blocks, nn.blocks, x.ring.n)))
+    cols = sum(len(units) for *_, units in basis)
+    rows = [[0] * cols for _ in range(nrows)]
     col = 0
-    for i, bs in basis:
-        stack = np.stack([b.matrix.a for b in bs])
-        cols = slice(col, col + len(bs))
-        col += len(bs)
-        dy = y._diffs.get(i + k)
-        if dy is not None:  # d_Y f lands in the block of X^i
-            block = (dy.matrix.a @ stack).reshape(len(bs), -1).T
-            delta[row_at[i]:row_at[i] + block.shape[0], cols] = block
-        dx = x._diffs.get(i - 1)
-        if dx is not None:  # f d_X lands in the block of X^(i-1)
-            block = (stack @ dx.matrix.a).reshape(len(bs), -1).T
-            delta[row_at[i - 1]:row_at[i - 1] + block.shape[0], cols] = sign * block
-    return basis, Matrix(delta, x.ring.p)
+    for i, m, nn, units in basis:  # a zero d_Y or d_X has empty columns or rows
+        dy, dx = y._diffs.get(i + k), x._diffs.get(i - 1)
+        dy_cols = dy.matrix.a.T.tolist() if dy else [()] * nn.dim
+        dx_rows = (dx.matrix.a if k % 2 else -dx.matrix.a % p).tolist() if dx else [()] * m.dim  # times -(-1)^k
+        for ones in units:
+            for r, c in ones:  # column r of d_Y at rows u dim X^i + c, row c of d_X at row r of X^(i-1)'s block
+                for u, v in enumerate(dy_cols[r]):
+                    rows[row_at[i] + u * m.dim + c][col] = v
+                for at, v in enumerate(dx_rows[c], row_at.get(i - 1, 0) + r * len(dx_rows[c])):
+                    rows[at][col] = v
+            col += 1
+    return basis, rows, cols
 
 
-def hom_combination(basis: list[tuple[int, list[RModuleMap]]], coeffs: np.ndarray) -> dict[int, RModuleMap]:
-    """The degreewise maps sum_k coeffs[k] B_k over a hom_complex basis,
-    one RModuleMap per degree; zero maps are left out."""
-    out, at = {}, 0
-    for i, bs in basis:
-        c = coeffs[at:at + len(bs)] % bs[0].ring.p
-        at += len(bs)
-        if c.any():  # hom_basis is a basis, so the sum is nonzero
-            matrix = np.tensordot(c, np.stack([b.matrix.a for b in bs]), axes=1)
-            out[i] = RModuleMap._trusted(bs[0].source, bs[0].target, Matrix(matrix, bs[0].ring.p))
+def hom_combination(basis: list[tuple], coeffs: list[int]) -> dict[int, RModuleMap]:
+    """sum_k coeffs[k] B_k over a hom_complex basis, one RModuleMap per nonzero
+    degree: the B_k have disjoint ones, so c_k mod p is written at B_k's ones."""
+    out, coeffs = {}, iter(coeffs)
+    for i, m, nn, units in basis:
+        flat = [0] * (nn.dim * m.dim)
+        for ones, c in zip(units, coeffs):  # units first: zip takes no coefficient past them
+            for r, col in ones:
+                flat[r * m.dim + col] = c % m.ring.p
+        if any(flat):  # hom_basis is a basis, so the sum is nonzero
+            matrix = Matrix._reduced(np.array(flat, dtype=np.int64).reshape(nn.dim, m.dim), m.ring.p)
+            out[i] = RModuleMap._trusted(m, nn, matrix)
     return out
 
 
@@ -452,14 +455,13 @@ def is_null_homotopic(f: ChainMap) -> tuple[bool, dict[int, RModuleMap] | None]:
 
     Returns (True, witness) with witness[i] : X^i -> Y^(i-1), or (False, None).
     """
-    x = f.source
-    basis, delta = hom_complex(x, f.target, -1)
-    rhs = np.concatenate([np.zeros(0, dtype=np.int64)]
-                         + [f.component(i).matrix.a.ravel() for i in x.degrees])
-    sol = solve(delta, Matrix(rhs.reshape(-1, 1), x.ring.p))
+    x, p = f.source, f.source.ring.p
+    basis, delta, cols = hom_complex(x, f.target, -1)
+    rhs = [v for i in x.degrees for v in f.component(i).matrix.a.ravel().tolist()]
+    sol = solve(Matrix(np.reshape(delta, (len(delta), cols)), p), Matrix(np.reshape(rhs, (-1, 1)), p))
     if sol is None:
         return False, None
-    return True, hom_combination(basis, sol.a[:, 0])
+    return True, hom_combination(basis, sol.a[:, 0].tolist())
 
 
 def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
@@ -467,9 +469,8 @@ def chain_map_space(x: Complex, y: Complex) -> list[ChainMap]:
 
     Only tests call it.  It stays here while bench/tracer.py wraps it by
     name, until the tracer traces hom_complex instead (ROADMAP item 4)."""
-    basis, delta = hom_complex(x, y, 0)
-    null = kernel_basis(delta)
-    return [ChainMap(x, y, hom_combination(basis, null.a[:, j])) for j in range(null.cols)]
+    basis, delta, cols = hom_complex(x, y, 0)
+    return [ChainMap(x, y, hom_combination(basis, v)) for v in zip(*row_kernel(delta, cols, x.ring.p))]
 
 
 # -- duality ------------------------------------------------------------------
@@ -699,6 +700,6 @@ def derived_hom(a: Complex, b: Complex, d: int = 0) -> int:
         return len(b.component(j).blocks) * _resolve_window(a).rank(j - d)
     lo, hi = j - d - 1, b.max_degree - d + 1
     pc = projective_resolution(a, min(a.min_degree - 1, lo)).band(lo, hi)
-    _, dd = hom_complex(pc, b, d)
-    _, dm1 = hom_complex(pc, b, d - 1)
-    return dd.cols - rank(dd) - rank(dm1)
+    _, dd, cols = hom_complex(pc, b, d)
+    _, dm1, _ = hom_complex(pc, b, d - 1)
+    return cols - row_rank(dd, b.ring.p) - row_rank(dm1, b.ring.p)

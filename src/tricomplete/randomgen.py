@@ -3,16 +3,15 @@
 Everything is driven by an explicit random.Random instance: same seed,
 same objects, byte-stable reports.  Differentials are sampled from the
 exact solution space of d^2 = 0, one degree at a time, so every generated
-complex is valid by construction rather than by rejection, and built trusted.
+complex is valid by construction rather than by rejection, and built trusted:
+the kernel of delta^0 on a Hom complex's int rows, combined on ints.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
-
-from .linalg import kernel_basis
+from .linalg import row_kernel
 from .rmodule import RModule, RModuleMap, Ring
 from .complexes import ChainMap, Complex, hom_combination, hom_complex, module_complex
 
@@ -28,19 +27,19 @@ class Sampler:
 
     def _kernel_sample(self, x: Complex, y: Complex) -> dict[int, RModuleMap]:
         """Uniform random element of ker delta^0 : Hom^0(X, Y) -> Hom^1(X, Y),
-        one coefficient drawn per kernel basis vector."""
-        basis, delta = hom_complex(x, y, 0)
-        null = kernel_basis(delta)
-        coeffs = np.array([self.rng.randrange(self.ring.p) for _ in range(null.cols)], dtype=np.int64)
-        return hom_combination(basis, null.a @ coeffs)
+        one coefficient drawn per kernel basis vector, in order."""
+        basis, delta, cols = hom_complex(x, y, 0)
+        null = row_kernel(delta, cols, self.ring.p)
+        coeffs = [self.rng.randrange(self.ring.p) for _ in range(len(null[0]) if null else 0)]
+        return hom_combination(basis, [sum(v * c for v, c in zip(row, coeffs)) for row in null])
 
     def complex(self, lo: int, hi: int, max_blocks: int = 2,
                 degrees: list[int] | None = None) -> Complex:
         """Random bounded complex with components in the given degree window.
 
-        degrees, when given, restricts which degrees may carry a nonzero
-        component (used to sample inside metric balls).  The admissible d^i
-        are the chain maps from X^(i-1) -> X^i into X^(i+1) in degree i.
+        degrees, when given, replaces the window: only they, in any range,
+        may carry a nonzero component (to sample inside metric balls).  The
+        admissible d^i are the chain maps from X^(i-1) -> X^i into X^(i+1) in degree i.
         """
         allowed = sorted(degrees) if degrees is not None else list(range(lo, hi + 1))
         comps = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 
 import numpy as np
 
@@ -130,7 +130,7 @@ class RModuleMap:
         if self.matrix.p != self.ring.p:
             raise ValueError("mixed moduli %d and %d" % (self.matrix.p, self.ring.p))
         flat = self.matrix.a.ravel()
-        repeated = np.append(flat, 0)[_linear_entries(self.source.blocks, self.target.blocks)]
+        repeated = np.append(flat, 0)[_linear_entries(self.source.blocks, self.target.blocks, self.ring.n)]
         if repeated.tobytes() != flat.tobytes():
             raise ValueError("matrix does not commute with the x-actions (not R-linear)")
 
@@ -153,16 +153,15 @@ class RModuleMap:
 
 
 @lru_cache(maxsize=1024)
-def _linear_entries(source: tuple[int, ...], target: tuple[int, ...]) -> np.ndarray:
+def _linear_entries(source: tuple[int, ...], target: tuple[int, ...], n: int) -> np.ndarray:
     """R-linearity as a table over Jordan types: for each row-major entry,
     the index of the coordinate entry an R-linear map repeats there, or one
-    past the last index where it is 0.  hom_basis's map e -> x^s f from
-    block a at sa to block b at sb has its ones at (sb + s + t, sa + t)."""
+    past the last index where it is 0.  Each hom_basis map repeats its
+    first one at all its ones, and they span Hom."""
     dm, dn = sum(source), sum(target)
     table = np.full(dn * dm, dn * dm, dtype=np.int64)
-    for (a, sa), (b, sb) in product(zip(source, [0, *accumulate(source)]), zip(target, [0, *accumulate(target)])):
-        for s in range(max(0, b - a), b):
-            table[[(sb + s + t) * dm + sa + t for t in range(b - s)]] = (sb + s) * dm + sa
+    for ones in _hom_units(source, target, n):
+        table[[r * dm + c for r, c in ones]] = ones[0][0] * dm + ones[0][1]
     return table
 
 
@@ -287,10 +286,10 @@ def hom_basis(m: RModule, nn: RModule) -> list[RModuleMap]:
     other source orders by the row-major index of the last nonzero entry,
     the free variable an elimination of X_nn F = F X_m would pick.
 
-    The basis depends only on the two Jordan types and the ring, so its
-    maps are built once per pair (_hom_basis); every call
-    returns a fresh list of those shared maps, whose matrices refuse
-    writes.
+    The basis depends only on the two Jordan types and n, so its ones are
+    listed (_hom_units, which hom_complex and the R-linearity check read)
+    and its maps built from them (_hom_basis) once per pair; every call
+    returns a fresh list of those shared maps, whose matrices refuse writes.
     """
     if m.ring != nn.ring:
         raise ValueError("ring mismatch")
@@ -299,17 +298,21 @@ def hom_basis(m: RModule, nn: RModule) -> list[RModuleMap]:
 
 @lru_cache(maxsize=1024)
 def _hom_basis(m: RModule, nn: RModule) -> tuple[RModuleMap, ...]:
-    dm, dn = m.dim, nn.dim
-    free = m.is_free()
-    keyed = []
-    for a, sa in zip(m.blocks, m.block_starts()):
-        for b, sb in zip(nn.blocks, nn.block_starts()):
+    return tuple(RModuleMap._trusted(m, nn, _frozen(Matrix.units(nn.dim, m.dim, ones, m.ring.p)))
+                 for ones in _hom_units(m.blocks, nn.blocks, m.ring.n))
+
+
+@lru_cache(maxsize=1024)
+def _hom_units(source: tuple[int, ...], target: tuple[int, ...], n: int) -> tuple[tuple, ...]:
+    """The ones (r, c) of each hom_basis map between Jordan types over
+    F_p[x]/(x^n), in order: the one place the order rule is written."""
+    dm, dn, free, keyed = sum(source), sum(target), all(a == n for a in source), []
+    for a, sa in zip(source, [0, *accumulate(source)]):
+        for b, sb in zip(target, [0, *accumulate(target)]):
             for s in range(max(0, b - a), b):
                 keyed.append((sa * dn + sb + s if free else (sb + b - 1) * dm + sa + b - s - 1,
-                              [(sb + s + t, sa + t) for t in range(b - s)]))
-    keyed.sort(key=lambda kf: kf[0])
-    return tuple(RModuleMap._trusted(m, nn, _frozen(Matrix.units(dn, dm, ones, m.ring.p)))
-                 for _, ones in keyed)
+                              tuple((sb + s + t, sa + t) for t in range(b - s))))
+    return tuple(ones for _, ones in sorted(keyed, key=lambda kf: kf[0]))
 
 
 # -- kernels, images, cokernels --------------------------------------------

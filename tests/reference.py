@@ -6,7 +6,9 @@ amplitudes, shifted ball families, the separating stalks of an
 equivalence report, the numpy window build that the int-row build is checked against, a resolution
 built by an independent elimination, the periodic tail below a given
 embedding as a generator, the eagerly spliced resolution that bands are
-read against, derived Hom through the Hom complex for every target, the
+read against, the Hom complex on numpy arrays with its combinations and
+the sampler's kernel draw on them (the oracles of the int-row build of
+delta), derived Hom through that Hom complex for every target, the
 cut syzygy's type by a Jordan profile of the cut kernel, quotients
 canonicalized by a complement of the subspace (the route cokernels took
 before they became kernels of the dual), H^i in canonical bases on it,
@@ -28,7 +30,6 @@ from tricomplete.complexes import (
     _composite,
     _sum_complex,
     cone,
-    hom_complex,
     identity_chain_map,
     module_complex,
     projective_resolution,
@@ -293,6 +294,66 @@ def eager_band(ring, ranks, diffs, lo, hi):
     maps = {i: RModuleMap(comps[i], comps[i + 1], Matrix(d, ring.p))
             for i, d in diffs.items() if i in comps and i + 1 in comps}
     return Complex(ring, comps, maps)
+
+
+# -- the Hom complex on numpy arrays ---------------------------------------------------
+
+
+def hom_complex(x: Complex, y: Complex, k: int) -> tuple[list[tuple[int, list[RModuleMap]]], Matrix]:
+    """Basis of Hom^k(X, Y) = prod_i Hom(X^i, Y^(i+k)) and the matrix of
+    delta^k(f) = d_Y f - (-1)^k f d_X : Hom^k -> Hom^(k+1).
+
+    The basis is a list of (i, hom_basis(X^i, Y^(i+k))) in increasing i,
+    empty factors left out; its concatenation indexes the columns.  The
+    rows are the entries of the maps X^i -> Y^(i+k+1), one row-major block
+    per degree of X in increasing order.  kernel_basis and solve depend only
+    on the row space and the column order, so every caller's bases and
+    witnesses are fixed by this layout.
+    """
+    basis, row_at, rows = [], {}, 0
+    for i in x.degrees:
+        row_at[i] = rows
+        rows += y.component(i + k + 1).dim * x.component(i).dim
+        if i + k in y._components:  # Hom of nonzero modules over R is nonzero
+            basis.append((i, hom_basis(x.component(i), y.component(i + k))))
+    delta = np.zeros((rows, sum(len(bs) for _, bs in basis)), dtype=np.int64)
+    sign = -1 if k % 2 == 0 else 1  # -(-1)^k
+    col = 0
+    for i, bs in basis:
+        stack = np.stack([b.matrix.a for b in bs])
+        cols = slice(col, col + len(bs))
+        col += len(bs)
+        dy = y._diffs.get(i + k)
+        if dy is not None:  # d_Y f lands in the block of X^i
+            block = (dy.matrix.a @ stack).reshape(len(bs), -1).T
+            delta[row_at[i]:row_at[i] + block.shape[0], cols] = block
+        dx = x._diffs.get(i - 1)
+        if dx is not None:  # f d_X lands in the block of X^(i-1)
+            block = (stack @ dx.matrix.a).reshape(len(bs), -1).T
+            delta[row_at[i - 1]:row_at[i - 1] + block.shape[0], cols] = sign * block
+    return basis, Matrix(delta, x.ring.p)
+
+
+def hom_combination(basis: list[tuple[int, list[RModuleMap]]], coeffs: np.ndarray) -> dict[int, RModuleMap]:
+    """The degreewise maps sum_k coeffs[k] B_k over a hom_complex basis,
+    one RModuleMap per degree; zero maps are left out."""
+    out, at = {}, 0
+    for i, bs in basis:
+        c = coeffs[at:at + len(bs)] % bs[0].ring.p
+        at += len(bs)
+        if c.any():  # hom_basis is a basis, so the sum is nonzero
+            matrix = np.tensordot(c, np.stack([b.matrix.a for b in bs]), axes=1)
+            out[i] = RModuleMap._trusted(bs[0].source, bs[0].target, Matrix(matrix, bs[0].ring.p))
+    return out
+
+
+def kernel_sample(rng, x, y):
+    """Sampler._kernel_sample on the numpy Hom complex: one randrange(p)
+    per kernel basis vector of delta^0, in order, combined by a product."""
+    basis, delta = hom_complex(x, y, 0)
+    null = kernel_basis(delta)
+    coeffs = np.array([rng.randrange(x.ring.p) for _ in range(null.cols)], dtype=np.int64)
+    return hom_combination(basis, null.a @ coeffs)
 
 
 def hom_complex_derived_hom(a, b, d):

@@ -45,7 +45,9 @@ from reference import (
     canonical_cohomology,
     cohomology_map,
     direct_sum_complex,
+    hom_complex as numpy_hom_complex,
     is_isomorphism,
+    kernel_sample,
     neg,
     quotient_canonicalize,
     two_term_complexes,
@@ -374,32 +376,107 @@ def test_direct_sum_complex_builds_one_chain_map_per_part(count_calls, k):
 
 @pytest.mark.parametrize("ring", [R22, Ring(3, 3)], ids=str)
 def test_hom_complex_asks_hom_basis_only_for_nonzero_targets(monkeypatch, ring):
-    from tricomplete import complexes
+    # hom_complex asks the unit table of each nonzero factor once, and reads
+    # or builds no hom_basis map
+    from tricomplete import complexes, rmodule
     from tricomplete.randomgen import Sampler
 
-    asked = []
+    asked, table = [], rmodule._hom_units
 
-    def counting(m, nn):
-        asked.append((m, nn))
-        return hom_basis(m, nn)
+    def counting(*key):
+        asked.append(key)
+        return table(*key)
 
-    monkeypatch.setattr(complexes, "hom_basis", counting)
+    monkeypatch.setattr(complexes, "_hom_units", counting)
     s = Sampler(ring, random.Random(17))
     skipped = 0
     for _ in range(12):
         x, y = s.complex(-2, 1), s.complex(-1, 2)
         for k in (-1, 0, 1):
             asked.clear()
-            basis, delta = complexes.hom_complex(x, y, k)
+            maps_before = rmodule._hom_basis.cache_info()
+            basis, delta, cols = complexes.hom_complex(x, y, k)
+            assert rmodule._hom_basis.cache_info() == maps_before
             want = [i for i in x.degrees if i + k in y.degrees]
             skipped += len(x.degrees) - len(want)
-            assert asked == [(x.component(i), y.component(i + k)) for i in want]
-            # the layout is unchanged: every nonzero factor, in increasing i
-            assert [i for i, _ in basis] == want
-            for i, bs in basis:
-                assert bs == hom_basis(x.component(i), y.component(i + k))
-            assert delta.rows == sum(x.component(i).dim * y.component(i + k + 1).dim for i in x.degrees)
+            assert asked == [(x.component(i).blocks, y.component(i + k).blocks, ring.n) for i in want]
+            # the layout is unchanged: every nonzero factor, in increasing i,
+            # its maps' ones in hom_basis's order
+            assert [i for i, *_ in basis] == want
+            for i, m, nn, units in basis:
+                assert (m, nn) == (x.component(i), y.component(i + k))
+                assert units == tuple(tuple(map(tuple, np.argwhere(b.matrix.a).tolist()))
+                                      for b in hom_basis(m, nn))
+            assert cols == sum(len(units) for *_, units in basis)
+            assert len(delta) == sum(x.component(i).dim * y.component(i + k + 1).dim for i in x.degrees)
     assert skipped >= 10
+
+
+HOM_RINGS = [R22, Ring(3, 3), Ring(2, 4), Ring(5, 2), Ring(3, 4)]
+
+
+@pytest.mark.parametrize("ring", HOM_RINGS, ids=str)
+def test_hom_complex_rows_equal_the_numpy_reference(ring):
+    # delta^k's int rows, shape and basis order against the numpy build of
+    # d_Y b - (-1)^k b d_X, entry for entry, zero complexes included
+    from tricomplete.randomgen import Sampler
+
+    s = Sampler(ring, random.Random(40 + ring.p * ring.n))
+    pairs = [(zero_complex(ring), s.complex(-1, 1)), (s.complex(-1, 1), zero_complex(ring)),
+             (zero_complex(ring), zero_complex(ring))]
+    pairs += [(s.complex(-2, 1), s.complex(-1, 2, max_blocks=3)) for _ in range(16)]
+    signed = {(-1) ** k: 0 for k in (0, 1)}
+    for x, y in pairs:
+        for k in range(-2, 2):
+            basis, rows, cols = hom_complex(x, y, k)
+            ref_basis, ref = numpy_hom_complex(x, y, k)
+            assert [i for i, *_ in basis] == [i for i, _ in ref_basis]
+            for (i, m, nn, units), (_, bs) in zip(basis, ref_basis):
+                assert (m, nn) == (bs[0].source, bs[0].target)
+                assert units == tuple(tuple(map(tuple, np.argwhere(b.matrix.a).tolist())) for b in bs)
+            assert (len(rows), cols) == ref.a.shape
+            assert rows == ref.a.tolist(), (x, y, k)
+            if x._diffs and y._diffs and ref.a.any():
+                signed[(-1) ** k] += 1
+    assert min(signed.values()) >= 5, signed
+
+
+def same_maps(f, g):
+    """Equal stored maps, matrix bytes, dtype and shape included."""
+    return f.keys() == g.keys() and all(
+        (f[i].source, f[i].target) == (g[i].source, g[i].target)
+        and (f[i].matrix.a.dtype, f[i].matrix.a.shape, f[i].matrix.a.tobytes())
+        == (g[i].matrix.a.dtype, g[i].matrix.a.shape, g[i].matrix.a.tobytes()) for i in f)
+
+
+@pytest.mark.parametrize("ring", HOM_RINGS, ids=str)
+def test_sampler_draws_what_the_numpy_kernel_draw_draws(ring):
+    # same seed, same complexes and chain maps, byte for byte, as sampling
+    # off the numpy Hom complex with a kernel_basis product
+    from tricomplete.randomgen import Sampler
+
+    class NumpySampler(Sampler):
+        def _kernel_sample(self, x, y):
+            return kernel_sample(self.rng, x, y)
+
+    nonzero = 0
+    for seed in range(20):
+        got, want = Sampler(ring, random.Random(seed)), NumpySampler(ring, random.Random(seed))
+        drawn = []
+        for s in (got, want):
+            x, y = s.complex(-2, 2), s.complex(-1, 1, max_blocks=3)
+            ball = s.complex(0, 0, degrees=[-3, 1, 2])
+            drawn.append([x, y, ball, s.chain_map(x, y), s.chain_map(shift(ball, -1), y),
+                          *s.composable_pair(), *s.corner(-1, 1)])
+        for a, b in zip(*drawn):
+            if isinstance(a, Complex):
+                assert a == b and a._components == b._components and same_maps(a._diffs, b._diffs)
+                nonzero += bool(a._diffs)
+            else:
+                assert (a.source, a.target) == (b.source, b.target) and same_maps(a._components, b._components)
+                nonzero += bool(a._components)
+        assert got.rng.getstate() == want.rng.getstate()
+    assert nonzero >= 60
 
 
 @pytest.mark.parametrize("ring", [R22, Ring(3, 3), Ring(5, 2)])
@@ -824,8 +901,8 @@ def shifted_derived_hom(a, b, d):
     lo, hi = b.min_degree - d - 1, b.max_degree - d + 1
     pc = projective_resolution(a, min(a.min_degree - 1, lo)).band(lo, hi)
     tb = shift(b, d)
-    _, d0 = hom_complex(pc, tb, 0)
-    _, dm1 = hom_complex(pc, tb, -1)
+    _, d0 = numpy_hom_complex(pc, tb, 0)
+    _, dm1 = numpy_hom_complex(pc, tb, -1)
     return d0.cols - rank(d0) - rank(dm1)
 
 
@@ -847,11 +924,12 @@ def test_derived_hom_reads_hom_d_of_b_without_shifting(ring):
         if not a.is_zero():
             pc = projective_resolution(a, a.min_degree - 3).complex
             for k in (-1, 0):
-                (basis, delta), (sbasis, sdelta) = hom_complex(pc, b, k + d), \
+                (basis, delta, cols), (sbasis, sdelta, scols) = hom_complex(pc, b, k + d), \
                     hom_complex(pc, shift(b, d), k)
-                assert [i for i, _ in basis] == [i for i, _ in sbasis]
-                assert delta.a.shape == sdelta.a.shape
-                assert not ((delta.a * (-1) ** d - sdelta.a) % ring.p).any()
+                assert [i for i, *_ in basis] == [i for i, *_ in sbasis]
+                assert (len(delta), cols) == (len(sdelta), scols)
+                assert all((u * (-1) ** d - v) % ring.p == 0
+                           for row, srow in zip(delta, sdelta) for u, v in zip(row, srow))
     assert nonzero >= 20
 
 

@@ -57,6 +57,7 @@ from reference import (
     eager_band,
     eager_splice,
     full_pullback_cover,
+    hom_complex as numpy_hom_complex,
     hom_complex_derived_hom,
     numpy_free_approximation,
     split_unit_entries,
@@ -150,8 +151,8 @@ def direct_resolution(x: Complex, depth: int):
 def hom_h0(free: Complex, b: Complex, d: int) -> int:
     """H^0 of Hom(free, T^d b): the count derived_hom takes."""
     tb = shift(b, d)
-    _, d0 = hom_complex(free, tb, 0)
-    _, dm1 = hom_complex(free, tb, -1)
+    _, d0 = numpy_hom_complex(free, tb, 0)
+    _, dm1 = numpy_hom_complex(free, tb, -1)
     return d0.cols - rank(d0) - rank(dm1)
 
 
@@ -401,34 +402,36 @@ def test_inj_boundedness_of_a_resolved_complex_eliminates_nothing(monkeypatch):
     assert builds
 
 
-def test_a_second_derived_hom_builds_no_hom_basis_maps(count_calls, rebind):
+def test_a_second_derived_hom_builds_no_hom_basis_maps(monkeypatch):
     # Hom bases depend only on Jordan types: a fresh complex with the types
-    # of one already read reads the maps that first derived_hom built.  The
-    # target is R, not k: Ext into k reads ranks and builds no Hom basis
-    built = count_calls(RModuleMap)
-    in_bases = []
+    # of one already read asks hom_complex for the unit tables that first
+    # derived_hom built, and builds none; no derived_hom builds a hom_basis
+    # map.  The target is R, not k: Ext into k reads ranks and asks no Hom
+    # basis
+    table, built = rmodule._hom_units, []
 
-    def counting_hom_basis(m, nn):
-        before = built["RModuleMap"]
-        basis = hom_basis(m, nn)
-        in_bases.append(built["RModuleMap"] - before)
-        return basis
+    def counting_units(*key):
+        before = table.cache_info().misses
+        units = table(*key)
+        built.append(table.cache_info().misses - before)
+        return units
 
-    rebind(hom_basis, counting_hom_basis)
+    monkeypatch.setattr(complexes, "_hom_units", counting_units)
     first_builds = 0
     for ring in SPLICE_RINGS:
         r = module_complex(RModule(ring, (ring.n,)))
         for x in splice_samples(ring, seed=ring.p * 11 + ring.n, count=4):
             for d in (-1, 0, 1, 2):
-                in_bases.clear()
+                built.clear()
                 first = derived_hom(x, r, d)
-                asked, first_builds = len(in_bases), first_builds + sum(in_bases)
+                asked, first_builds = len(built), first_builds + sum(built)
                 fresh = Complex(ring, {i: x.component(i) for i in x.degrees},
                                 {i: x.differential(i) for i in x.degrees})
-                in_bases.clear()
+                built.clear()
                 assert derived_hom(fresh, r, d) == first
-                assert in_bases == [0] * asked, (ring, x, d)
+                assert built == [0] * asked, (ring, x, d)
     assert first_builds
+    assert rmodule._hom_basis.cache_info().misses == 0
 
 
 # -- the periodic tail, one stage per syzygy type ------------------------------------
